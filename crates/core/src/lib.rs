@@ -52,6 +52,6 @@ pub use server::{
     ServerConfig, ServerReport,
 };
 pub use service::{
-    BatchGuard, CnnFault, CnnRungOutcome, GuardedSelection, SelectGuard, Selection,
-    SelectionSource, SelectorService, ServiceReport,
+    CnnFault, CnnRungOutcome, GuardedSelection, SelectGuard, Selection, SelectionSource,
+    SelectorService, ServiceReport,
 };

@@ -11,20 +11,13 @@ pub fn make_channels<S: Scalar>(
     kind: ReprKind,
     cfg: &ReprConfig,
 ) -> Vec<Tensor> {
-    MatrixRepr::extract(matrix, kind, cfg)
-        .channels
-        .into_iter()
-        .map(|im| {
-            let (h, w) = (im.height(), im.width());
-            Tensor::from_vec(&[h, w], im.into_vec())
-        })
-        .collect()
+    make_channels_until(matrix, kind, cfg, &|| false).expect("never cancelled")
 }
 
 /// [`make_channels`] with a cooperative-cancellation checkpoint
 /// threaded into the extraction loops; `None` once `cancel` reports
 /// `true`.
-pub fn make_channels_with_cancel<S: Scalar>(
+pub fn make_channels_until<S: Scalar>(
     matrix: &CooMatrix<S>,
     kind: ReprKind,
     cfg: &ReprConfig,

@@ -169,26 +169,6 @@ impl FormatSelector {
         predict_proba(&self.net, &channels)
     }
 
-    /// [`Self::predict_proba`] with cooperative-cancellation
-    /// checkpoints through both the representation extraction and the
-    /// CNN forward pass; `None` once `cancel` reports `true`. This is
-    /// the deadline seam the serving layer uses so a pathological
-    /// matrix cannot wedge a worker.
-    pub fn predict_proba_with_cancel<S: Scalar>(
-        &self,
-        matrix: &CooMatrix<S>,
-        cancel: &dyn Fn() -> bool,
-    ) -> Option<Vec<f32>> {
-        let channels = crate::samples::make_channels_with_cancel(
-            matrix,
-            self.config.repr,
-            &self.config.repr_config,
-            cancel,
-        )?;
-        let logits = self.net.forward_with_cancel(&channels, cancel)?;
-        Some(dnnspmv_nn::loss::softmax(logits.data()))
-    }
-
     /// Converts `matrix` into the predicted format, falling back down
     /// the probability ranking (and ultimately to CSR) when a
     /// conversion is infeasible — mirroring what a library integration

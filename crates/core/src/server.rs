@@ -41,11 +41,11 @@ use crate::cache::{matrix_fingerprint, CacheConfig, CacheInsert, CacheLookup, De
 use crate::error::SelectorError;
 use crate::selector::FormatSelector;
 use crate::service::{
-    BatchGuard, CnnFault, CnnRungOutcome, SelectGuard, Selection, SelectionSource, SelectorService,
+    CnnFault, CnnRungOutcome, SelectGuard, Selection, SelectionSource, SelectorService,
     ServiceReport,
 };
 use dnnspmv_nn::{with_gemm_threading, GemmThreading, NnError};
-use dnnspmv_obs::{Counter, Gauge, GaugeGuard, LatencyHistogram, MetricsSnapshot, Registry};
+use dnnspmv_obs::{Counter, Gauge, LatencyHistogram, MetricsSnapshot, Registry};
 use dnnspmv_sparse::{CooMatrix, Scalar};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -237,9 +237,9 @@ impl Breaker {
 
     /// Whether the breaker is currently closed, without consuming a
     /// probe slot or transitioning state — the micro-batcher peeks this
-    /// to decide between the shared CNN pass (closed) and per-member
-    /// single-path handling (open or half-open, where probe accounting
-    /// must stay one-request-at-a-time).
+    /// to decide between one shared CNN pass (closed) and feeding the
+    /// members through one at a time (open or half-open, where probe
+    /// accounting must stay one-request-at-a-time).
     fn closed(&self) -> bool {
         self.inner.lock().expect("breaker lock").state == BreakerState::Closed
     }
@@ -300,8 +300,8 @@ impl std::error::Error for ServeError {
 }
 
 /// Observer of served selections — the seam the feedback layer hangs
-/// off. Called synchronously on every *served* answer (cache hit,
-/// single path, batched path) with the request's matrix, the selection
+/// off. Called synchronously on every *served* answer (cache hit or
+/// worker pass) with the request's matrix, the selection
 /// returned to the client, and the model generation that produced it.
 ///
 /// Implementations MUST be cheap and non-blocking: the contract is a
@@ -554,9 +554,10 @@ pub struct ServerReport {
     pub served_default: u64,
     /// Answered from the decision cache (no rung ran at all).
     pub served_cache: u64,
-    /// Answers produced by a micro-batched worker pass.
+    /// Answers produced by a worker pass shared by two or more
+    /// requests.
     pub batched_served: u64,
-    /// Answers produced by the per-request worker path.
+    /// Answers produced by a worker pass over a batch of one.
     pub single_served: u64,
     /// Decision-cache counters.
     pub cache: ServeCacheReport,
@@ -598,7 +599,7 @@ impl ServerReport {
 
     /// Path-level refinement of the accounting invariant: every served
     /// answer arrived via exactly one route — a synchronous cache hit,
-    /// a micro-batched worker pass, or the per-request worker path.
+    /// a worker pass shared with batch mates, or a worker pass alone.
     pub fn path_accounted(&self) -> bool {
         self.served == self.served_cache + self.batched_served + self.single_served
     }
@@ -651,9 +652,8 @@ struct Inner<S: Scalar> {
     seq: AtomicU64,
 }
 
-/// Restores a gauge by `n` on drop — the batch-sized analogue of
-/// [`GaugeGuard`], so the in-flight gauge is released even if a batch
-/// member's CNN pass panics through the worker.
+/// Restores a gauge by `n` on drop, so the in-flight gauge is released
+/// even if a batch member's CNN pass panics through the worker.
 struct GaugeDebt<'a> {
     gauge: &'a Gauge,
     n: i64,
@@ -669,7 +669,7 @@ type Reply = mpsc::Sender<Result<Selection, ServeError>>;
 
 impl<S: Scalar> Inner<S> {
     /// Notifies the attached serve tap, if any. Kept out of line so
-    /// every served path (cache hit, single, batched) shares the same
+    /// both served paths (cache hit, worker pass) share the same
     /// one-liner and the no-tap case is a single pointer load.
     #[inline]
     fn tap_observe(&self, matrix: &Arc<CooMatrix<S>>, sel: &Selection, generation: u64) {
@@ -678,100 +678,150 @@ impl<S: Scalar> Inner<S> {
         }
     }
 
-    /// Processes one job and returns its reply channel plus the answer
-    /// — the caller sends it *after* this returns, so the in-flight
-    /// gauge (released on return, panic-unwind included) never reads 1
-    /// to a client that already has its reply.
-    fn handle(&self, job: Job<S>) -> (Reply, Result<Selection, ServeError>) {
-        let now = (self.clock)();
-        let _in_flight = GaugeGuard::enter(&self.metrics.in_flight);
-        if self.metrics.timed {
-            self.metrics
-                .queue_wait_ns
-                .record(now.saturating_sub(job.enqueued_at));
-        }
-        if job.deadline.is_some_and(|d| now >= d) {
-            self.metrics.deadline_in_queue.inc();
-            return (job.reply, Err(ServeError::DeadlineExceeded));
-        }
+    /// Processes a gathered batch — a single request is a batch of one —
+    /// through one pass of the ladder and returns each member's reply
+    /// channel plus its answer. The caller sends *after* this returns,
+    /// so the in-flight gauge (released on return, panic-unwind
+    /// included) never reads non-zero to a client that already has its
+    /// reply. Everything is per member: queue-wait accounting, in-queue
+    /// deadline expiry, the breaker gate and probe bookkeeping, fault
+    /// injection, cancellation and breaker feedback; only the CNN
+    /// forward pass is shared.
+    ///
+    /// Wherever sharing that pass would change semantics — no CNN rung,
+    /// or a breaker that is not closed, where probes must stay
+    /// one-request-at-a-time and each member must see the breaker state
+    /// its predecessor left behind — the members are fed through this
+    /// same routine one at a time.
+    fn handle_batch(&self, jobs: Vec<Job<S>>) -> Vec<(Reply, Result<Selection, ServeError>)> {
         let generation = self.slot.read().expect("slot lock").clone();
-        let gate = if generation.service.has_cnn() {
-            self.breaker.gate(now)
-        } else {
-            Gate::Allow
+        let has_cnn = generation.service.has_cnn();
+        if jobs.len() > 1 && !(has_cnn && self.breaker.closed()) {
+            return jobs
+                .into_iter()
+                .flat_map(|j| self.handle_batch(vec![j]))
+                .collect();
+        }
+        let now = (self.clock)();
+        let n = jobs.len() as i64;
+        self.metrics.in_flight.add(n);
+        let _in_flight = GaugeDebt {
+            gauge: &self.metrics.in_flight,
+            n,
         };
-        let (skip_cnn, probe) = match gate {
-            Gate::Allow => (false, false),
-            Gate::Probe => (false, true),
-            Gate::Deny => {
-                self.metrics.breaker_demoted.inc();
-                (true, false)
+        let path = if jobs.len() > 1 {
+            &self.metrics.path_batched
+        } else {
+            &self.metrics.path_single
+        };
+        let cancels: Vec<_> = jobs
+            .iter()
+            .map(|job| {
+                let clock = self.clock.clone();
+                let deadline = job.deadline;
+                move || deadline.is_some_and(|d| clock() >= d)
+            })
+            .collect();
+        let mut results: Vec<Option<Result<Selection, ServeError>>> = vec![None; jobs.len()];
+        // Members still wanted after the queue: their job index and
+        // whether they are the half-open probe, parallel to `members`.
+        let mut live: Vec<(usize, bool)> = Vec::with_capacity(jobs.len());
+        let mut members: Vec<(&CooMatrix<S>, SelectGuard)> = Vec::with_capacity(jobs.len());
+        for (i, job) in jobs.iter().enumerate() {
+            if self.metrics.timed {
+                self.metrics
+                    .queue_wait_ns
+                    .record(now.saturating_sub(job.enqueued_at));
             }
-        };
-        // Faults are injected at the CNN rung only: a demoted request
-        // never touches the (possibly faulty) model, which is the point
-        // of the breaker.
-        let inject = if skip_cnn {
-            CnnFault::None
-        } else {
-            self.hooks
-                .cnn_fault
-                .as_ref()
-                .map_or(CnnFault::None, |h| h(job.seq))
-        };
-        let clock = self.clock.clone();
-        let deadline = job.deadline;
-        let cancel = move || deadline.is_some_and(|d| clock() >= d);
-        let out = generation.service.select_guarded(
-            &job.matrix,
-            &SelectGuard {
+            if job.deadline.is_some_and(|d| now >= d) {
+                self.metrics.deadline_in_queue.inc();
+                results[i] = Some(Err(ServeError::DeadlineExceeded));
+                continue;
+            }
+            let gate = if has_cnn {
+                self.breaker.gate(now)
+            } else {
+                Gate::Allow
+            };
+            let (skip_cnn, probe) = match gate {
+                Gate::Allow => (false, false),
+                Gate::Probe => (false, true),
+                Gate::Deny => {
+                    self.metrics.breaker_demoted.inc();
+                    (true, false)
+                }
+            };
+            // Faults are injected at the CNN rung only: a demoted request
+            // never touches the (possibly faulty) model, which is the
+            // point of the breaker. The hook is consulted exactly once
+            // per member reaching the rung.
+            let inject = if skip_cnn {
+                CnnFault::None
+            } else {
+                self.hooks
+                    .cnn_fault
+                    .as_ref()
+                    .map_or(CnnFault::None, |h| h(job.seq))
+            };
+            live.push((i, probe));
+            let guard = SelectGuard {
                 skip_cnn,
-                cancel: Some(&cancel),
+                cancel: &cancels[i],
                 inject,
-            },
-        );
-        match out.cnn {
-            CnnRungOutcome::Answered | CnnRungOutcome::LowConfidence => {
-                if probe {
-                    self.metrics.probes_ok.inc();
-                }
-                self.breaker.on_success(probe);
-            }
-            CnnRungOutcome::Panicked | CnnRungOutcome::NonFinite | CnnRungOutcome::Cancelled => {
-                if probe {
-                    self.metrics.probes_failed.inc();
-                }
-                self.breaker.on_failure(probe, (self.clock)());
-            }
-            CnnRungOutcome::Skipped | CnnRungOutcome::Absent => {
-                if probe {
-                    self.breaker.abandon_probe();
-                }
-            }
+            };
+            members.push((job.matrix.as_ref(), guard));
         }
-        if self.metrics.timed {
-            self.metrics
-                .handle_ns
-                .record((self.clock)().saturating_sub(now));
-        }
-        match out.selection {
-            Some(sel) => {
-                let c = match sel.source {
-                    SelectionSource::Cnn => &self.metrics.served_cnn,
-                    SelectionSource::Tree => &self.metrics.served_tree,
-                    SelectionSource::Default => &self.metrics.served_default,
-                };
-                c.inc();
-                self.metrics.path_single.inc();
-                self.cache_store(job.fp, generation.number, out.cnn, &sel);
-                self.tap_observe(&job.matrix, &sel, generation.number);
-                (job.reply, Ok(sel))
+        let outs = generation.service.select_batch(&members);
+        for (&(i, probe), out) in live.iter().zip(outs) {
+            match out.cnn {
+                CnnRungOutcome::Answered | CnnRungOutcome::LowConfidence => {
+                    if probe {
+                        self.metrics.probes_ok.inc();
+                    }
+                    self.breaker.on_success(probe);
+                }
+                CnnRungOutcome::Panicked
+                | CnnRungOutcome::NonFinite
+                | CnnRungOutcome::Cancelled => {
+                    if probe {
+                        self.metrics.probes_failed.inc();
+                    }
+                    self.breaker.on_failure(probe, (self.clock)());
+                }
+                CnnRungOutcome::Skipped | CnnRungOutcome::Absent => {
+                    if probe {
+                        self.breaker.abandon_probe();
+                    }
+                }
             }
-            None => {
-                self.metrics.deadline_in_flight.inc();
-                (job.reply, Err(ServeError::DeadlineExceeded))
+            if self.metrics.timed {
+                self.metrics
+                    .handle_ns
+                    .record((self.clock)().saturating_sub(now));
             }
+            results[i] = Some(match out.selection {
+                Some(sel) => {
+                    let c = match sel.source {
+                        SelectionSource::Cnn => &self.metrics.served_cnn,
+                        SelectionSource::Tree => &self.metrics.served_tree,
+                        SelectionSource::Default => &self.metrics.served_default,
+                    };
+                    c.inc();
+                    path.inc();
+                    self.cache_store(jobs[i].fp, generation.number, out.cnn, &sel);
+                    self.tap_observe(&jobs[i].matrix, &sel, generation.number);
+                    Ok(sel)
+                }
+                None => {
+                    self.metrics.deadline_in_flight.inc();
+                    Err(ServeError::DeadlineExceeded)
+                }
+            });
         }
+        jobs.into_iter()
+            .zip(results)
+            .map(|(j, r)| (j.reply, r.expect("every batch member resolved")))
+            .collect()
     }
 
     /// Stores a CNN-answered selection in the decision cache. Tree and
@@ -800,125 +850,6 @@ impl<S: Scalar> Inner<S> {
                 self.metrics.cache_evicted.inc();
             }
             CacheInsert::Updated => self.metrics.cache_updated.inc(),
-        }
-    }
-
-    /// Processes a coalesced batch of jobs through one shared CNN
-    /// forward pass, preserving the per-request semantics of
-    /// [`Inner::handle`]: queue-wait accounting, in-queue deadline
-    /// expiry, per-member fault injection, per-member cancellation, and
-    /// per-member breaker feedback. Batches are only formed while the
-    /// breaker is closed, so there is no probe bookkeeping here.
-    fn handle_batch_many(&self, jobs: Vec<Job<S>>) -> Vec<(Reply, Result<Selection, ServeError>)> {
-        let now = (self.clock)();
-        let n = jobs.len() as i64;
-        self.metrics.in_flight.add(n);
-        let _in_flight = GaugeDebt {
-            gauge: &self.metrics.in_flight,
-            n,
-        };
-        let generation = self.slot.read().expect("slot lock").clone();
-        let mut results: Vec<Option<Result<Selection, ServeError>>> = vec![None; jobs.len()];
-        let mut live: Vec<usize> = Vec::with_capacity(jobs.len());
-        for (i, job) in jobs.iter().enumerate() {
-            if self.metrics.timed {
-                self.metrics
-                    .queue_wait_ns
-                    .record(now.saturating_sub(job.enqueued_at));
-            }
-            if job.deadline.is_some_and(|d| now >= d) {
-                self.metrics.deadline_in_queue.inc();
-                results[i] = Some(Err(ServeError::DeadlineExceeded));
-            } else {
-                live.push(i);
-            }
-        }
-        if !live.is_empty() {
-            // Hooks are consulted exactly once per member reaching the
-            // CNN rung, just as on the single path.
-            let injects: Vec<CnnFault> = live
-                .iter()
-                .map(|&i| {
-                    self.hooks
-                        .cnn_fault
-                        .as_ref()
-                        .map_or(CnnFault::None, |h| h(jobs[i].seq))
-                })
-                .collect();
-            let cancels: Vec<_> = live
-                .iter()
-                .map(|&i| {
-                    let clock = self.clock.clone();
-                    let deadline = jobs[i].deadline;
-                    move || deadline.is_some_and(|d| clock() >= d)
-                })
-                .collect();
-            let guards: Vec<BatchGuard> = injects
-                .iter()
-                .zip(&cancels)
-                .map(|(&inject, c)| BatchGuard {
-                    cancel: Some(c as &dyn Fn() -> bool),
-                    inject,
-                })
-                .collect();
-            let refs: Vec<&CooMatrix<S>> = live.iter().map(|&i| jobs[i].matrix.as_ref()).collect();
-            let outs = generation.service.select_batch_guarded(&refs, &guards);
-            for (&i, out) in live.iter().zip(outs) {
-                match out.cnn {
-                    CnnRungOutcome::Answered | CnnRungOutcome::LowConfidence => {
-                        self.breaker.on_success(false);
-                    }
-                    CnnRungOutcome::Panicked
-                    | CnnRungOutcome::NonFinite
-                    | CnnRungOutcome::Cancelled => {
-                        self.breaker.on_failure(false, (self.clock)());
-                    }
-                    CnnRungOutcome::Skipped | CnnRungOutcome::Absent => {}
-                }
-                if self.metrics.timed {
-                    self.metrics
-                        .handle_ns
-                        .record((self.clock)().saturating_sub(now));
-                }
-                results[i] = Some(match out.selection {
-                    Some(sel) => {
-                        let c = match sel.source {
-                            SelectionSource::Cnn => &self.metrics.served_cnn,
-                            SelectionSource::Tree => &self.metrics.served_tree,
-                            SelectionSource::Default => &self.metrics.served_default,
-                        };
-                        c.inc();
-                        self.metrics.path_batched.inc();
-                        self.cache_store(jobs[i].fp, generation.number, out.cnn, &sel);
-                        self.tap_observe(&jobs[i].matrix, &sel, generation.number);
-                        Ok(sel)
-                    }
-                    None => {
-                        self.metrics.deadline_in_flight.inc();
-                        Err(ServeError::DeadlineExceeded)
-                    }
-                });
-            }
-        }
-        jobs.into_iter()
-            .zip(results)
-            .map(|(j, r)| (j.reply, r.expect("every batch member resolved")))
-            .collect()
-    }
-
-    /// Routes a gathered batch: singleton batches and any situation
-    /// where the shared CNN pass would change semantics (no CNN rung,
-    /// breaker not closed — probes must stay one-request-at-a-time) go
-    /// through the per-request path member by member.
-    fn handle_batch(&self, jobs: Vec<Job<S>>) -> Vec<(Reply, Result<Selection, ServeError>)> {
-        self.metrics.batch_size.record(jobs.len() as u64);
-        let batchable = jobs.len() > 1
-            && self.slot.read().expect("slot lock").service.has_cnn()
-            && self.breaker.closed();
-        if batchable {
-            self.handle_batch_many(jobs)
-        } else {
-            jobs.into_iter().map(|j| self.handle(j)).collect()
         }
     }
 
@@ -986,7 +917,9 @@ impl<S: Scalar> Inner<S> {
             };
             match job {
                 Some(j) => {
-                    for (reply, result) in self.handle_batch(self.gather_batch(j)) {
+                    let batch = self.gather_batch(j);
+                    self.metrics.batch_size.record(batch.len() as u64);
+                    for (reply, result) in self.handle_batch(batch) {
                         let _ = reply.send(result);
                     }
                 }

@@ -84,31 +84,30 @@ pub enum CnnRungOutcome {
     Absent,
 }
 
-/// Per-request options for [`SelectorService::select_guarded`].
-#[derive(Clone, Copy, Default)]
+/// Per-member options for [`SelectorService::select_batch`].
+#[derive(Clone, Copy)]
 pub struct SelectGuard<'a> {
     /// Skip the CNN rung entirely (a tripped circuit breaker demotes
     /// traffic to the tree this way).
     pub skip_cnn: bool,
-    /// Cooperative-cancellation checkpoint: polled inside the
-    /// representation extraction, between CNN layers, and between
+    /// This member's cooperative-cancellation checkpoint: polled inside
+    /// the representation extraction, between CNN layers, and between
     /// ladder rungs. Once it reports `true` the request is abandoned.
-    pub cancel: Option<&'a dyn Fn() -> bool>,
-    /// Injected CNN fault for deterministic failure testing.
-    pub inject: CnnFault,
-}
-
-/// Per-member options for [`SelectorService::select_batch_guarded`]:
-/// the single-path [`SelectGuard`] minus `skip_cnn` — a batch is only
-/// formed for requests headed to the CNN rung; demoted traffic runs
-/// the single path.
-#[derive(Clone, Copy, Default)]
-pub struct BatchGuard<'a> {
-    /// This member's cooperative-cancellation checkpoint.
-    pub cancel: Option<&'a dyn Fn() -> bool>,
+    /// A member without a deadline keeps the default `&|| false`.
+    pub cancel: &'a dyn Fn() -> bool,
     /// Injected CNN fault for deterministic failure testing; a faulted
     /// member is pulled out of the shared forward pass.
     pub inject: CnnFault,
+}
+
+impl Default for SelectGuard<'_> {
+    fn default() -> Self {
+        Self {
+            skip_cnn: false,
+            cancel: &|| false,
+            inject: CnnFault::None,
+        }
+    }
 }
 
 /// Result of a guarded selection: the decision (absent only when the
@@ -145,22 +144,6 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// Field-wise sum — used to fold the counters of a retired model
-    /// generation into the live totals across hot reloads.
-    pub fn merged(&self, other: &ServiceReport) -> ServiceReport {
-        ServiceReport {
-            cnn_ok: self.cnn_ok + other.cnn_ok,
-            cnn_panic: self.cnn_panic + other.cnn_panic,
-            cnn_nonfinite: self.cnn_nonfinite + other.cnn_nonfinite,
-            cnn_low_confidence: self.cnn_low_confidence + other.cnn_low_confidence,
-            cnn_cancelled: self.cnn_cancelled + other.cnn_cancelled,
-            cnn_skipped: self.cnn_skipped + other.cnn_skipped,
-            tree_ok: self.tree_ok + other.tree_ok,
-            tree_panic: self.tree_panic + other.tree_panic,
-            default_used: self.default_used + other.default_used,
-        }
-    }
-
     /// Number of selections actually answered (one per completed
     /// request; cancelled and skipped rungs answer elsewhere or not at
     /// all).
@@ -299,178 +282,92 @@ impl SelectorService {
     /// Picks a storage format for `matrix`, degrading down the ladder
     /// as needed. Total: never panics, always returns a format.
     pub fn select<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Selection {
-        self.select_guarded(matrix, &SelectGuard::default())
+        self.select_batch(&[(matrix, SelectGuard::default())])[0]
             .selection
-            .expect("selection without a cancel hook always answers")
+            .expect("selection without a deadline always answers")
     }
 
-    /// [`SelectorService::select`] under per-request controls: an
-    /// optional cancellation checkpoint (deadline enforcement), a
-    /// skip-CNN demotion flag (tripped circuit breaker), and an
-    /// injectable CNN fault (deterministic failure testing). Returns
-    /// the decision — `None` only when `cancel` fired — plus the CNN
-    /// rung outcome a breaker needs to classify the request.
-    pub fn select_guarded<S: Scalar>(
-        &self,
-        matrix: &CooMatrix<S>,
-        guard: &SelectGuard,
-    ) -> GuardedSelection {
-        let cnn_outcome = match &self.cnn {
-            None => CnnRungOutcome::Absent,
-            Some(_) if guard.skip_cnn => {
-                self.counters.cnn_skipped.inc();
-                CnnRungOutcome::Skipped
-            }
-            Some(cnn) => {
-                let run = catch_unwind(AssertUnwindSafe(|| match guard.inject {
-                    CnnFault::Panic => panic!("injected CNN fault"),
-                    CnnFault::NonFinite => Some(vec![f32::NAN; cnn.formats.len()]),
-                    CnnFault::None => {
-                        // Chaos drives the same rung seams the value-level
-                        // `CnnFault` hook uses: a panic action unwinds here
-                        // (caught just like `CnnFault::Panic`), and an err
-                        // action on the forward presents as a non-finite
-                        // answer (`CnnFault::NonFinite`).
-                        dnnspmv_chaos::failpoint!(dnnspmv_chaos::sites::SERVE_REPR_EXTRACT);
-                        #[cfg(feature = "chaos")]
-                        if dnnspmv_chaos::should_fail(dnnspmv_chaos::sites::SERVE_CNN_FORWARD) {
-                            return Some(vec![f32::NAN; cnn.formats.len()]);
-                        }
-                        match guard.cancel {
-                            Some(c) => cnn.predict_proba_with_cancel(matrix, c),
-                            None => Some(cnn.predict_proba(matrix)),
-                        }
-                    }
-                }));
-                match run {
-                    Err(_) => {
-                        self.counters.cnn_panic.inc();
-                        CnnRungOutcome::Panicked
-                    }
-                    Ok(None) => {
-                        self.counters.cnn_cancelled.inc();
-                        CnnRungOutcome::Cancelled
-                    }
-                    Ok(Some(probs)) => {
-                        let (outcome, selection) = self.classify_probs(cnn, &probs);
-                        if let Some(sel) = selection {
-                            return GuardedSelection {
-                                selection: Some(sel),
-                                cnn: outcome,
-                            };
-                        }
-                        outcome
-                    }
-                }
-            }
-        };
-        if cnn_outcome == CnnRungOutcome::Cancelled {
-            return GuardedSelection {
-                selection: None,
-                cnn: cnn_outcome,
-            };
-        }
-        self.fallback_rungs(matrix, cnn_outcome, guard.cancel)
-    }
-
-    /// Batched [`SelectorService::select_guarded`]: one CNN forward
-    /// pass (a single GEMM per layer) answers every member of
-    /// `matrices`, while each member keeps its own cancellation
-    /// checkpoint, injected fault, rung outcome and ladder counters —
-    /// the serving layer's micro-batcher drives cache-miss requests
-    /// through here. Per-member semantics:
+    /// The ladder: one CNN forward pass (a single GEMM per layer)
+    /// answers every member, while each member keeps its own controls
+    /// ([`SelectGuard`]: cancellation checkpoint for deadline
+    /// enforcement, skip-CNN demotion flag for a tripped breaker,
+    /// injectable fault for deterministic failure testing), its own
+    /// rung outcome and its own ladder counters. A single request is a
+    /// batch of one; the serving layer's micro-batcher drives every
+    /// cache miss through here. Each result carries the decision —
+    /// `None` only when the member's `cancel` fired — plus the CNN rung
+    /// outcome a breaker needs to classify the request. Per-member
+    /// semantics:
     ///
-    /// * **Injected faults** stay scoped: a member carrying a fault
-    ///   runs the single-request rung alone, so one poisoned request
+    /// * **Demoted members and injected faults** stay scoped: a member
+    ///   that skips the CNN or carries a fault is classified on its own
+    ///   and never joins the shared pass, so one poisoned request
     ///   cannot sink its batch mates.
-    /// * **Extraction** runs per member under that member's `cancel`;
-    ///   a deadline expiring there cancels only that member.
+    /// * **Extraction** runs per member under that member's `cancel`
+    ///   and behind its own unwind boundary; a deadline expiring (or a
+    ///   panic) there costs only that member its CNN answer.
     /// * **The shared forward pass** is abandoned only when *every*
     ///   remaining member's deadline has expired (checked between
     ///   layers) — as long as one member still wants the answer, the
     ///   batch keeps going.
     /// * **After the forward pass**, each member re-checks its own
     ///   deadline, then classifies its own probability row through the
-    ///   same confidence ladder as the single path.
-    ///
-    /// Without a CNN every member simply runs the single-request
-    /// ladder. `guards` must be parallel to `matrices`.
-    pub fn select_batch_guarded<S: Scalar>(
+    ///   confidence gate and, failing that, its own fallback rungs.
+    pub fn select_batch<S: Scalar>(
         &self,
-        matrices: &[&CooMatrix<S>],
-        guards: &[BatchGuard],
+        members: &[(&CooMatrix<S>, SelectGuard)],
     ) -> Vec<GuardedSelection> {
-        assert_eq!(
-            matrices.len(),
-            guards.len(),
-            "one guard per batch member required"
-        );
-        let single = |i: usize| {
-            self.select_guarded(
-                matrices[i],
-                &SelectGuard {
-                    skip_cnn: false,
-                    cancel: guards[i].cancel,
-                    inject: guards[i].inject,
-                },
-            )
+        let cancelled = || {
+            self.counters.cnn_cancelled.inc();
+            GuardedSelection {
+                selection: None,
+                cnn: CnnRungOutcome::Cancelled,
+            }
+        };
+        let panicked = |matrix: &CooMatrix<S>, guard: &SelectGuard| {
+            self.counters.cnn_panic.inc();
+            self.fallback_rungs(matrix, CnnRungOutcome::Panicked, guard.cancel)
         };
         let Some(cnn) = &self.cnn else {
-            return (0..matrices.len()).map(single).collect();
+            return members
+                .iter()
+                .map(|(m, g)| self.fallback_rungs(m, CnnRungOutcome::Absent, g.cancel))
+                .collect();
         };
-        let mut out: Vec<Option<GuardedSelection>> = vec![None; matrices.len()];
-        // Members carrying an injected fault take the single path so
-        // the fault stays theirs alone.
-        let live: Vec<usize> = (0..matrices.len())
-            .filter(|&i| {
-                if guards[i].inject != CnnFault::None {
-                    out[i] = Some(single(i));
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
-        // Per-member extraction under the member's own cancel, behind
-        // its own unwind boundary: a matrix pathological enough to
-        // panic the extractor costs that member its CNN answer (it
-        // degrades through its fallback rungs) — never the worker
-        // thread carrying the batch.
-        let mut batch: Vec<(usize, Vec<dnnspmv_nn::Tensor>)> = Vec::with_capacity(live.len());
-        for &i in &live {
+        let mut out: Vec<Option<GuardedSelection>> = vec![None; members.len()];
+        let mut batch: Vec<(usize, Vec<dnnspmv_nn::Tensor>)> = Vec::with_capacity(members.len());
+        for (i, (matrix, guard)) in members.iter().enumerate() {
+            if guard.skip_cnn {
+                self.counters.cnn_skipped.inc();
+                out[i] = Some(self.fallback_rungs(matrix, CnnRungOutcome::Skipped, guard.cancel));
+                continue;
+            }
+            if guard.inject == CnnFault::NonFinite {
+                let probs = vec![f32::NAN; cnn.formats.len()];
+                out[i] = Some(self.classify_probs(cnn, &probs, matrix, guard.cancel));
+                continue;
+            }
+            // A matrix pathological enough to panic the extractor (or an
+            // injected panic) costs that member its CNN answer — it
+            // degrades through its fallback rungs — never the worker
+            // thread carrying the batch. Chaos drives the same seam: a
+            // panic action unwinds here just like `CnnFault::Panic`.
             let channels = catch_unwind(AssertUnwindSafe(|| {
-                dnnspmv_chaos::failpoint!(dnnspmv_chaos::sites::SERVE_REPR_EXTRACT);
-                match guards[i].cancel {
-                    Some(c) => crate::samples::make_channels_with_cancel(
-                        matrices[i],
-                        cnn.config.repr,
-                        &cnn.config.repr_config,
-                        c,
-                    ),
-                    None => Some(crate::samples::make_channels(
-                        matrices[i],
-                        cnn.config.repr,
-                        &cnn.config.repr_config,
-                    )),
+                if guard.inject == CnnFault::Panic {
+                    panic!("injected CNN fault");
                 }
+                dnnspmv_chaos::failpoint!(dnnspmv_chaos::sites::SERVE_REPR_EXTRACT);
+                crate::samples::make_channels_until(
+                    matrix,
+                    cnn.config.repr,
+                    &cnn.config.repr_config,
+                    guard.cancel,
+                )
             }));
             match channels {
                 Ok(Some(ch)) => batch.push((i, ch)),
-                Ok(None) => {
-                    self.counters.cnn_cancelled.inc();
-                    out[i] = Some(GuardedSelection {
-                        selection: None,
-                        cnn: CnnRungOutcome::Cancelled,
-                    });
-                }
-                Err(_) => {
-                    self.counters.cnn_panic.inc();
-                    out[i] = Some(self.fallback_rungs(
-                        matrices[i],
-                        CnnRungOutcome::Panicked,
-                        guards[i].cancel,
-                    ));
-                }
+                Ok(None) => out[i] = Some(cancelled()),
+                Err(_) => out[i] = Some(panicked(matrix, guard)),
             }
         }
         if !batch.is_empty() {
@@ -478,17 +375,13 @@ impl SelectorService {
                 batch.iter().map(|(_, ch)| ch.as_slice()).collect();
             // Members without a deadline keep this `false`, so such a
             // batch is never abandoned mid-pass.
-            let all_expired = || {
-                batch
-                    .iter()
-                    .all(|(i, _)| guards[*i].cancel.is_some_and(|c| c()))
-            };
+            let all_expired = || batch.iter().all(|(i, _)| (members[*i].1.cancel)());
             let run = catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "chaos")]
                 if dnnspmv_chaos::should_fail(dnnspmv_chaos::sites::SERVE_CNN_FORWARD) {
                     // Err action ≡ a non-finite shared forward: every
                     // member classifies NaN probabilities and degrades,
-                    // the batched twin of `CnnFault::NonFinite`.
+                    // the batch-wide twin of `CnnFault::NonFinite`.
                     return Some(
                         refs.iter()
                             .map(|_| {
@@ -500,55 +393,25 @@ impl SelectorService {
                             .collect(),
                     );
                 }
-                cnn.net.forward_batch_with_cancel(&refs, &all_expired)
+                cnn.net.forward_batch_until(&refs, &all_expired)
             }));
-            match run {
-                Err(_) => {
+            for (k, (i, _)) in batch.iter().enumerate() {
+                let (matrix, guard) = &members[*i];
+                out[*i] = Some(match &run {
                     // One shared forward pass means one panic demotes
                     // every member — each degrades through its own
-                    // fallback rungs, exactly like a single-path panic.
-                    for (i, _) in &batch {
-                        self.counters.cnn_panic.inc();
-                        out[*i] = Some(self.fallback_rungs(
-                            matrices[*i],
-                            CnnRungOutcome::Panicked,
-                            guards[*i].cancel,
-                        ));
+                    // fallback rungs.
+                    Err(_) => panicked(matrix, guard),
+                    Ok(None) => cancelled(),
+                    // A member whose deadline expired while the batch
+                    // was in flight is cancelled alone; its mates still
+                    // get their answers.
+                    Ok(Some(_)) if (guard.cancel)() => cancelled(),
+                    Ok(Some(logits)) => {
+                        let probs = dnnspmv_nn::loss::softmax(logits[k].data());
+                        self.classify_probs(cnn, &probs, matrix, guard.cancel)
                     }
-                }
-                Ok(None) => {
-                    for (i, _) in &batch {
-                        self.counters.cnn_cancelled.inc();
-                        out[*i] = Some(GuardedSelection {
-                            selection: None,
-                            cnn: CnnRungOutcome::Cancelled,
-                        });
-                    }
-                }
-                Ok(Some(logits)) => {
-                    for ((i, _), l) in batch.iter().zip(&logits) {
-                        // A member whose deadline expired while the
-                        // batch was in flight is cancelled alone; its
-                        // mates still get their answers.
-                        if guards[*i].cancel.is_some_and(|c| c()) {
-                            self.counters.cnn_cancelled.inc();
-                            out[*i] = Some(GuardedSelection {
-                                selection: None,
-                                cnn: CnnRungOutcome::Cancelled,
-                            });
-                            continue;
-                        }
-                        let probs = dnnspmv_nn::loss::softmax(l.data());
-                        let (outcome, selection) = self.classify_probs(cnn, &probs);
-                        out[*i] = Some(match selection {
-                            Some(sel) => GuardedSelection {
-                                selection: Some(sel),
-                                cnn: outcome,
-                            },
-                            None => self.fallback_rungs(matrices[*i], outcome, guards[*i].cancel),
-                        });
-                    }
-                }
+                });
             }
         }
         out.into_iter()
@@ -556,18 +419,19 @@ impl SelectorService {
             .collect()
     }
 
-    /// Classifies one request's CNN probabilities, counting the rung
-    /// outcome: `Answered` (with the winning selection), `NonFinite`,
-    /// or `LowConfidence`. Shared by the single and batched paths so
-    /// the confidence ladder cannot drift between them.
-    fn classify_probs(
+    /// Classifies one member's CNN probabilities, counting the rung
+    /// outcome: `Answered` (with the winning selection), or
+    /// `NonFinite` / `LowConfidence` handed down to the fallback rungs.
+    fn classify_probs<S: Scalar>(
         &self,
         cnn: &FormatSelector,
         probs: &[f32],
-    ) -> (CnnRungOutcome, Option<Selection>) {
+        matrix: &CooMatrix<S>,
+        cancel: &dyn Fn() -> bool,
+    ) -> GuardedSelection {
         if probs.iter().any(|p| !p.is_finite()) {
             self.counters.cnn_nonfinite.inc();
-            return (CnnRungOutcome::NonFinite, None);
+            return self.fallback_rungs(matrix, CnnRungOutcome::NonFinite, cancel);
         }
         let (best, &p) = probs
             .iter()
@@ -576,31 +440,29 @@ impl SelectorService {
             .expect("validated selector has a non-empty class set");
         if p < self.confidence_threshold {
             self.counters.cnn_low_confidence.inc();
-            return (CnnRungOutcome::LowConfidence, None);
+            return self.fallback_rungs(matrix, CnnRungOutcome::LowConfidence, cancel);
         }
         self.counters.cnn_ok.inc();
-        (
-            CnnRungOutcome::Answered,
-            Some(Selection {
+        GuardedSelection {
+            selection: Some(Selection {
                 format: cnn.formats[best],
                 source: SelectionSource::Cnn,
                 confidence: Some(p),
             }),
-        )
+            cnn: CnnRungOutcome::Answered,
+        }
     }
 
-    /// The ladder below the CNN rung: tree, then static default. Shared
-    /// by the single and batched guarded paths so a demoted request
-    /// degrades identically either way. A blown deadline answers
-    /// nothing — the caller has already timed out, so running the
-    /// fallbacks would only waste a worker.
+    /// The ladder below the CNN rung: tree, then static default. A blown
+    /// deadline answers nothing — the caller has already timed out, so
+    /// running the fallbacks would only waste a worker.
     fn fallback_rungs<S: Scalar>(
         &self,
         matrix: &CooMatrix<S>,
         cnn_outcome: CnnRungOutcome,
-        cancel: Option<&dyn Fn() -> bool>,
+        cancel: &dyn Fn() -> bool,
     ) -> GuardedSelection {
-        if cancel.is_some_and(|c| c()) {
+        if cancel() {
             return GuardedSelection {
                 selection: None,
                 cnn: cnn_outcome,
@@ -773,44 +635,33 @@ mod tests {
         let (cnn, dt, data) = trained_pair();
         let svc = SelectorService::new(Some(cnn), Some(dt)).unwrap();
         let m = &data.matrices[0];
+        let one = |guard: SelectGuard| svc.select_batch(&[(m, guard)])[0];
         // Injected panic: demoted to the tree, outcome recorded.
-        let g = svc.select_guarded(
-            m,
-            &SelectGuard {
-                inject: CnnFault::Panic,
-                ..Default::default()
-            },
-        );
+        let g = one(SelectGuard {
+            inject: CnnFault::Panic,
+            ..Default::default()
+        });
         assert_eq!(g.cnn, CnnRungOutcome::Panicked);
         assert_eq!(g.selection.unwrap().source, SelectionSource::Tree);
         // Injected non-finite probabilities.
-        let g = svc.select_guarded(
-            m,
-            &SelectGuard {
-                inject: CnnFault::NonFinite,
-                ..Default::default()
-            },
-        );
+        let g = one(SelectGuard {
+            inject: CnnFault::NonFinite,
+            ..Default::default()
+        });
         assert_eq!(g.cnn, CnnRungOutcome::NonFinite);
         assert_eq!(g.selection.unwrap().source, SelectionSource::Tree);
         // Breaker-style demotion: CNN skipped, tree answers.
-        let g = svc.select_guarded(
-            m,
-            &SelectGuard {
-                skip_cnn: true,
-                ..Default::default()
-            },
-        );
+        let g = one(SelectGuard {
+            skip_cnn: true,
+            ..Default::default()
+        });
         assert_eq!(g.cnn, CnnRungOutcome::Skipped);
         assert_eq!(g.selection.unwrap().source, SelectionSource::Tree);
         // Expired deadline: no answer at all.
-        let g = svc.select_guarded(
-            m,
-            &SelectGuard {
-                cancel: Some(&|| true),
-                ..Default::default()
-            },
-        );
+        let g = one(SelectGuard {
+            cancel: &|| true,
+            ..Default::default()
+        });
         assert_eq!(g.cnn, CnnRungOutcome::Cancelled);
         assert!(g.selection.is_none());
         let r = svc.report();
@@ -821,62 +672,67 @@ mod tests {
         assert_eq!(r.tree_ok, 3);
         assert_eq!(r.answered(), 3);
         // A live cancel hook that never fires matches plain select.
-        let g = svc.select_guarded(
-            m,
-            &SelectGuard {
-                cancel: Some(&|| false),
-                ..Default::default()
-            },
-        );
+        let never = || false;
+        let g = one(SelectGuard {
+            cancel: &never,
+            ..Default::default()
+        });
         assert_eq!(g.cnn, CnnRungOutcome::Answered);
-        assert_eq!(g.selection.unwrap().source, SelectionSource::Cnn);
+        assert_eq!(g.selection, Some(svc.select(m)));
     }
 
     #[test]
     fn batched_guarded_select_matches_single_path() {
         let (cnn, dt, data) = trained_pair();
         let svc = SelectorService::new(Some(cnn), Some(dt)).unwrap();
-        let ms: Vec<&CooMatrix<f32>> = data.matrices.iter().take(6).collect();
-        let guards = vec![BatchGuard::default(); ms.len()];
-        let got = svc.select_batch_guarded(&ms, &guards);
-        assert_eq!(got.len(), ms.len());
-        for (m, g) in ms.iter().zip(&got) {
+        let members: Vec<(&CooMatrix<f32>, SelectGuard)> = data
+            .matrices
+            .iter()
+            .take(6)
+            .map(|m| (m, SelectGuard::default()))
+            .collect();
+        let got = svc.select_batch(&members);
+        assert_eq!(got.len(), members.len());
+        for ((m, _), g) in members.iter().zip(&got) {
             assert_eq!(g.cnn, CnnRungOutcome::Answered);
             let batched = g.selection.expect("healthy batch answers");
+            // The same request as a batch of one: grouping must not
+            // change the decision. The packed GEMM of a larger batch
+            // may differ in the last float ulp, so compare decisions,
+            // not bits.
             let single = svc.select(m);
-            // The packed batch GEMM may differ from the single pass in
-            // the last float ulp, so compare decisions, not bits.
             assert_eq!(batched.format, single.format);
             assert_eq!(batched.source, SelectionSource::Cnn);
             let (b, s) = (batched.confidence.unwrap(), single.confidence.unwrap());
             assert!((b - s).abs() <= 1e-4, "{b} vs {s}");
         }
         assert_eq!(svc.report().cnn_ok, 12);
-        assert!(svc.select_batch_guarded::<f32>(&[], &[]).is_empty());
+        assert!(svc.select_batch::<f32>(&[]).is_empty());
     }
 
     #[test]
     fn batched_guarded_select_scopes_faults_and_cancellations_per_member() {
         let (cnn, dt, data) = trained_pair();
         let svc = SelectorService::new(Some(cnn), Some(dt)).unwrap();
-        let ms: Vec<&CooMatrix<f32>> = data.matrices.iter().take(4).collect();
         let expired = || true;
         let guards = [
-            BatchGuard::default(),
-            BatchGuard {
+            SelectGuard::default(),
+            SelectGuard {
                 inject: CnnFault::Panic,
                 ..Default::default()
             },
-            BatchGuard {
-                cancel: Some(&expired),
+            SelectGuard {
+                cancel: &expired,
                 ..Default::default()
             },
-            BatchGuard {
+            SelectGuard {
                 inject: CnnFault::NonFinite,
                 ..Default::default()
             },
         ];
-        let got = svc.select_batch_guarded(&ms, &guards);
+        let members: Vec<(&CooMatrix<f32>, SelectGuard)> =
+            data.matrices.iter().zip(guards).collect();
+        let got = svc.select_batch(&members);
         // Healthy member: answered by the CNN despite its batch mates.
         assert_eq!(got[0].cnn, CnnRungOutcome::Answered);
         assert_eq!(got[0].selection.unwrap().source, SelectionSource::Cnn);
@@ -895,25 +751,6 @@ mod tests {
         );
         assert_eq!(r.tree_ok, 2);
         assert_eq!(r.answered(), 3);
-    }
-
-    #[test]
-    fn reports_merge_field_wise() {
-        let a = ServiceReport {
-            cnn_ok: 3,
-            tree_ok: 1,
-            ..Default::default()
-        };
-        let b = ServiceReport {
-            cnn_ok: 2,
-            default_used: 4,
-            ..Default::default()
-        };
-        let m = a.merged(&b);
-        assert_eq!(m.cnn_ok, 5);
-        assert_eq!(m.tree_ok, 1);
-        assert_eq!(m.default_used, 4);
-        assert_eq!(m.answered(), 10);
     }
 
     #[test]

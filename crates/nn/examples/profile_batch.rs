@@ -3,7 +3,7 @@
 //! work on `forward_batch` has numbers to aim at.
 //! Run with `cargo run --release -p dnnspmv-nn --example profile_batch`.
 
-use dnnspmv_nn::layers::Layer;
+use dnnspmv_nn::network::Sequential;
 use dnnspmv_nn::{build_cnn, CnnConfig, Merging, Tensor};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -62,105 +62,32 @@ fn main() {
         .iter()
         .map(|s| s[0].clone().reshape(&[1, 32, 32]))
         .collect();
-    time("tower forward x32 singles", reps, || {
+    time("tower forward x32 batches of one", reps, || {
         for x in &xs {
-            black_box(tower.forward(black_box(x)));
+            black_box(tower.forward_batch_until(vec![black_box(x).clone()], &|| false));
         }
     });
     time("tower forward_batch 32", reps, || {
-        black_box(tower.forward_batch(black_box(xs.clone())));
+        black_box(tower.forward_batch_until(black_box(xs.clone()), &|| false));
     });
-    time("  (xs.clone() overhead)", reps, || {
+    let clone_us = time("  (xs.clone() overhead)", reps, || {
         black_box(xs.clone());
     });
 
-    // Full packed walk, chained like the real forward_batch.
-    if let Layer::Conv2d(c0) = &tower.layers[0] {
-        time("packed chain (conv entry + walk)", reps, || {
-            let mut p = c0.forward_batch_packed(black_box(&xs));
-            for l in &tower.layers[1..] {
-                match l.forward_packed(&p) {
-                    Some(next) => p = next,
-                    None => break,
-                }
-            }
-            black_box(p);
-        });
-        let mut p = c0.forward_batch_packed(&xs);
-        for l in &tower.layers[1..] {
-            match l.forward_packed(&p) {
-                Some(next) => p = next,
-                None => break,
-            }
-        }
-        time("unpack_batch at flatten", reps, || {
-            black_box(dnnspmv_nn::layers::unpack_batch(black_box(&p)));
-        });
-
-        // Per-layer cost measured while chained (fresh inputs each
-        // rep, allocator behaving as in production).
-        let mut acc = vec![0.0f64; tower.layers.len()];
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let mut p = c0.forward_batch_packed(black_box(&xs));
-            acc[0] += t0.elapsed().as_secs_f64();
-            for (i, l) in tower.layers.iter().enumerate().skip(1) {
-                let t = Instant::now();
-                match l.forward_packed(&p) {
-                    Some(next) => {
-                        p = next;
-                        acc[i] += t.elapsed().as_secs_f64();
-                    }
-                    None => break,
-                }
-            }
-            black_box(&p);
-        }
-        for (i, a) in acc.iter().enumerate() {
-            if *a > 0.0 {
-                println!(
-                    "  chained layer {i} {:30} {:10.1} us",
-                    tower.layers[i].describe(),
-                    a * 1e6 / reps as f64
-                );
-            }
-        }
-    }
-
-    // Layer-by-layer on the packed tensor.
-    let mut packed: Option<Tensor> = None;
-    for (i, l) in tower.layers.iter().enumerate() {
-        let inp = match &packed {
-            None => {
-                let Layer::Conv2d(c) = l else { break };
-                let t = time(
-                    &format!("  layer {i} {} (entry)", l.describe()),
-                    reps,
-                    || {
-                        black_box(c.forward_batch_packed(black_box(&xs)));
-                    },
-                );
-                let _ = t;
-                packed = Some(c.forward_batch_packed(&xs));
-                continue;
-            }
-            Some(p) => p.clone(),
-        };
-        match l.forward_packed(&inp) {
-            Some(next) => {
-                time(
-                    &format!("  layer {i} {} (packed)", l.describe()),
-                    reps,
-                    || {
-                        black_box(l.forward_packed(black_box(&inp)));
-                    },
-                );
-                packed = Some(next);
-            }
-            None => {
-                println!("  layer {i} {} -> sample-wise", l.describe());
-                break;
-            }
-        }
+    // Per-layer cost while chained: the walk over each prefix of the
+    // tower, less the prefix before it (the first row carries the pack,
+    // every row its own unpack).
+    let mut before = clone_us;
+    for i in 0..tower.layers.len() {
+        let prefix = Sequential::new(tower.layers[..=i].to_vec());
+        let us = time(
+            &format!("  walk through layer {i} {}", tower.layers[i].describe()),
+            reps,
+            || {
+                black_box(prefix.forward_batch_until(black_box(xs.clone()), &|| false));
+            },
+        );
+        println!("{:44} {:10.1} us", "    (this layer, chained)", us - before);
+        before = us;
     }
 }

@@ -120,83 +120,26 @@ impl Conv2d {
         if xs.is_empty() {
             return Vec::new();
         }
-        unpack_batch(&self.forward_batch_packed(xs))
-    }
-
-    /// Batched forward pass from per-sample `[c, h, w]` tensors
-    /// straight into the packed `[out_ch, n, oh, ow]` layout (see
-    /// [`pack_batch`]): the batched GEMM's output rows already hold
-    /// each channel's per-sample planes side by side, so producing the
-    /// packed layout is free. This is the entry point of the packed
-    /// inference path — the first convolution lowers per-sample inputs
-    /// without materialising a packed copy of them first.
-    pub fn forward_batch_packed(&self, xs: &[Tensor]) -> Tensor {
-        let mut out = Vec::new();
-        let shape =
-            gemm::with_scratch(|s| self.forward_batch_packed_into(xs, &mut s.col, &mut out));
-        Tensor::from_vec(&shape, out)
-    }
-
-    /// Buffer-level core of [`Self::forward_batch_packed`]: lowers the
-    /// samples into the recycled im2col scratch `col` and GEMMs into
-    /// `out` (grown, never shrunk — only the returned
-    /// `[out_ch, n, oh, ow]` extent is meaningful). The batched
-    /// inference walk recycles both buffers across layers and batches
-    /// to keep their pages warm.
-    pub(crate) fn forward_batch_packed_into(
-        &self,
-        xs: &[Tensor],
-        col: &mut Vec<f32>,
-        out: &mut Vec<f32>,
-    ) -> [usize; 4] {
         let [c, h, w] = *xs[0].shape() else {
             panic!("Conv2d expects [c, h, w], got {:?}", xs[0].shape())
         };
-        assert_eq!(c, self.in_ch, "input channel mismatch");
-        for x in xs {
-            assert_eq!(x.shape(), xs[0].shape(), "batch shape mismatch");
-        }
-        let (oh, ow) = self.out_hw(h, w);
-        let l = oh * ow;
-        let nl = xs.len() * l;
-        let k2c = self.in_ch * self.ksize * self.ksize;
-        if col.len() < k2c * nl {
-            col.resize(k2c * nl, 0.0);
-        }
-        for (si, x) in xs.iter().enumerate() {
-            gemm::im2col_into(
-                x.data(),
-                c,
-                h,
-                w,
-                self.ksize,
-                self.stride,
-                self.pad,
-                col,
-                nl,
-                si * l,
-            );
-        }
-        self.gemm_packed(xs.len(), oh, ow, col, out)
+        let mut packed = vec![0.0f32; c * xs.len() * h * w];
+        pack_batch_into(xs, &mut packed);
+        let mut out = Vec::new();
+        let [oc, n, oh, ow] = gemm::with_scratch(|s| {
+            self.forward_packed_into(&packed, xs.len(), h, w, &mut s.col, &mut out)
+        });
+        unpack_planes(&out[..oc * n * oh * ow], oc, n, oh, ow)
     }
 
     /// Forward pass on a packed `[c, n, h, w]` batch (see
-    /// [`pack_batch`]): one GEMM produces the `[out_ch, n, oh, ow]`
-    /// output directly in the same layout, so stacks of convolutional
-    /// layers hand the batch along without any per-sample unpacking.
-    pub fn forward_packed(&self, x: &Tensor) -> Tensor {
-        let [_, n, h, w] = *x.shape() else {
-            panic!("packed Conv2d expects [c, n, h, w], got {:?}", x.shape())
-        };
-        let mut out = Vec::new();
-        let shape = gemm::with_scratch(|s| {
-            self.forward_packed_into(x.data(), n, h, w, &mut s.col, &mut out)
-        });
-        Tensor::from_vec(&shape, out)
-    }
-
-    /// Buffer-level core of [`Self::forward_packed`]; buffer contract
-    /// as in [`Self::forward_batch_packed_into`].
+    /// [`pack_batch_into`]): the samples are lowered into the recycled
+    /// im2col scratch `col` and one GEMM produces the
+    /// `[out_ch, n, oh, ow]` output directly in the same layout, so
+    /// stacks of convolutional layers hand the batch along without any
+    /// per-sample unpacking. `out` is grown, never shrunk — only the
+    /// returned extent is meaningful; the batched walks recycle both
+    /// buffers across layers and batches to keep their pages warm.
     pub(crate) fn forward_packed_into(
         &self,
         x: &[f32],
@@ -228,22 +171,6 @@ impl Conv2d {
             self.pad,
             col,
         );
-        self.gemm_packed(n, oh, ow, col, out)
-    }
-
-    /// Bias-prefills `out` and multiplies the filter bank against the
-    /// already-lowered `col` matrix. Shared tail of the packed forward
-    /// variants.
-    fn gemm_packed(
-        &self,
-        n: usize,
-        oh: usize,
-        ow: usize,
-        col: &[f32],
-        out: &mut Vec<f32>,
-    ) -> [usize; 4] {
-        let nl = n * oh * ow;
-        let k2c = self.in_ch * self.ksize * self.ksize;
         if out.len() < self.out_ch * nl {
             out.resize(self.out_ch * nl, 0.0);
         }
@@ -1026,34 +953,6 @@ impl Layer {
         }
     }
 
-    /// Forward pass on a packed `[c, n, h, w]` batch (see
-    /// [`pack_batch`]). Returns `None` for layers that need per-sample
-    /// tensors (`Flatten`, `Dense`) — the caller unpacks there and
-    /// continues sample-wise.
-    pub fn forward_packed(&self, x: &Tensor) -> Option<Tensor> {
-        match self {
-            Layer::Conv2d(l) => Some(l.forward_packed(x)),
-            Layer::MaxPool2d(l) => {
-                let [c, n, h, w] = *x.shape() else {
-                    panic!("packed MaxPool2d expects [c, n, h, w], got {:?}", x.shape())
-                };
-                let (oh, ow) = l.out_hw(h, w);
-                let mut out = Tensor::zeros(&[c, n, oh, ow]);
-                l.pool_planes(x.data(), c * n, h, w, out.data_mut());
-                Some(out)
-            }
-            Layer::Relu => {
-                let mut out = x.clone();
-                // Select, not a conditional store — see `forward`.
-                for v in out.data_mut() {
-                    *v = if *v < 0.0 { 0.0 } else { *v };
-                }
-                Some(out)
-            }
-            Layer::Flatten | Layer::Dense(_) => None,
-        }
-    }
-
     /// Backward pass: gradient w.r.t. the layer input plus gradients
     /// w.r.t. each parameter tensor (aligned with [`Layer::params`]).
     pub fn backward(&self, x: &Tensor, gout: &Tensor) -> (Tensor, Vec<Tensor>) {
@@ -1255,54 +1154,30 @@ pub(crate) fn ensure_len<T: Clone + Default>(v: &mut Vec<T>, len: usize) -> &mut
 }
 
 /// Packs `n` same-shaped `[c, h, w]` samples into the `[c, n, h, w]`
-/// batch layout [`Layer::forward_packed`] consumes: channel `ic` of
-/// sample `si` lands at plane `ic*n + si`, so every channel's per-
-/// sample planes sit side by side and a convolution's batched GEMM
-/// output is already in this layout. Returns `None` when the samples
-/// are not 3-D images (dense-only stacks take the sample-wise path).
-pub fn pack_batch(xs: &[Tensor]) -> Option<Tensor> {
-    if !matches!(xs.first()?.shape(), [_, _, _]) {
-        return None;
-    }
-    let mut d = Vec::new();
-    let shape = pack_batch_into(xs, &mut d);
-    Some(Tensor::from_vec(&shape, d))
-}
-
-/// Buffer-level core of [`pack_batch`] (the samples must already be
-/// known to be 3-D). `out` is grown, never shrunk; only the returned
-/// `[c, n, h, w]` extent is meaningful.
-pub(crate) fn pack_batch_into(xs: &[Tensor], out: &mut Vec<f32>) -> [usize; 4] {
+/// batch layout the packed walks run on: channel `ic` of sample `si`
+/// lands at plane `ic*n + si`, so every channel's per-sample planes sit
+/// side by side and a convolution's batched GEMM output is already in
+/// this layout. `out` holds exactly `c * n * h * w` elements.
+pub(crate) fn pack_batch_into(xs: &[Tensor], out: &mut [f32]) {
     let [c, h, w] = *xs[0].shape() else {
         panic!(
-            "pack_batch expects [c, h, w] samples, got {:?}",
+            "pack_batch_into expects [c, h, w] samples, got {:?}",
             xs[0].shape()
         )
     };
     let plane = h * w;
     let n = xs.len();
-    if out.len() < c * n * plane {
-        out.resize(c * n * plane, 0.0);
-    }
+    assert_eq!(out.len(), c * n * plane, "packed buffer shape mismatch");
     for (si, x) in xs.iter().enumerate() {
         assert_eq!(x.shape(), xs[0].shape(), "batch shape mismatch");
         for ic in 0..c {
             out[(ic * n + si) * plane..][..plane].copy_from_slice(&x.data()[ic * plane..][..plane]);
         }
     }
-    [c, n, h, w]
 }
 
 /// Splits a packed `[c, n, h, w]` batch back into `n` per-sample
-/// `[c, h, w]` tensors: the inverse of [`pack_batch`].
-pub fn unpack_batch(x: &Tensor) -> Vec<Tensor> {
-    let [c, n, h, w] = *x.shape() else {
-        panic!("unpack_batch expects [c, n, h, w], got {:?}", x.shape())
-    };
-    unpack_planes(x.data(), c, n, h, w)
-}
-
-/// Buffer-level core of [`unpack_batch`].
+/// `[c, h, w]` tensors: the inverse of [`pack_batch_into`].
 pub(crate) fn unpack_planes(xd: &[f32], c: usize, n: usize, h: usize, w: usize) -> Vec<Tensor> {
     let plane = h * w;
     (0..n)
@@ -1586,50 +1461,36 @@ mod tests {
     fn pack_unpack_batch_round_trips() {
         let mut r = rng();
         let xs: Vec<Tensor> = (0..4).map(|_| rand_tensor(&[3, 5, 6], &mut r)).collect();
-        let packed = pack_batch(&xs).expect("3-D samples pack");
-        assert_eq!(packed.shape(), &[3, 4, 5, 6]);
-        for (orig, got) in xs.iter().zip(unpack_batch(&packed)) {
+        let mut packed = vec![0.0f32; 3 * 4 * 5 * 6];
+        pack_batch_into(&xs, &mut packed);
+        for (orig, got) in xs.iter().zip(unpack_planes(&packed, 3, 4, 5, 6)) {
             assert_eq!(orig, &got, "pack/unpack must round-trip exactly");
         }
-        // 1-D samples (dense-only stacks) are not packable.
-        assert!(pack_batch(&[rand_tensor(&[7], &mut r)]).is_none());
     }
 
     #[test]
     fn packed_layer_walk_matches_per_sample_forward() {
+        use crate::network::Sequential;
         let mut r = rng();
-        let conv = Conv2d::new(2, 4, 3, 1, &mut r);
-        let xs: Vec<Tensor> = (0..5).map(|_| rand_tensor(&[2, 8, 8], &mut r)).collect();
-        // Conv entry from per-sample tensors lands in the packed
-        // layout; pool/relu keep it; results match sample-wise runs.
-        let mut packed = conv.forward_batch_packed(&xs);
-        let single = conv.forward(&xs[0]);
-        assert_eq!(
-            packed.shape(),
-            &[single.shape()[0], 5, single.shape()[1], single.shape()[2]],
-            "packed output shape interleaves the batch dimension"
-        );
-        let pipeline = [Layer::Relu, Layer::MaxPool2d(MaxPool2d { size: 2 })];
-        for layer in &pipeline {
-            packed = layer.forward_packed(&packed).expect("packable layer");
-        }
-        let mut want: Vec<Tensor> = xs.iter().map(|x| conv.forward(x)).collect();
-        for layer in &pipeline {
-            want = want.iter().map(|x| layer.forward(x)).collect();
-        }
-        for (w, got) in want.iter().zip(unpack_batch(&packed)) {
-            assert_eq!(w, &got, "packed walk must match per-sample layers exactly");
-        }
-        // Conv2d::forward_packed consumes the packed layout directly.
-        let repacked = pack_batch(&xs).unwrap();
-        for (w, got) in xs
-            .iter()
-            .map(|x| conv.forward(x))
-            .zip(unpack_batch(&conv.forward_packed(&repacked)))
-        {
+        let walk = Sequential::new(vec![
+            Layer::Conv2d(Conv2d::new(2, 4, 3, 1, &mut r)),
+            Layer::Relu,
+            Layer::MaxPool2d(MaxPool2d { size: 2 }),
+            Layer::Conv2d(Conv2d::new(4, 3, 3, 2, &mut r)),
+        ]);
+        // Conv entry lands in the packed layout; relu/pool keep it; the
+        // next conv consumes it directly; results match sample-wise
+        // runs — for a batch of one exactly as for a batch of five.
+        for n in [1usize, 5] {
+            let xs: Vec<Tensor> = (0..n).map(|_| rand_tensor(&[2, 8, 8], &mut r)).collect();
+            let mut want = xs.clone();
+            for layer in &walk.layers {
+                want = want.iter().map(|x| layer.forward(x)).collect();
+            }
+            let got = walk.forward_batch_until(xs, &|| false).unwrap();
             assert_eq!(
-                &w, &got,
-                "packed conv must match single-sample conv exactly"
+                want, got,
+                "packed walk must match per-sample layers exactly"
             );
         }
     }

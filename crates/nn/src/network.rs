@@ -40,162 +40,129 @@ impl Sequential {
         Self { layers }
     }
 
-    /// Plain forward pass.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let mut cur = x.clone();
-        for l in &self.layers {
-            cur = l.forward(&cur);
-        }
-        cur
-    }
-
-    /// Forward pass with a per-layer cooperative-cancellation
-    /// checkpoint: returns `None` as soon as `cancel` reports `true`,
-    /// so a caller enforcing a deadline can abandon the pass between
-    /// layers instead of wedging a worker on a huge convolution stack.
-    pub fn forward_with_cancel(&self, x: &Tensor, cancel: &dyn Fn() -> bool) -> Option<Tensor> {
-        let mut cur = x.clone();
-        for l in &self.layers {
-            if cancel() {
-                return None;
-            }
-            cur = l.forward(&cur);
-        }
-        Some(cur)
-    }
-
-    /// Batched forward pass over same-shaped inputs: each GEMM-backed
-    /// layer processes the whole batch in one product.
-    pub fn forward_batch(&self, xs: Vec<Tensor>) -> Vec<Tensor> {
-        let (mut cur, li) = self
-            .forward_batch_prefix(xs, None)
-            .expect("uncancellable prefix always completes");
-        for l in &self.layers[li..] {
-            cur = l.forward_batch(&cur);
-        }
-        cur
-    }
-
-    /// [`Sequential::forward_batch`] with per-layer cancellation
-    /// checkpoints, mirroring [`Sequential::forward_with_cancel`] for a
-    /// whole batch: returns `None` as soon as `cancel` reports `true`.
-    /// The serving layer's micro-batcher passes an "every member's
-    /// deadline has expired" predicate here, so a batch is only
-    /// abandoned when no member still wants the answer.
-    pub fn forward_batch_with_cancel(
+    /// Batched inference over same-shaped inputs — the only inference
+    /// walk; a single sample is a batch of one. `cancel` is polled
+    /// before every layer and the walk returns `None` as soon as it
+    /// reports `true`, so a caller enforcing a deadline can abandon the
+    /// pass between layers instead of wedging a worker on a huge
+    /// convolution stack. The serving layer's micro-batcher passes an
+    /// "every member's deadline has expired" predicate, so a batch is
+    /// only abandoned when no member still wants the answer; callers
+    /// without a deadline pass `&|| false`.
+    ///
+    /// Image-shaped (`[c, h, w]`) inputs are packed and take
+    /// [`Self::forward_packed_until`]; flat inputs (the head's merged
+    /// features) run sample-wise from the first layer.
+    pub fn forward_batch_until(
         &self,
         xs: Vec<Tensor>,
         cancel: &dyn Fn() -> bool,
     ) -> Option<Vec<Tensor>> {
-        if cancel() {
-            return None;
+        match xs.first().map(Tensor::shape) {
+            Some(&[c, h, w]) => self.forward_packed_until(
+                [c, xs.len(), h, w],
+                &|dst| layers::pack_batch_into(&xs, dst),
+                cancel,
+            ),
+            _ => self.forward_tail(0, xs, cancel),
         }
-        let (mut cur, li) = self.forward_batch_prefix(xs, Some(cancel))?;
-        for l in &self.layers[li..] {
-            if cancel() {
-                return None;
-            }
-            cur = l.forward_batch(&cur);
-        }
-        Some(cur)
     }
 
-    /// Runs the packed convolutional prefix of a batched forward pass
-    /// and returns the activations plus the index of the first layer
-    /// still to run. `cancel` (checked between packed layers) aborts
-    /// with `None`; passing `None` never aborts.
+    /// [`Self::forward_batch_until`] from a packed `[c, n, h, w]` input
+    /// that `fill` writes straight into the walk's first buffer (plane
+    /// `ic * n + si` holds channel `ic` of sample `si`), so a caller
+    /// holding the samples in another form never builds per-sample
+    /// `[c, h, w]` tensors first.
     ///
-    /// Image-shaped batches run the convolutional prefix packed as one
-    /// `[c, n, h, w]` block (see `layers::pack_batch`): each
+    /// The convolutional prefix runs on the packed block: each
     /// conv/pool/relu layer hands the whole batch along without
-    /// per-sample unpack copies. A leading convolution lowers the
-    /// per-sample inputs directly into the packed layout; otherwise the
-    /// batch is packed up front. The walk ping-pongs between two
+    /// per-sample unpack copies. The walk ping-pongs between two
     /// recycled scratch buffers (batch-sized activations live above the
     /// allocator's mmap threshold, so fresh allocations would
     /// page-fault on every layer) and ReLU runs in place. Sample-wise
     /// processing resumes at the first layer that needs individual
     /// tensors (`Flatten`).
-    fn forward_batch_prefix(
+    pub(crate) fn forward_packed_until(
         &self,
-        xs: Vec<Tensor>,
-        cancel: Option<&dyn Fn() -> bool>,
-    ) -> Option<(Vec<Tensor>, usize)> {
-        let mut cur = xs;
+        mut shape: [usize; 4],
+        fill: &dyn Fn(&mut [f32]),
+        cancel: &dyn Fn() -> bool,
+    ) -> Option<Vec<Tensor>> {
         let mut li = 0;
-        let packable = matches!(
-            self.layers.first(),
-            Some(Layer::Conv2d(_) | Layer::MaxPool2d(_) | Layer::Relu)
-        );
-        if cur.len() > 1 && cur[0].shape().len() == 3 && packable {
-            let out = gemm::with_scratch(|s| {
-                let mut ping = std::mem::take(&mut s.ping);
-                let mut pong = std::mem::take(&mut s.pong);
-                let mut shape = match &self.layers[0] {
-                    Layer::Conv2d(l) => {
-                        li = 1;
-                        l.forward_batch_packed_into(&cur, &mut s.col, &mut ping)
-                    }
-                    _ => layers::pack_batch_into(&cur, &mut ping),
-                };
-                let mut cancelled = false;
-                while li < self.layers.len() {
-                    if cancel.is_some_and(|c| c()) {
-                        cancelled = true;
-                        break;
-                    }
-                    let [c, n, h, w] = shape;
-                    match &self.layers[li] {
-                        Layer::Conv2d(l) => {
-                            shape = l.forward_packed_into(
-                                &ping[..c * n * h * w],
-                                n,
-                                h,
-                                w,
-                                &mut s.col,
-                                &mut pong,
-                            );
-                            std::mem::swap(&mut ping, &mut pong);
-                        }
-                        Layer::MaxPool2d(l) => {
-                            let (oh, ow) = l.out_hw(h, w);
-                            if pong.len() < c * n * oh * ow {
-                                pong.resize(c * n * oh * ow, 0.0);
-                            }
-                            l.pool_planes(
-                                &ping[..c * n * h * w],
-                                c * n,
-                                h,
-                                w,
-                                &mut pong[..c * n * oh * ow],
-                            );
-                            shape = [c, n, oh, ow];
-                            std::mem::swap(&mut ping, &mut pong);
-                        }
-                        Layer::Relu => {
-                            for v in &mut ping[..c * n * h * w] {
-                                *v = if *v < 0.0 { 0.0 } else { *v };
-                            }
-                        }
-                        Layer::Flatten | Layer::Dense(_) => break,
-                    }
-                    li += 1;
+        let unpacked = gemm::with_scratch(|s| {
+            let mut ping = std::mem::take(&mut s.ping);
+            let mut pong = std::mem::take(&mut s.pong);
+            fill(layers::ensure_len(&mut ping, shape.iter().product()));
+            let mut cancelled = false;
+            while li < self.layers.len() {
+                if cancel() {
+                    cancelled = true;
+                    break;
                 }
                 let [c, n, h, w] = shape;
-                // Scratch goes back even on cancellation, so an
-                // abandoned batch never costs the next one its buffers.
-                let out = if cancelled {
-                    None
-                } else {
-                    Some(layers::unpack_planes(&ping[..c * n * h * w], c, n, h, w))
-                };
-                s.ping = ping;
-                s.pong = pong;
-                out
-            });
-            cur = out?;
+                match &self.layers[li] {
+                    Layer::Conv2d(l) => {
+                        shape = l.forward_packed_into(
+                            &ping[..c * n * h * w],
+                            n,
+                            h,
+                            w,
+                            &mut s.col,
+                            &mut pong,
+                        );
+                        std::mem::swap(&mut ping, &mut pong);
+                    }
+                    Layer::MaxPool2d(l) => {
+                        let (oh, ow) = l.out_hw(h, w);
+                        l.pool_planes(
+                            &ping[..c * n * h * w],
+                            c * n,
+                            h,
+                            w,
+                            layers::ensure_len(&mut pong, c * n * oh * ow),
+                        );
+                        shape = [c, n, oh, ow];
+                        std::mem::swap(&mut ping, &mut pong);
+                    }
+                    Layer::Relu => {
+                        for v in &mut ping[..c * n * h * w] {
+                            *v = if *v < 0.0 { 0.0 } else { *v };
+                        }
+                    }
+                    Layer::Flatten | Layer::Dense(_) => break,
+                }
+                li += 1;
+            }
+            let [c, n, h, w] = shape;
+            // Scratch goes back even on cancellation, so an
+            // abandoned batch never costs the next one its buffers.
+            let out = if cancelled {
+                None
+            } else {
+                Some(layers::unpack_planes(&ping[..c * n * h * w], c, n, h, w))
+            };
+            s.ping = ping;
+            s.pong = pong;
+            out
+        })?;
+        self.forward_tail(li, unpacked, cancel)
+    }
+
+    /// Sample-wise remainder of the walk from layer `from`: the head's
+    /// dense stack, and a tower's `Flatten` after its packed prefix.
+    fn forward_tail(
+        &self,
+        from: usize,
+        mut cur: Vec<Tensor>,
+        cancel: &dyn Fn() -> bool,
+    ) -> Option<Vec<Tensor>> {
+        for l in &self.layers[from..] {
+            if cancel() {
+                return None;
+            }
+            cur = l.forward_batch(&cur);
         }
-        Some((cur, li))
+        Some(cur)
     }
 
     /// Forward pass that keeps each layer's input for backprop.
@@ -757,108 +724,93 @@ impl Cnn {
     /// tensor per tower (late merging) or a single stacked `[c, h, w]`
     /// tensor (early merging).
     fn tower_inputs(&self, channels: &[Tensor]) -> Vec<Tensor> {
-        assert_eq!(
-            channels.len(),
-            self.num_channels,
-            "sample has {} channels, network expects {}",
-            channels.len(),
-            self.num_channels
-        );
         let (h, w) = self.channel_shape;
-        for ch in channels {
-            assert_eq!(ch.shape(), &[h, w], "channel shape mismatch");
-        }
-        if self.towers.len() == channels.len() {
+        if self.per_tower_channels(&[channels]) == 1 {
             channels
                 .iter()
                 .map(|c| c.clone().reshape(&[1, h, w]))
                 .collect()
-        } else if self.towers.len() == 1 {
+        } else {
             let refs: Vec<&Tensor> = channels.iter().collect();
             vec![Tensor::stack_channels(&refs)]
-        } else {
-            panic!(
-                "{} towers cannot consume {} channels",
-                self.towers.len(),
-                channels.len()
-            );
         }
     }
 
-    /// Forward pass returning raw logits.
-    pub fn forward(&self, channels: &[Tensor]) -> Tensor {
-        let inputs = self.tower_inputs(channels);
-        let feats: Vec<Tensor> = self
-            .towers
-            .iter()
-            .zip(&inputs)
-            .map(|(t, x)| t.forward(x))
-            .collect();
-        let refs: Vec<&Tensor> = feats.iter().collect();
-        let merged = Tensor::concat_flat(&refs);
-        self.head.forward(&merged)
-    }
-
-    /// [`Cnn::forward`] with per-layer cancellation checkpoints through
-    /// every tower and the head; `None` once `cancel` reports `true`.
-    pub fn forward_with_cancel(
-        &self,
-        channels: &[Tensor],
-        cancel: &dyn Fn() -> bool,
-    ) -> Option<Tensor> {
-        let inputs = self.tower_inputs(channels);
-        let mut feats = Vec::with_capacity(self.towers.len());
-        for (t, x) in self.towers.iter().zip(&inputs) {
-            feats.push(t.forward_with_cancel(x, cancel)?);
-        }
-        let refs: Vec<&Tensor> = feats.iter().collect();
-        let merged = Tensor::concat_flat(&refs);
-        self.head.forward_with_cancel(&merged, cancel)
-    }
-
-    /// Batched forward pass over many samples' channel sets, returning
-    /// one logits tensor per sample. Samples are packed so every
-    /// convolution and dense layer runs a single GEMM per tower (or
-    /// head) for the whole batch — this is the inference path behind
-    /// [`crate::train::evaluate`] and the selector's batched
-    /// prediction.
-    pub fn forward_batch(&self, batch: &[&[Tensor]]) -> Vec<Tensor> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        // Transpose the per-sample tower inputs into per-tower batches
-        // up front so each tensor moves (rather than clones) into its
-        // tower's batched forward pass.
-        let mut by_tower: Vec<Vec<Tensor>> = (0..self.towers.len())
-            .map(|_| Vec::with_capacity(batch.len()))
-            .collect();
+    /// Checks a batch's channel counts and shapes against the network
+    /// and returns how many channels each tower consumes: all of them
+    /// stacked (early merging, one tower) or one each (late merging).
+    fn per_tower_channels(&self, batch: &[&[Tensor]]) -> usize {
+        let (h, w) = self.channel_shape;
+        let early = self.towers.len() == 1;
+        assert!(
+            early || self.towers.len() == self.num_channels,
+            "{} towers cannot consume {} channels",
+            self.towers.len(),
+            self.num_channels
+        );
         for ch in batch {
-            for (ti, x) in self.tower_inputs(ch).into_iter().enumerate() {
-                by_tower[ti].push(x);
+            assert_eq!(
+                ch.len(),
+                self.num_channels,
+                "sample has {} channels, network expects {}",
+                ch.len(),
+                self.num_channels
+            );
+            for c in ch.iter() {
+                assert_eq!(c.shape(), &[h, w], "channel shape mismatch");
             }
         }
-        let mut feats: Vec<Vec<Tensor>> = vec![Vec::with_capacity(self.towers.len()); batch.len()];
-        for (tower, xs) in self.towers.iter().zip(by_tower) {
-            for (f, o) in feats.iter_mut().zip(tower.forward_batch(xs)) {
-                f.push(o);
-            }
+        if early {
+            self.num_channels
+        } else {
+            1
         }
-        let merged: Vec<Tensor> = feats
-            .iter()
-            .map(|fs| {
-                let refs: Vec<&Tensor> = fs.iter().collect();
-                Tensor::concat_flat(&refs)
-            })
-            .collect();
-        self.head.forward_batch(merged)
     }
 
-    /// [`Cnn::forward_batch`] with cancellation checkpoints between
-    /// tower layers and head layers: `None` once `cancel` reports
-    /// `true`. A serving layer batches several requests' deadlines into
-    /// one predicate (typically "all members expired"), so the whole
-    /// batch is abandoned only when nobody is left waiting.
-    pub fn forward_batch_with_cancel(
+    /// Packs tower `ti`'s `[c, n, h, w]` input straight from the
+    /// samples' `[h, w]` channel tensors into `dst`: every channel for
+    /// the one early-merging tower, channel `ti` for a late-merging one.
+    fn pack_tower_input(&self, batch: &[&[Tensor]], ti: usize, dst: &mut [f32]) {
+        let n = batch.len();
+        let hw = self.channel_shape.0 * self.channel_shape.1;
+        for (si, ch) in batch.iter().enumerate() {
+            let own = if self.towers.len() == 1 {
+                ch
+            } else {
+                &ch[ti..=ti]
+            };
+            for (ic, src) in own.iter().enumerate() {
+                dst[(ic * n + si) * hw..][..hw].copy_from_slice(src.data());
+            }
+        }
+    }
+
+    /// Forward pass returning raw logits: a batch of one through
+    /// [`Cnn::forward_batch_until`].
+    pub fn forward(&self, channels: &[Tensor]) -> Tensor {
+        self.forward_batch(&[channels])
+            .pop()
+            .expect("one sample in, one logits tensor out")
+    }
+
+    /// [`Cnn::forward_batch_until`] without a deadline.
+    pub fn forward_batch(&self, batch: &[&[Tensor]]) -> Vec<Tensor> {
+        self.forward_batch_until(batch, &|| false)
+            .expect("never cancelled")
+    }
+
+    /// The inference pass: many samples' channel sets in, one logits
+    /// tensor per sample out. Samples are packed so every convolution
+    /// and dense layer runs a single GEMM per tower (or head) for the
+    /// whole batch — this is the path behind [`crate::train::evaluate`],
+    /// the selector's prediction and the serving layer, where a single
+    /// request is a batch of one. `cancel` is polled between tower
+    /// layers and head layers (see [`Sequential::forward_batch_until`]):
+    /// `None` once it reports `true`. A serving layer folds several
+    /// requests' deadlines into one predicate (typically "all members
+    /// expired"), so the whole batch is abandoned only when nobody is
+    /// left waiting.
+    pub fn forward_batch_until(
         &self,
         batch: &[&[Tensor]],
         cancel: &dyn Fn() -> bool,
@@ -866,20 +818,17 @@ impl Cnn {
         if batch.is_empty() {
             return Some(Vec::new());
         }
-        let mut by_tower: Vec<Vec<Tensor>> = (0..self.towers.len())
-            .map(|_| Vec::with_capacity(batch.len()))
-            .collect();
-        for ch in batch {
-            for (ti, x) in self.tower_inputs(ch).into_iter().enumerate() {
-                by_tower[ti].push(x);
-            }
-        }
-        let mut feats: Vec<Vec<Tensor>> = vec![Vec::with_capacity(self.towers.len()); batch.len()];
-        for (tower, xs) in self.towers.iter().zip(by_tower) {
-            for (f, o) in feats
-                .iter_mut()
-                .zip(tower.forward_batch_with_cancel(xs, cancel)?)
-            {
+        let n = batch.len();
+        let (h, w) = self.channel_shape;
+        let per_tower_c = self.per_tower_channels(batch);
+        let mut feats: Vec<Vec<Tensor>> = vec![Vec::with_capacity(self.towers.len()); n];
+        for (ti, tower) in self.towers.iter().enumerate() {
+            let outs = tower.forward_packed_until(
+                [per_tower_c, n, h, w],
+                &|dst| self.pack_tower_input(batch, ti, dst),
+                cancel,
+            )?;
+            for (f, o) in feats.iter_mut().zip(outs) {
                 f.push(o);
             }
         }
@@ -890,7 +839,7 @@ impl Cnn {
                 Tensor::concat_flat(&refs)
             })
             .collect();
-        self.head.forward_batch_with_cancel(merged, cancel)
+        self.head.forward_batch_until(merged, cancel)
     }
 
     /// Batched argmax predictions, parallel to `batch`.
@@ -912,38 +861,14 @@ impl Cnn {
         let n = batch.len();
         assert!(n > 0, "batched training needs at least one sample");
         let (h, w) = self.channel_shape;
-        let early = self.towers.len() == 1;
-        let per_tower_c = if early { self.num_channels } else { 1 };
-        assert!(
-            early || self.towers.len() == self.num_channels,
-            "{} towers cannot consume {} channels",
-            self.towers.len(),
-            self.num_channels
-        );
-        for ch in batch {
-            assert_eq!(
-                ch.len(),
-                self.num_channels,
-                "sample has {} channels, network expects {}",
-                ch.len(),
-                self.num_channels
-            );
-            for c in ch.iter() {
-                assert_eq!(c.shape(), &[h, w], "channel shape mismatch");
-            }
-        }
+        let per_tower_c = self.per_tower_channels(batch);
         cache.n = n;
         cache
             .towers
             .resize_with(self.towers.len(), Default::default);
         for (ti, (tower, tc)) in self.towers.iter().zip(&mut cache.towers).enumerate() {
             let dst = tc.input_packed([per_tower_c, n, h, w]);
-            for (si, ch) in batch.iter().enumerate() {
-                for ic in 0..per_tower_c {
-                    let src = if early { ch[ic].data() } else { ch[ti].data() };
-                    dst[(ic * n + si) * (h * w)..][..h * w].copy_from_slice(src);
-                }
-            }
+            self.pack_tower_input(batch, ti, dst);
             tower.forward_batch_cached_packed(tc);
         }
         cache.tower_feat.clear();
@@ -1261,17 +1186,17 @@ mod tests {
         let net = tiny_cnn(2, 2, 1);
         let x = sample_channels(2, 9);
         // Uncancelled: bit-identical to the plain pass.
-        let got = net.forward_with_cancel(&x, &|| false).unwrap();
-        assert_eq!(got.data(), net.forward(&x).data());
+        let got = net.forward_batch_until(&[&x], &|| false).unwrap();
+        assert_eq!(got[0].data(), net.forward(&x).data());
         // Cancelled immediately: no output.
-        assert!(net.forward_with_cancel(&x, &|| true).is_none());
+        assert!(net.forward_batch_until(&[&x], &|| true).is_none());
         // Cancelled mid-pass: the checkpoint fires between layers.
         let polls = Cell::new(0u32);
         let cancel_late = || {
             polls.set(polls.get() + 1);
             polls.get() > 3
         };
-        assert!(net.forward_with_cancel(&x, &cancel_late).is_none());
+        assert!(net.forward_batch_until(&[&x], &cancel_late).is_none());
         assert!(polls.get() >= 4);
     }
 
@@ -1283,32 +1208,27 @@ mod tests {
     }
 
     #[test]
-    fn cached_forward_matches_plain_forward() {
-        let net = tiny_cnn(2, 2, 3);
-        let ch = sample_channels(2, 5);
-        let plain = net.forward(&ch);
-        let cache = net.forward_cached(&ch);
-        assert_eq!(cache.logits, plain);
-    }
-
-    #[test]
     fn batched_forward_matches_single_samples() {
         for (towers, channels, seed) in [(2usize, 2usize, 21u64), (1, 2, 22)] {
             let net = tiny_cnn(towers, channels, seed);
             let samples: Vec<Vec<Tensor>> =
                 (0..5).map(|i| sample_channels(channels, 100 + i)).collect();
-            let refs: Vec<&[Tensor]> = samples.iter().map(|s| s.as_slice()).collect();
-            let batched = net.forward_batch(&refs);
-            assert_eq!(batched.len(), samples.len());
-            for (s, got) in samples.iter().zip(&batched) {
-                let want = net.forward(s);
-                assert_eq!(got.shape(), want.shape());
-                for (g, w) in got.data().iter().zip(want.data()) {
-                    assert!((g - w).abs() <= 1e-4 * (1.0 + w.abs()), "{g} vs {w}");
+            // The per-sample cached pass is the reference; a batch of
+            // one runs the same packed walk as a batch of five.
+            for n in [1, 5] {
+                let refs: Vec<&[Tensor]> = samples[..n].iter().map(|s| s.as_slice()).collect();
+                let batched = net.forward_batch(&refs);
+                assert_eq!(batched.len(), n);
+                for (s, got) in samples.iter().zip(&batched) {
+                    let want = net.forward_cached(s).logits;
+                    assert_eq!(got.shape(), want.shape());
+                    for (g, w) in got.data().iter().zip(want.data()) {
+                        assert!((g - w).abs() <= 1e-4 * (1.0 + w.abs()), "{g} vs {w}");
+                    }
                 }
+                let preds = net.predict_batch(&refs);
+                assert_eq!(preds.len(), n);
             }
-            let preds = net.predict_batch(&refs);
-            assert_eq!(preds.len(), samples.len());
             assert!(net.forward_batch(&[]).is_empty());
         }
     }
@@ -1322,27 +1242,27 @@ mod tests {
                 (0..4).map(|i| sample_channels(channels, 200 + i)).collect();
             let refs: Vec<&[Tensor]> = samples.iter().map(|s| s.as_slice()).collect();
             // Uncancelled: bit-identical to the plain batched pass.
-            let got = net.forward_batch_with_cancel(&refs, &|| false).unwrap();
+            let got = net.forward_batch_until(&refs, &|| false).unwrap();
             let want = net.forward_batch(&refs);
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.data(), w.data());
             }
             // Cancelled immediately: no output.
-            assert!(net.forward_batch_with_cancel(&refs, &|| true).is_none());
+            assert!(net.forward_batch_until(&refs, &|| true).is_none());
             // Cancelled mid-pass: the checkpoint is polled repeatedly.
             let polls = Cell::new(0u32);
             let cancel_late = || {
                 polls.set(polls.get() + 1);
                 polls.get() > 2
             };
-            assert!(net.forward_batch_with_cancel(&refs, &cancel_late).is_none());
+            assert!(net.forward_batch_until(&refs, &cancel_late).is_none());
             assert!(polls.get() >= 3);
+            // An abandoned pass hands its scratch back: the next one
+            // still runs to completion.
+            assert!(net.forward_batch_until(&refs, &|| false).is_some());
             // Empty batch short-circuits without consulting the hook.
-            assert!(net
-                .forward_batch_with_cancel(&[], &|| true)
-                .unwrap()
-                .is_empty());
+            assert!(net.forward_batch_until(&[], &|| true).unwrap().is_empty());
         }
     }
 

@@ -13,14 +13,14 @@ use crate::{CancelCheck, CANCEL_STRIDE};
 use dnnspmv_sparse::{CooMatrix, Scalar};
 
 /// Shared Algorithm 1 loop over row bands (`by_cols == false`) or
-/// column bands (`by_cols == true`), with an optional cancellation
-/// checkpoint every [`CANCEL_STRIDE`] nonzeros.
+/// column bands (`by_cols == true`), with a cancellation checkpoint
+/// every [`CANCEL_STRIDE`] nonzeros.
 fn histogram_counts_impl<S: Scalar>(
     matrix: &CooMatrix<S>,
     bands: usize,
     bins: usize,
     by_cols: bool,
-    cancel: Option<CancelCheck>,
+    cancel: CancelCheck,
 ) -> Option<Image> {
     assert!(bands > 0 && bins > 0, "histogram shape must be positive");
     let mut im = Image::zeros(bands, bins);
@@ -31,12 +31,8 @@ fn histogram_counts_impl<S: Scalar>(
         matrix.nrows()
     };
     for (i, (r, c, _)) in matrix.iter().enumerate() {
-        if i % CANCEL_STRIDE == 0 {
-            if let Some(cb) = cancel {
-                if cb() {
-                    return None;
-                }
-            }
+        if i % CANCEL_STRIDE == 0 && cancel() {
+            return None;
         }
         let pos = if by_cols { c } else { r };
         let band = (pos * bands / extent).min(bands - 1);
@@ -51,51 +47,35 @@ fn histogram_counts_impl<S: Scalar>(
 /// nonzeros of that row band at that diagonal distance. This is
 /// Algorithm 1 verbatim.
 pub fn row_histogram_counts<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    histogram_counts_impl(matrix, bands, bins, false, None).expect("no cancellation requested")
+    histogram_counts_impl(matrix, bands, bins, false, &|| false).expect("never cancelled")
 }
 
 /// Raw column histogram: the same construction over column bands.
 pub fn col_histogram_counts<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    histogram_counts_impl(matrix, bands, bins, true, None).expect("no cancellation requested")
+    histogram_counts_impl(matrix, bands, bins, true, &|| false).expect("never cancelled")
 }
 
 /// Row histogram normalised to `[0, 1]` by its maximum (the form fed to
 /// the CNN).
 pub fn row_histogram<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    let mut im = row_histogram_counts(matrix, bands, bins);
-    im.normalize_max();
-    im
+    histogram_impl(matrix, bands, bins, false, &|| false).expect("never cancelled")
 }
 
 /// Column histogram normalised to `[0, 1]` by its maximum.
 pub fn col_histogram<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    let mut im = col_histogram_counts(matrix, bands, bins);
-    im.normalize_max();
-    im
+    histogram_impl(matrix, bands, bins, true, &|| false).expect("never cancelled")
 }
 
-/// [`row_histogram`] with a cancellation checkpoint; `None` once
-/// `cancel` reports `true`.
-pub fn row_histogram_with_cancel<S: Scalar>(
+/// The normalised row (`by_cols == false`) or column histogram under a
+/// cancellation checkpoint; `None` once `cancel` reports `true`.
+pub(crate) fn histogram_impl<S: Scalar>(
     matrix: &CooMatrix<S>,
     bands: usize,
     bins: usize,
+    by_cols: bool,
     cancel: CancelCheck,
 ) -> Option<Image> {
-    let mut im = histogram_counts_impl(matrix, bands, bins, false, Some(cancel))?;
-    im.normalize_max();
-    Some(im)
-}
-
-/// [`col_histogram`] with a cancellation checkpoint; `None` once
-/// `cancel` reports `true`.
-pub fn col_histogram_with_cancel<S: Scalar>(
-    matrix: &CooMatrix<S>,
-    bands: usize,
-    bins: usize,
-    cancel: CancelCheck,
-) -> Option<Image> {
-    let mut im = histogram_counts_impl(matrix, bands, bins, true, Some(cancel))?;
+    let mut im = histogram_counts_impl(matrix, bands, bins, by_cols, cancel)?;
     im.normalize_max();
     Some(im)
 }

@@ -25,11 +25,9 @@ pub mod histogram;
 pub mod image;
 pub mod sample;
 
-pub use histogram::{
-    col_histogram, col_histogram_with_cancel, row_histogram, row_histogram_with_cancel,
-};
+pub use histogram::{col_histogram, row_histogram};
 pub use image::Image;
-pub use sample::{binary, binary_with_cancel, density, density_with_cancel};
+pub use sample::{binary, density};
 
 use dnnspmv_sparse::{CooMatrix, Scalar};
 use serde::{Deserialize, Serialize};
@@ -188,26 +186,13 @@ mod extract_timers {
 impl MatrixRepr {
     /// Normalises `matrix` into the `kind` representation.
     pub fn extract<S: Scalar>(matrix: &CooMatrix<S>, kind: ReprKind, cfg: &ReprConfig) -> Self {
-        #[cfg(feature = "obs")]
-        let _t = extract_timers::time(kind);
-        let channels = match kind {
-            ReprKind::Binary => vec![binary(matrix, cfg.image_size)],
-            ReprKind::BinaryDensity => vec![
-                binary(matrix, cfg.image_size),
-                density(matrix, cfg.image_size),
-            ],
-            ReprKind::Histogram => vec![
-                row_histogram(matrix, cfg.hist_rows, cfg.hist_bins),
-                col_histogram(matrix, cfg.hist_rows, cfg.hist_bins),
-            ],
-        };
-        Self { kind, channels }
+        Self::extract_with_cancel(matrix, kind, cfg, &|| false).expect("never cancelled")
     }
 
-    /// Like [`MatrixRepr::extract`], but checks `cancel` every
-    /// [`CANCEL_STRIDE`] nonzeros and returns `None` as soon as it
-    /// reports `true` — the hook a serving layer uses to enforce
-    /// per-request deadlines on pathological inputs.
+    /// [`MatrixRepr::extract`] under a cancellation checkpoint: checks
+    /// `cancel` every [`CANCEL_STRIDE`] nonzeros and returns `None` as
+    /// soon as it reports `true` — the hook a serving layer uses to
+    /// enforce per-request deadlines on pathological inputs.
     pub fn extract_with_cancel<S: Scalar>(
         matrix: &CooMatrix<S>,
         kind: ReprKind,
@@ -216,15 +201,16 @@ impl MatrixRepr {
     ) -> Option<Self> {
         #[cfg(feature = "obs")]
         let _t = extract_timers::time(kind);
+        let (size, bands, bins) = (cfg.image_size, cfg.hist_rows, cfg.hist_bins);
         let channels = match kind {
-            ReprKind::Binary => vec![binary_with_cancel(matrix, cfg.image_size, cancel)?],
+            ReprKind::Binary => vec![sample::binary_impl(matrix, size, cancel)?],
             ReprKind::BinaryDensity => vec![
-                binary_with_cancel(matrix, cfg.image_size, cancel)?,
-                density_with_cancel(matrix, cfg.image_size, cancel)?,
+                sample::binary_impl(matrix, size, cancel)?,
+                sample::density_impl(matrix, size, cancel)?,
             ],
             ReprKind::Histogram => vec![
-                row_histogram_with_cancel(matrix, cfg.hist_rows, cfg.hist_bins, cancel)?,
-                col_histogram_with_cancel(matrix, cfg.hist_rows, cfg.hist_bins, cancel)?,
+                histogram::histogram_impl(matrix, bands, bins, false, cancel)?,
+                histogram::histogram_impl(matrix, bands, bins, true, cancel)?,
             ],
         };
         Some(Self { kind, channels })

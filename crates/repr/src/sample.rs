@@ -20,16 +20,12 @@ fn cell(idx: usize, extent: usize, grid: usize) -> usize {
 /// `cancel` every [`CANCEL_STRIDE`] entries. `false` means cancelled.
 fn scatter<S: Scalar>(
     matrix: &CooMatrix<S>,
-    cancel: Option<CancelCheck>,
+    cancel: CancelCheck,
     mut f: impl FnMut(usize, usize),
 ) -> bool {
     for (i, (r, c, _)) in matrix.iter().enumerate() {
-        if i % CANCEL_STRIDE == 0 {
-            if let Some(cb) = cancel {
-                if cb() {
-                    return false;
-                }
-            }
+        if i % CANCEL_STRIDE == 0 && cancel() {
+            return false;
         }
         f(r, c);
     }
@@ -39,23 +35,15 @@ fn scatter<S: Scalar>(
 /// Binary down-sampling (Figure 4b): cell is 1 iff its block contains
 /// at least one nonzero.
 pub fn binary<S: Scalar>(matrix: &CooMatrix<S>, size: usize) -> Image {
-    binary_impl(matrix, size, None).expect("no cancellation requested")
+    binary_impl(matrix, size, &|| false).expect("never cancelled")
 }
 
-/// [`binary`] with a cancellation checkpoint; `None` once `cancel`
+/// [`binary`] under a cancellation checkpoint; `None` once `cancel`
 /// reports `true`.
-pub fn binary_with_cancel<S: Scalar>(
+pub(crate) fn binary_impl<S: Scalar>(
     matrix: &CooMatrix<S>,
     size: usize,
     cancel: CancelCheck,
-) -> Option<Image> {
-    binary_impl(matrix, size, Some(cancel))
-}
-
-fn binary_impl<S: Scalar>(
-    matrix: &CooMatrix<S>,
-    size: usize,
-    cancel: Option<CancelCheck>,
 ) -> Option<Image> {
     assert!(size > 0, "representation size must be positive");
     let mut im = Image::zeros(size, size);
@@ -69,23 +57,15 @@ fn binary_impl<S: Scalar>(
 /// Density map (Figure 5a): cell holds `nnz(block) / |block|`, a value
 /// in `[0, 1]` capturing within-block variation the binary map loses.
 pub fn density<S: Scalar>(matrix: &CooMatrix<S>, size: usize) -> Image {
-    density_impl(matrix, size, None).expect("no cancellation requested")
+    density_impl(matrix, size, &|| false).expect("never cancelled")
 }
 
-/// [`density`] with a cancellation checkpoint; `None` once `cancel`
+/// [`density`] under a cancellation checkpoint; `None` once `cancel`
 /// reports `true`.
-pub fn density_with_cancel<S: Scalar>(
+pub(crate) fn density_impl<S: Scalar>(
     matrix: &CooMatrix<S>,
     size: usize,
     cancel: CancelCheck,
-) -> Option<Image> {
-    density_impl(matrix, size, Some(cancel))
-}
-
-fn density_impl<S: Scalar>(
-    matrix: &CooMatrix<S>,
-    size: usize,
-    cancel: Option<CancelCheck>,
 ) -> Option<Image> {
     assert!(size > 0, "representation size must be positive");
     let (m, n) = (matrix.nrows(), matrix.ncols());

@@ -812,6 +812,78 @@ fn member_deadline_expiring_mid_batch_cancels_only_that_member() {
     assert!(r.path_accounted(), "{r:?}");
 }
 
+/// Gathered batch × non-closed breaker: four requests gathered together
+/// after the open backoff elapsed are fed through the worker routine one
+/// at a time, so the window takes exactly one probe — the first member —
+/// and its success closes the breaker for the three behind it.
+#[test]
+fn gathered_batch_on_open_breaker_takes_exactly_one_probe() {
+    let (_, _, data) = fixture();
+    let (clock_raw, clock) = fake_clock();
+    let panicking = Arc::new(AtomicBool::new(true));
+    let p_h = Arc::clone(&panicking);
+    let hooks = ServeHooks {
+        cnn_fault: Some(Arc::new(move |_seq| {
+            if p_h.load(Ordering::SeqCst) {
+                CnnFault::Panic
+            } else {
+                CnnFault::None
+            }
+        })),
+    };
+    // With the fake clock frozen the gather window never times out, so
+    // every batch below departs exactly when its fourth member arrives.
+    let cfg = ServerConfig {
+        workers: 1,
+        queue_capacity: 16,
+        breaker: tight_breaker(),
+        max_batch: 4,
+        max_batch_wait: Duration::from_micros(100),
+        ..ServerConfig::default()
+    };
+    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
+    let submit_four = |base: usize| -> Vec<_> {
+        (0..4)
+            .map(|i| {
+                server
+                    .submit(Arc::new(data.matrices[base + i].clone()), None)
+                    .unwrap()
+            })
+            .collect()
+    };
+
+    // A panic storm through one shared pass: every member is still
+    // answered (by the tree) and the third failure trips the breaker.
+    for p in submit_four(0) {
+        assert_eq!(p.wait().unwrap().source, SelectionSource::Tree);
+    }
+    let r = server.report();
+    assert_eq!(r.breaker.state, BreakerState::Open, "{r:?}");
+    assert_eq!(r.batched_served, 4);
+
+    // Fault clears, backoff elapses, four more arrive together.
+    panicking.store(false, Ordering::SeqCst);
+    clock_raw.fetch_add(2_000, Ordering::SeqCst);
+    for p in submit_four(10) {
+        assert_eq!(p.wait().unwrap().source, SelectionSource::Cnn);
+    }
+    let r = server.report();
+    assert_eq!(r.probes_ok + r.probes_failed, 1, "one probe for the window");
+    assert_eq!((r.breaker.to_half_open, r.breaker.to_closed), (1, 1));
+    assert_eq!(r.breaker.state, BreakerState::Closed);
+    assert_eq!(r.breaker_demoted, 0);
+    assert_eq!(r.single_served, 4, "members were fed one at a time");
+    assert_eq!(r.accounted(), r.submitted);
+    assert!(r.path_accounted(), "{r:?}");
+    let snap = server.metrics_snapshot();
+    let bs = snap.histogram("serve_batch_size", &[]).expect("recorded");
+    assert_eq!(
+        (bs.count, bs.max),
+        (2, 4),
+        "both batches were gathered whole"
+    );
+}
+
 /// Tentpole stage B, low load: sequential traffic forms batches of one,
 /// which take the per-request path — batching must cost nothing when
 /// there is nothing to coalesce.
