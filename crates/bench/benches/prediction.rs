@@ -61,6 +61,20 @@ fn bench_prediction_overhead(c: &mut Criterion) {
             ))
         })
     });
+    // The same extraction where it is an O(nnz) stream from memory and
+    // not a few microseconds of set-up: a regression in the sweep shows
+    // here, not on the 1024-row matrix.
+    let large = generate(MatrixClass::Stencil, 250_000, 3);
+    assert!(large.nnz() >= 1_000_000, "{} nonzeros", large.nnz());
+    group.bench_function("histogram_extraction_1m_nnz", |b| {
+        b.iter(|| {
+            black_box(MatrixRepr::extract(
+                black_box(&large),
+                ReprKind::Histogram,
+                &repr_config,
+            ))
+        })
+    });
     group.bench_function("cnn_inference", |b| {
         b.iter(|| black_box(cnn.net.forward(black_box(&channels))))
     });

@@ -47,7 +47,7 @@ impl WorkloadProfile {
         (self.dist_cdf[lo] as f64) * (1.0 - frac) + (self.dist_cdf[hi] as f64) * frac
     }
 
-    /// Computes the profile. O(nnz log nnz).
+    /// Computes the profile. O(nrows + ncols + nnz).
     pub fn compute<S: Scalar>(matrix: &CooMatrix<S>) -> Self {
         let stats = MatrixStats::compute(matrix);
         // Per-diagonal occupancy -> exact lane slots; distance CDF.

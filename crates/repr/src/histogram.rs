@@ -9,75 +9,99 @@
 //! (the paper uses 128 x 50).
 
 use crate::image::Image;
-use crate::{CancelCheck, CANCEL_STRIDE};
+use crate::sweep::{counts_to_f32, sweep, AxisMap};
+use crate::CancelCheck;
 use dnnspmv_sparse::{CooMatrix, Scalar};
 
-/// Shared Algorithm 1 loop over row bands (`by_cols == false`) or
-/// column bands (`by_cols == true`), with a cancellation checkpoint
-/// every [`CANCEL_STRIDE`] nonzeros.
-fn histogram_counts_impl<S: Scalar>(
+/// Algorithm 1 for both channels in one sweep: adds the nonzeros
+/// `(rows[i], cols[i])` (sorted by row) of an `nrows x ncols` matrix to
+/// the raw `bands x bins` histograms over row bands (`by_rows`) and over
+/// column bands (`by_cols`). `false` means cancelled.
+///
+/// Cells are `u32` counters, so a cell keeps counting past 2^24, where
+/// the `f32 += 1.0` of earlier versions stopped (and a huge banded
+/// matrix then normalised against a saturated bin 0).
+pub(crate) fn add_to_histograms(
+    (nrows, ncols): (usize, usize),
+    (rows, cols): (&[u32], &[u32]),
+    bins: usize,
+    by_rows: &mut [u32],
+    by_cols: &mut [u32],
+    cancel: CancelCheck,
+) -> bool {
+    let bands = by_rows.len() / bins;
+    let (row_map, col_map) = (AxisMap::new(nrows, bands), AxisMap::new(ncols, bands));
+    let dist_map = AxisMap::new(nrows.max(ncols), bins);
+    sweep(rows, cols, &row_map, cancel, |band, rs, cs| {
+        let row_hist = &mut by_rows[band * bins..][..bins];
+        for (&r, &c) in rs.iter().zip(cs) {
+            let bin = dist_map.index(r.abs_diff(c));
+            row_hist[bin] += 1;
+            by_cols[col_map.index(c) * bins + bin] += 1;
+        }
+    })
+}
+
+/// The raw `[row, column]` histograms under a cancellation checkpoint;
+/// `None` once `cancel` reports `true`.
+fn histogram_counts<S: Scalar>(
     matrix: &CooMatrix<S>,
     bands: usize,
     bins: usize,
-    by_cols: bool,
     cancel: CancelCheck,
-) -> Option<Image> {
+) -> Option<[Image; 2]> {
     assert!(bands > 0 && bins > 0, "histogram shape must be positive");
-    let mut im = Image::zeros(bands, bins);
-    let max_dim = matrix.nrows().max(matrix.ncols());
-    let extent = if by_cols {
-        matrix.ncols()
-    } else {
-        matrix.nrows()
-    };
-    for (i, (r, c, _)) in matrix.iter().enumerate() {
-        if i % CANCEL_STRIDE == 0 && cancel() {
-            return None;
-        }
-        let pos = if by_cols { c } else { r };
-        let band = (pos * bands / extent).min(bands - 1);
-        let dist = r.abs_diff(c);
-        let bin = (dist * bins / max_dim).min(bins - 1);
-        *im.get_mut(band, bin) += 1.0;
-    }
-    Some(im)
+    let mut counts = [vec![0u32; bands * bins], vec![0u32; bands * bins]];
+    let [by_rows, by_cols] = &mut counts;
+    add_to_histograms(
+        (matrix.nrows(), matrix.ncols()),
+        (matrix.row_indices(), matrix.col_indices()),
+        bins,
+        by_rows,
+        by_cols,
+        cancel,
+    )
+    .then(|| counts.map(|c| Image::from_vec(bands, bins, counts_to_f32(&c))))
+}
+
+/// The `[row, column]` histograms, each normalised to `[0, 1]` by its
+/// maximum (the form fed to the CNN); `None` once `cancel` reports
+/// `true`.
+pub(crate) fn histograms<S: Scalar>(
+    matrix: &CooMatrix<S>,
+    bands: usize,
+    bins: usize,
+    cancel: CancelCheck,
+) -> Option<[Image; 2]> {
+    let mut pair = histogram_counts(matrix, bands, bins, cancel)?;
+    pair.iter_mut().for_each(Image::normalize_max);
+    Some(pair)
 }
 
 /// Raw (unnormalised) row histogram: `R[row_band][dist_bin]` counts the
-/// nonzeros of that row band at that diagonal distance. This is
-/// Algorithm 1 verbatim.
+/// nonzeros of that row band at that diagonal distance (Algorithm 1).
 pub fn row_histogram_counts<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    histogram_counts_impl(matrix, bands, bins, false, &|| false).expect("never cancelled")
+    let [by_rows, _] = histogram_counts(matrix, bands, bins, &|| false).expect("never cancelled");
+    by_rows
 }
 
 /// Raw column histogram: the same construction over column bands.
 pub fn col_histogram_counts<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    histogram_counts_impl(matrix, bands, bins, true, &|| false).expect("never cancelled")
+    let [_, by_cols] = histogram_counts(matrix, bands, bins, &|| false).expect("never cancelled");
+    by_cols
 }
 
 /// Row histogram normalised to `[0, 1]` by its maximum (the form fed to
 /// the CNN).
 pub fn row_histogram<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    histogram_impl(matrix, bands, bins, false, &|| false).expect("never cancelled")
+    let [by_rows, _] = histograms(matrix, bands, bins, &|| false).expect("never cancelled");
+    by_rows
 }
 
 /// Column histogram normalised to `[0, 1]` by its maximum.
 pub fn col_histogram<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    histogram_impl(matrix, bands, bins, true, &|| false).expect("never cancelled")
-}
-
-/// The normalised row (`by_cols == false`) or column histogram under a
-/// cancellation checkpoint; `None` once `cancel` reports `true`.
-pub(crate) fn histogram_impl<S: Scalar>(
-    matrix: &CooMatrix<S>,
-    bands: usize,
-    bins: usize,
-    by_cols: bool,
-    cancel: CancelCheck,
-) -> Option<Image> {
-    let mut im = histogram_counts_impl(matrix, bands, bins, by_cols, cancel)?;
-    im.normalize_max();
-    Some(im)
+    let [_, by_cols] = histograms(matrix, bands, bins, &|| false).expect("never cancelled");
+    by_cols
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@
 pub mod histogram;
 pub mod image;
 pub mod sample;
+mod sweep;
 
 pub use histogram::{col_histogram, row_histogram};
 pub use image::Image;
@@ -189,10 +190,11 @@ impl MatrixRepr {
         Self::extract_with_cancel(matrix, kind, cfg, &|| false).expect("never cancelled")
     }
 
-    /// [`MatrixRepr::extract`] under a cancellation checkpoint: checks
-    /// `cancel` every [`CANCEL_STRIDE`] nonzeros and returns `None` as
-    /// soon as it reports `true` — the hook a serving layer uses to
-    /// enforce per-request deadlines on pathological inputs.
+    /// [`MatrixRepr::extract`] under a cancellation checkpoint: every
+    /// kind is one sweep over the nonzeros that checks `cancel` every
+    /// [`CANCEL_STRIDE`] nonzeros and returns `None` as soon as it
+    /// reports `true` — the hook a serving layer uses to enforce
+    /// per-request deadlines on pathological inputs.
     pub fn extract_with_cancel<S: Scalar>(
         matrix: &CooMatrix<S>,
         kind: ReprKind,
@@ -203,15 +205,16 @@ impl MatrixRepr {
         let _t = extract_timers::time(kind);
         let (size, bands, bins) = (cfg.image_size, cfg.hist_rows, cfg.hist_bins);
         let channels = match kind {
-            ReprKind::Binary => vec![sample::binary_impl(matrix, size, cancel)?],
-            ReprKind::BinaryDensity => vec![
-                sample::binary_impl(matrix, size, cancel)?,
-                sample::density_impl(matrix, size, cancel)?,
-            ],
-            ReprKind::Histogram => vec![
-                histogram::histogram_impl(matrix, bands, bins, false, cancel)?,
-                histogram::histogram_impl(matrix, bands, bins, true, cancel)?,
-            ],
+            ReprKind::Histogram => histogram::histograms(matrix, bands, bins, cancel)?.into(),
+            ReprKind::Binary | ReprKind::BinaryDensity => {
+                let counts = sample::block_counts(matrix, size, cancel)?;
+                let mut channels = vec![sample::binary_of(&counts, size)];
+                if kind == ReprKind::BinaryDensity {
+                    let shape = (matrix.nrows(), matrix.ncols());
+                    channels.push(sample::density_of(&counts, size, shape));
+                }
+                channels
+            }
         };
         Some(Self { kind, channels })
     }
@@ -287,6 +290,36 @@ mod tests {
             };
             let _ = MatrixRepr::extract_with_cancel(&m, kind, &cfg, &cancel_on_second);
             assert!(polls.get() >= 1, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn cells_keep_counting_past_two_to_the_24() {
+        // 257 slices of 2^16 nonzeros that all land in cell (0, 0): an
+        // `f32 += 1.0` counter stops at 16 777 216.
+        let zeros = vec![0u32; 1 << 16];
+        let coords = (&zeros[..], &zeros[..]);
+        let (mut by_rows, mut by_cols, mut blocks) = ([0u32; 4], [0u32; 4], [0u32; 4]);
+        for _ in 0..257 {
+            assert!(histogram::add_to_histograms(
+                (4, 4),
+                coords,
+                2,
+                &mut by_rows,
+                &mut by_cols,
+                &|| false
+            ));
+            assert!(sample::add_to_blocks(
+                (4, 4),
+                coords,
+                2,
+                &mut blocks,
+                &|| false
+            ));
+        }
+        for counts in [by_rows, by_cols, blocks] {
+            assert_eq!(counts, [(1 << 24) + (1 << 16), 0, 0, 0]);
+            assert_eq!(sweep::counts_to_f32(&counts)[0], 16_842_752.0);
         }
     }
 

@@ -7,95 +7,92 @@
 //! paper's down-sampling.
 
 use crate::image::Image;
-use crate::{CancelCheck, CANCEL_STRIDE};
+use crate::sweep::{counts_to_f32, sweep, AxisMap};
+use crate::CancelCheck;
 use dnnspmv_sparse::{CooMatrix, Scalar};
 
-#[inline]
-fn cell(idx: usize, extent: usize, grid: usize) -> usize {
-    // idx * grid / extent, guarded against idx == extent-1 rounding.
-    (idx * grid / extent).min(grid - 1)
+/// Adds the nonzeros `(rows[i], cols[i])` (sorted by row) of an
+/// `nrows x ncols` matrix to the `size x size` grid of per-block counts
+/// that both maps derive from. `false` means cancelled.
+///
+/// Cells are `u32` counters, so a block keeps counting past 2^24, where
+/// the `f32 += 1.0` of earlier versions stopped.
+pub(crate) fn add_to_blocks(
+    (nrows, ncols): (usize, usize),
+    (rows, cols): (&[u32], &[u32]),
+    size: usize,
+    counts: &mut [u32],
+    cancel: CancelCheck,
+) -> bool {
+    let (row_map, col_map) = (AxisMap::new(nrows, size), AxisMap::new(ncols, size));
+    sweep(rows, cols, &row_map, cancel, |band, _, cs| {
+        let row_cells = &mut counts[band * size..][..size];
+        for &c in cs {
+            row_cells[col_map.index(c)] += 1;
+        }
+    })
 }
 
-/// Shared scatter loop: applies `f(r, c)` to every nonzero, checking
-/// `cancel` every [`CANCEL_STRIDE`] entries. `false` means cancelled.
-fn scatter<S: Scalar>(
+/// The per-block nonzero counts of `matrix` under a cancellation
+/// checkpoint; `None` once `cancel` reports `true`.
+pub(crate) fn block_counts<S: Scalar>(
     matrix: &CooMatrix<S>,
+    size: usize,
     cancel: CancelCheck,
-    mut f: impl FnMut(usize, usize),
-) -> bool {
-    for (i, (r, c, _)) in matrix.iter().enumerate() {
-        if i % CANCEL_STRIDE == 0 && cancel() {
-            return false;
+) -> Option<Vec<u32>> {
+    assert!(size > 0, "representation size must be positive");
+    let mut counts = vec![0u32; size * size];
+    add_to_blocks(
+        (matrix.nrows(), matrix.ncols()),
+        (matrix.row_indices(), matrix.col_indices()),
+        size,
+        &mut counts,
+        cancel,
+    )
+    .then_some(counts)
+}
+
+/// The binary map of a grid of block counts.
+pub(crate) fn binary_of(counts: &[u32], size: usize) -> Image {
+    let cells = counts.iter().map(|&c| f32::from(c > 0)).collect();
+    Image::from_vec(size, size, cells)
+}
+
+/// The density map of an `nrows x ncols` matrix's grid of block counts.
+pub(crate) fn density_of(counts: &[u32], size: usize, (nrows, ncols): (usize, usize)) -> Image {
+    // Exact block areas: the number of source rows/cols mapping to each
+    // grid index (uneven when the extent does not divide the grid).
+    let band_sizes = |extent: usize| -> Vec<f32> {
+        let map = AxisMap::new(extent, size);
+        (0..size)
+            .map(|b| (map.start(b + 1) - map.start(b)) as f32)
+            .collect()
+    };
+    let (row_sizes, col_sizes) = (band_sizes(nrows), band_sizes(ncols));
+    let mut cells = counts_to_f32(counts);
+    for (row, &rs) in cells.chunks_mut(size).zip(&row_sizes) {
+        for (cell, &cs) in row.iter_mut().zip(&col_sizes) {
+            let area = rs * cs;
+            if area > 0.0 {
+                *cell /= area;
+            }
         }
-        f(r, c);
     }
-    true
+    Image::from_vec(size, size, cells)
 }
 
 /// Binary down-sampling (Figure 4b): cell is 1 iff its block contains
 /// at least one nonzero.
 pub fn binary<S: Scalar>(matrix: &CooMatrix<S>, size: usize) -> Image {
-    binary_impl(matrix, size, &|| false).expect("never cancelled")
-}
-
-/// [`binary`] under a cancellation checkpoint; `None` once `cancel`
-/// reports `true`.
-pub(crate) fn binary_impl<S: Scalar>(
-    matrix: &CooMatrix<S>,
-    size: usize,
-    cancel: CancelCheck,
-) -> Option<Image> {
-    assert!(size > 0, "representation size must be positive");
-    let mut im = Image::zeros(size, size);
-    let (m, n) = (matrix.nrows(), matrix.ncols());
-    let done = scatter(matrix, cancel, |r, c| {
-        *im.get_mut(cell(r, m, size), cell(c, n, size)) = 1.0;
-    });
-    done.then_some(im)
+    let counts = block_counts(matrix, size, &|| false).expect("never cancelled");
+    binary_of(&counts, size)
 }
 
 /// Density map (Figure 5a): cell holds `nnz(block) / |block|`, a value
 /// in `[0, 1]` capturing within-block variation the binary map loses.
 pub fn density<S: Scalar>(matrix: &CooMatrix<S>, size: usize) -> Image {
-    density_impl(matrix, size, &|| false).expect("never cancelled")
-}
-
-/// [`density`] under a cancellation checkpoint; `None` once `cancel`
-/// reports `true`.
-pub(crate) fn density_impl<S: Scalar>(
-    matrix: &CooMatrix<S>,
-    size: usize,
-    cancel: CancelCheck,
-) -> Option<Image> {
-    assert!(size > 0, "representation size must be positive");
-    let (m, n) = (matrix.nrows(), matrix.ncols());
-    let mut counts = Image::zeros(size, size);
-    let done = scatter(matrix, cancel, |r, c| {
-        *counts.get_mut(cell(r, m, size), cell(c, n, size)) += 1.0;
-    });
-    if !done {
-        return None;
-    }
-    // Exact block areas: the number of source rows/cols mapping to each
-    // grid index (uneven when the extent does not divide the grid).
-    let band_sizes = |extent: usize| -> Vec<f32> {
-        let mut sizes = vec![0f32; size];
-        for i in 0..extent {
-            sizes[cell(i, extent, size)] += 1.0;
-        }
-        sizes
-    };
-    let row_sizes = band_sizes(m);
-    let col_sizes = band_sizes(n);
-    for (rb, &rs) in row_sizes.iter().enumerate() {
-        for (cb, &cs) in col_sizes.iter().enumerate() {
-            let area = rs * cs;
-            if area > 0.0 {
-                *counts.get_mut(rb, cb) /= area;
-            }
-        }
-    }
-    Some(counts)
+    let counts = block_counts(matrix, size, &|| false).expect("never cancelled");
+    density_of(&counts, size, (matrix.nrows(), matrix.ncols()))
 }
 
 #[cfg(test)]

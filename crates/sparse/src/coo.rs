@@ -215,15 +215,18 @@ impl<S: Scalar> CooMatrix<S> {
     }
 
     /// Offsets `i` such that entries of row `r` live at
-    /// `offsets[r]..offsets[r+1]` — a CSR-style row pointer derived from
-    /// the sort order. O(nrows + nnz).
+    /// `offsets[r]..offsets[r+1]` — a CSR-style row pointer read off the
+    /// run boundaries of the sorted row array. O(nrows + nnz).
     pub fn row_offsets(&self) -> Vec<usize> {
         let mut ptr = vec![0usize; self.nrows + 1];
-        for &r in &self.rows {
-            ptr[r as usize + 1] += 1;
+        // Rows are sorted, so the last nonzero of a run leaves the run's
+        // end behind: plain stores, no counter to read back.
+        for (i, &r) in self.rows.iter().enumerate() {
+            ptr[r as usize + 1] = i + 1;
         }
-        for i in 0..self.nrows {
-            ptr[i + 1] += ptr[i];
+        // An empty row ends where the row before it did.
+        for r in 0..self.nrows {
+            ptr[r + 1] = ptr[r + 1].max(ptr[r]);
         }
         ptr
     }

@@ -43,21 +43,32 @@ impl<S: Scalar> DiaMatrix<S> {
     /// Converts from COO, failing if more than `max_diags` distinct
     /// diagonals would be materialised.
     pub fn from_coo_with_limit(coo: &CooMatrix<S>, max_diags: usize) -> Result<Self, SparseError> {
-        let mut offsets: Vec<i64> = coo.iter().map(|(r, c, _)| c as i64 - r as i64).collect();
-        offsets.sort_unstable();
-        offsets.dedup();
+        let (nrows, ncols) = (coo.nrows(), coo.ncols());
+        let (rows, cols) = (coo.row_indices(), coo.col_indices());
+        // One slot per possible diagonal, indexed by `col - row + nrows - 1`:
+        // marked when occupied, then overwritten with the diagonal's lane.
+        let slot = |r: u32, c: u32| c as usize + (nrows - 1) - r as usize;
+        let mut lane_of = vec![0u32; nrows + ncols - 1];
+        for (&r, &c) in rows.iter().zip(cols) {
+            lane_of[slot(r, c)] = 1;
+        }
+        let mut offsets = Vec::new();
+        for (k, lane) in lane_of.iter_mut().enumerate() {
+            if *lane != 0 {
+                *lane = offsets.len() as u32;
+                offsets.push(k as i64 - (nrows as i64 - 1));
+            }
+        }
         if offsets.len() > max_diags {
             return Err(SparseError::TooManyDiagonals {
                 ndiags: offsets.len(),
                 limit: max_diags,
             });
         }
-        let nrows = coo.nrows();
+        assert!(offsets.len() <= u32::MAX as usize, "lanes are u32");
         let mut data = vec![S::ZERO; offsets.len() * nrows];
-        for (r, c, v) in coo.iter() {
-            let off = c as i64 - r as i64;
-            let d = offsets.binary_search(&off).expect("offset collected above");
-            data[d * nrows + r] = v;
+        for ((&r, &c), &v) in rows.iter().zip(cols).zip(coo.values()) {
+            data[lane_of[slot(r, c)] as usize * nrows + r as usize] = v;
         }
         Ok(Self {
             nrows,

@@ -41,10 +41,7 @@ impl<S: Scalar> EllMatrix<S> {
     /// Converts from COO, failing if the longest row exceeds `max_width`.
     pub fn from_coo_with_limit(coo: &CooMatrix<S>, max_width: usize) -> Result<Self, SparseError> {
         let ptr = coo.row_offsets();
-        let width = (0..coo.nrows())
-            .map(|r| ptr[r + 1] - ptr[r])
-            .max()
-            .unwrap_or(0);
+        let width = ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
         if width > max_width {
             return Err(SparseError::RowTooWide {
                 width,
@@ -54,15 +51,15 @@ impl<S: Scalar> EllMatrix<S> {
         let nrows = coo.nrows();
         let mut cols = vec![0u32; nrows * width];
         let mut vals = vec![S::ZERO; nrows * width];
-        let crows = coo.row_indices();
-        let ccols = coo.col_indices();
-        let cvals = coo.values();
-        for r in 0..nrows {
-            for (k, i) in (ptr[r]..ptr[r + 1]).enumerate() {
-                debug_assert_eq!(crows[i] as usize, r);
-                cols[r * width + k] = ccols[i];
-                vals[r * width + k] = cvals[i];
-            }
+        // `max(1)`: a chunk size must be positive; at width 0 there is
+        // nothing to chunk.
+        let padded = cols
+            .chunks_exact_mut(width.max(1))
+            .zip(vals.chunks_exact_mut(width.max(1)));
+        for ((row_cols, row_vals), w) in padded.zip(ptr.windows(2)) {
+            let len = w[1] - w[0];
+            row_cols[..len].copy_from_slice(&coo.col_indices()[w[0]..w[1]]);
+            row_vals[..len].copy_from_slice(&coo.values()[w[0]..w[1]]);
         }
         Ok(Self {
             nrows,

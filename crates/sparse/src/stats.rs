@@ -55,8 +55,8 @@ pub struct MatrixStats {
 }
 
 impl MatrixStats {
-    /// Computes all statistics. O(nnz log nnz) time (block dedup),
-    /// O(nrows + ncols + nnz) memory.
+    /// Computes all statistics. O(nrows + ncols + nnz) time and
+    /// O(nrows + ncols) memory.
     pub fn compute<S: Scalar>(coo: &CooMatrix<S>) -> Self {
         let (nrows, ncols, nnz) = (coo.nrows(), coo.ncols(), coo.nnz());
         let ptr = coo.row_offsets();
@@ -88,8 +88,13 @@ impl MatrixStats {
         };
 
         // Diagonal occupancy via a dense offset table (offset range is
-        // -(nrows-1) ..= (ncols-1)).
+        // -(nrows-1) ..= (ncols-1)). Occupied 4x4 blocks in the same
+        // pass: the nonzeros of one block row are contiguous in the
+        // sorted order, so a block is new iff its block column does not
+        // carry the current block row's stamp yet.
         let mut diag_seen = vec![false; nrows + ncols - 1];
+        let mut block_stamp = vec![0u32; ncols.div_ceil(STAT_BLOCK)];
+        let mut nblocks = 0usize;
         let mut bandwidth = 0usize;
         let mut dist_sum = 0f64;
         let mut on_main = 0usize;
@@ -102,17 +107,12 @@ impl MatrixStats {
             if off == 0 {
                 on_main += 1;
             }
+            let stamp = (r / STAT_BLOCK) as u32 + 1;
+            let seen = &mut block_stamp[c / STAT_BLOCK];
+            nblocks += usize::from(*seen != stamp);
+            *seen = stamp;
         }
         let ndiags = diag_seen.iter().filter(|&&b| b).count();
-
-        // Occupied 4x4 blocks: dedup sorted (block_row, block_col) keys.
-        let mut block_keys: Vec<u64> = coo
-            .iter()
-            .map(|(r, c, _)| (((r / STAT_BLOCK) as u64) << 32) | (c / STAT_BLOCK) as u64)
-            .collect();
-        block_keys.sort_unstable();
-        block_keys.dedup();
-        let nblocks = block_keys.len();
 
         let nnzf = nnz as f64;
         Self {
