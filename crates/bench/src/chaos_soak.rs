@@ -1,4 +1,4 @@
-//! `bench_chaos` / `dnnspmv chaos-soak` — whole-system chaos soak.
+//! `dnnspmv chaos-soak` — whole-system chaos soak.
 //!
 //! Each *episode* runs the full closed loop (serve → tap → journal →
 //! drift → evolve → promote) under concurrent client load while a
@@ -31,24 +31,21 @@
 //! episode prints both plus the ordered fire trace, and
 //! `--replay <seed> <schedule>` reruns exactly that episode.
 
+use crate::fixture::Fixture;
 use dnnspmv_chaos::{sites, Schedule};
 use dnnspmv_core::{
-    CacheConfig, FormatSelector, SelectorServer, SelectorService, ServeError, ServerConfig,
-    ServerReport,
+    CacheConfig, SelectorServer, SelectorService, ServeError, ServerConfig, ServerReport,
 };
 use dnnspmv_feedback::{
     evolve, replay, usable_samples, DriftConfig, DriftDetector, EvolveConfig, FeedbackSampler,
     GuardVerdict, JournalConfig, JournalWriter, ModelTimer, PromotionConfig, PromotionGuard,
     SamplerConfig,
 };
-use dnnspmv_gen::{Dataset, DatasetSpec};
 use dnnspmv_nn::TrainConfig;
-use dnnspmv_platform::{label_dataset, PlatformModel};
-use dnnspmv_sparse::CooMatrix;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -129,7 +126,7 @@ pub struct SiteFireReport {
     pub fires: u64,
 }
 
-/// Machine-readable soak result (`BENCH_chaos.json`).
+/// Machine-readable soak result (`chaos-soak --json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct ChaosSoakReport {
     /// The chaos feature was compiled in (a disabled registry cannot
@@ -217,56 +214,14 @@ impl ChaosSoakReport {
 /// per-episode cost down, and sharing it is sound because episodes
 /// never mutate the incumbent — they evolve *copies* from their own
 /// journals.
-struct Fixture {
-    matrices: Vec<CooMatrix<f32>>,
-    incumbent: FormatSelector,
-    incumbent_path: PathBuf,
-    platform: PlatformModel,
-    dir: PathBuf,
-}
-
-impl Fixture {
-    fn build(cfg: &ChaosSoakConfig) -> Self {
-        let dir: PathBuf =
-            std::env::temp_dir().join(format!("dnnspmv-chaos-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("chaos temp dir");
-        let data = Dataset::generate(&DatasetSpec {
-            n_base: (cfg.matrices * 8) / 10,
-            n_augmented: cfg.matrices - (cfg.matrices * 8) / 10,
-            dim_min: 32,
-            dim_max: 96,
-            seed: cfg.base_seed ^ 0xF1C5,
-            ..DatasetSpec::default()
-        });
-        let platform = PlatformModel::intel_cpu();
-        let labels = label_dataset(&data.matrices, &platform);
-        let sel_cfg = crate::ExpConfig::quick().selector_config(dnnspmv_repr::ReprKind::Histogram);
-        let sel_cfg = dnnspmv_core::SelectorConfig {
-            train: TrainConfig {
-                epochs: cfg.train_epochs,
-                ..sel_cfg.train
-            },
-            ..sel_cfg
-        };
-        let (incumbent, _) = FormatSelector::train_with_labels(
-            &data.matrices,
-            &labels,
-            platform.formats().to_vec(),
-            &sel_cfg,
-        );
-        let incumbent_path = dir.join("incumbent.json");
-        incumbent
-            .save(incumbent_path.to_string_lossy().as_ref())
-            .expect("save fixture incumbent");
-        Self {
-            matrices: data.matrices,
-            incumbent,
-            incumbent_path,
-            platform,
-            dir,
-        }
-    }
+fn fixture(cfg: &ChaosSoakConfig) -> Fixture {
+    Fixture::train(
+        "chaos",
+        cfg.matrices,
+        32..=96,
+        cfg.train_epochs,
+        cfg.base_seed ^ 0xF1C5,
+    )
 }
 
 /// What one episode observed, before invariant checking.
@@ -762,9 +717,7 @@ pub fn replay_episode(
     schedule: &Schedule,
     cfg: &ChaosSoakConfig,
 ) -> (Vec<String>, Vec<String>) {
-    let fixture = Fixture::build(cfg);
-    let (violations, _, trace, _) = run_episode(&fixture, seed, schedule, cfg);
-    let _ = std::fs::remove_dir_all(&fixture.dir);
+    let (violations, _, trace, _) = run_episode(&fixture(cfg), seed, schedule, cfg);
     (violations, trace)
 }
 
@@ -785,7 +738,7 @@ pub fn run_chaos_soak(cfg: &ChaosSoakConfig) -> ChaosSoakReport {
             elapsed_s: t_start.elapsed().as_secs_f64(),
         };
     }
-    let fixture = Fixture::build(cfg);
+    let fixture = fixture(cfg);
     let mut site_totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     let mut failures = Vec::new();
     let mut requests = 0u64;
@@ -819,7 +772,6 @@ pub fn run_chaos_soak(cfg: &ChaosSoakConfig) -> ChaosSoakReport {
         }
     }
     std::panic::set_hook(quiet_hook);
-    let _ = std::fs::remove_dir_all(&fixture.dir);
     let site_fires: Vec<SiteFireReport> = site_totals
         .into_iter()
         .map(|(site, (calls, fires))| SiteFireReport { site, calls, fires })
@@ -852,8 +804,8 @@ mod tests {
         assert_eq!(report.episodes, 0);
     }
 
-    // The enabled-build soak itself is exercised by `bench_chaos` and
-    // the root crate's chaos regression test; a couple of episodes
+    // The enabled-build soak itself is exercised by `dnnspmv chaos-soak`
+    // and the root crate's chaos regression test; a couple of episodes
     // here keep the driver honest under `--features chaos` test runs.
     #[test]
     fn two_episodes_hold_invariants_when_enabled() {

@@ -18,15 +18,19 @@
 //! | `overhead` | §7.6           | [`experiments::overhead::OverheadResult`] |
 //! | `labels`   | §7.1 sanity    | [`experiments::labels::LabelStats`] |
 //! | `sweep`    | §4 size remark | [`experiments::sweep::SweepResult`] |
-
-//! The `bench_serve` binary (also `dnnspmv serve-bench`) is the soak
-//! driver for the admission-controlled server: [`serve`].
+//!
+//! Beside the paper artefacts the crate holds two scenario drivers over
+//! one trained fixture (`fixture.rs`): [`closed_loop`] (drift → evolve →
+//! promote → rollback, gated by `tests/feedback_loop.rs`) and
+//! [`chaos_soak`] (the driver behind `dnnspmv chaos-soak`). Performance
+//! claims about the system are not made here: `perfbench/` (see
+//! `BENCHMARK.json`) is the one harness that times it, with criterion
+//! micro-benches of single kernels under `benches/`.
 
 pub mod chaos_soak;
 pub mod closed_loop;
 pub mod experiments;
-pub mod serve;
-pub mod spmv_sweep;
+mod fixture;
 
 use dnnspmv_core::SelectorConfig;
 use dnnspmv_gen::DatasetSpec;

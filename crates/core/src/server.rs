@@ -350,12 +350,6 @@ pub struct ServerConfig {
     pub reload_attempts: u32,
     /// Backoff before the first reload retry (doubles per retry).
     pub reload_backoff: Duration,
-    /// Record per-request latency histograms (queue wait, handle time).
-    /// Outcome counters are always kept — they are the accounting the
-    /// reports are built from — but the extra clock reads and histogram
-    /// stores can be switched off, which is how the overhead smoke
-    /// measures an uninstrumented baseline.
-    pub latency_metrics: bool,
     /// Fingerprint-keyed decision cache (disabled by default: capacity
     /// 0). Hits are answered synchronously in [`SelectorServer::submit`]
     /// without touching the queue; only CNN-answered selections are
@@ -392,7 +386,6 @@ impl Default for ServerConfig {
             breaker: BreakerConfig::default(),
             reload_attempts: 3,
             reload_backoff: Duration::from_millis(20),
-            latency_metrics: true,
             cache: CacheConfig::default(),
             max_batch: 8,
             max_batch_wait: Duration::ZERO,
@@ -438,12 +431,10 @@ struct ServerMetrics {
     handle_ns: Arc<LatencyHistogram>,
     cache_hit_ns: Arc<LatencyHistogram>,
     batch_size: Arc<LatencyHistogram>,
-    /// Histogram recording (and its extra clock reads) enabled.
-    timed: bool,
 }
 
 impl ServerMetrics {
-    fn bind(registry: Registry, timed: bool) -> Self {
+    fn bind(registry: Registry) -> Self {
         let outcome = |o: &str| registry.counter("serve_outcome_total", &[("outcome", o)]);
         let served = |rung: &str| {
             registry.counter(
@@ -486,7 +477,6 @@ impl ServerMetrics {
             model_generation: registry.gauge("serve_model_generation", &[]),
             queue_wait_ns: registry.histogram("serve_queue_wait_ns", &[]),
             handle_ns: registry.histogram("serve_handle_ns", &[]),
-            timed,
             registry,
         }
     }
@@ -728,11 +718,9 @@ impl<S: Scalar> Inner<S> {
         let mut live: Vec<(usize, bool)> = Vec::with_capacity(jobs.len());
         let mut members: Vec<(&CooMatrix<S>, SelectGuard)> = Vec::with_capacity(jobs.len());
         for (i, job) in jobs.iter().enumerate() {
-            if self.metrics.timed {
-                self.metrics
-                    .queue_wait_ns
-                    .record(now.saturating_sub(job.enqueued_at));
-            }
+            self.metrics
+                .queue_wait_ns
+                .record(now.saturating_sub(job.enqueued_at));
             if job.deadline.is_some_and(|d| now >= d) {
                 self.metrics.deadline_in_queue.inc();
                 results[i] = Some(Err(ServeError::DeadlineExceeded));
@@ -794,11 +782,9 @@ impl<S: Scalar> Inner<S> {
                     }
                 }
             }
-            if self.metrics.timed {
-                self.metrics
-                    .handle_ns
-                    .record((self.clock)().saturating_sub(now));
-            }
+            self.metrics
+                .handle_ns
+                .record((self.clock)().saturating_sub(now));
             results[i] = Some(match out.selection {
                 Some(sel) => {
                     let c = match sel.source {
@@ -974,7 +960,7 @@ impl<S: Scalar> SelectorServer<S> {
         clock: ClockFn,
     ) -> Self {
         let workers = cfg.workers.max(1);
-        let metrics = ServerMetrics::bind(Registry::new(), cfg.latency_metrics);
+        let metrics = ServerMetrics::bind(Registry::new());
         // The service joins the server's registry so its rung counters
         // live beside the server's own — and survive hot reloads, since
         // every future generation binds the same registry.
@@ -1059,10 +1045,8 @@ impl<S: Scalar> SelectorServer<S> {
                 CacheLookup::Hit(sel) => {
                     m.served_cache.inc();
                     m.path_cache.inc();
-                    if m.timed {
-                        m.cache_hit_ns
-                            .record((self.inner.clock)().saturating_sub(now));
-                    }
+                    m.cache_hit_ns
+                        .record((self.inner.clock)().saturating_sub(now));
                     self.inner.tap_observe(&matrix, &sel, generation);
                     return Ok(PendingSelection {
                         state: PendingState::Ready(Box::new(Ok(sel))),
@@ -1239,8 +1223,8 @@ impl<S: Scalar> SelectorServer<S> {
     }
 
     /// A consistent snapshot of every server metric — counters, queue
-    /// and in-flight gauges, and (when [`ServerConfig::latency_metrics`]
-    /// is on) the queue-wait and handle-time histograms.
+    /// and in-flight gauges, and the queue-wait, handle-time, cache-hit
+    /// and batch-size histograms.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.inner.metrics.registry.snapshot()
     }

@@ -19,4 +19,4 @@ pub mod generators;
 
 pub use augment::{augment, Augmentation};
 pub use dataset::{kfold, Dataset, DatasetSpec};
-pub use generators::{generate, varied_band_rows, MatrixClass};
+pub use generators::{generate, MatrixClass};

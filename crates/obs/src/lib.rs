@@ -15,10 +15,9 @@
 //!   buckets are exact in tests; sinks are pluggable so traces land in
 //!   a ring buffer a test can inspect.
 //! * **One source of truth.** Everything renders from one
-//!   [`MetricsSnapshot`]: the Prometheus text dump, the JSON dump, the
-//!   `ServerReport` view, and `bench_serve`'s phase stats all read the
-//!   same registry, so live metrics and benchmark artefacts can never
-//!   disagree.
+//!   [`MetricsSnapshot`]: the Prometheus text dump, the JSON dump and
+//!   the `ServerReport` view all read the same registry, so live
+//!   metrics and reports can never disagree.
 //!
 //! The pieces:
 //!

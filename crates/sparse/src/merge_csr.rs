@@ -146,9 +146,8 @@ impl<S: Scalar> MergeCsrMatrix<S> {
     }
 
     /// Equal-work partition boundaries for `parts` workers: `parts + 1`
-    /// `(row, nnz_index)` splits along the merge path. Exposed so
-    /// benchmarks and tests can inspect (and time) individual shares.
-    pub fn partition_points(&self, parts: usize) -> Vec<(usize, usize)> {
+    /// `(row, nnz_index)` splits along the merge path.
+    fn partition_points(&self, parts: usize) -> Vec<(usize, usize)> {
         let parts = parts.max(1);
         let total = self.nrows + self.vals.len();
         (0..=parts)
@@ -160,9 +159,7 @@ impl<S: Scalar> MergeCsrMatrix<S> {
     /// into `out` (which must span exactly those rows and is fully
     /// overwritten), and nonzeros belonging to the straddled trailing
     /// row `hi.0` are returned as a carry-out `(row, partial)`.
-    ///
-    /// Public so `bench_spmv` can measure per-share cost directly.
-    pub fn partition_spmv(
+    fn partition_spmv(
         &self,
         lo: (usize, usize),
         hi: (usize, usize),

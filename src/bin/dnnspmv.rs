@@ -9,8 +9,6 @@
 //! dnnspmv test    [--model FILE] [--matrices N] [--platform intel|amd|gpu|manycore]
 //! dnnspmv predict <matrix.mtx> [--model FILE]
 //! dnnspmv stats   <matrix.mtx>
-//! dnnspmv serve-bench [--json FILE] [--matrices N] [--epochs N] [--quick]
-//!                     [--min-batched-ratio X]
 //! dnnspmv evolve  --journal DIR [--model FILE] [--out FILE] [--promote]
 //!                 [--epochs N] [--strategy scratch|continuous|top]
 //!                 [--margin X] [--holdout X] [--min-records N]
@@ -35,14 +33,6 @@
 //! status 3 (distinct from usage errors) so automation can tell "gate
 //! held" from "invocation broken". `--promote` additionally overwrites
 //! `--model` in place on a passed gate.
-//! `serve-bench` soaks the admission-controlled [`SelectorServer`]
-//! (burst shedding, breaker trip/recovery, hot reload under load) and
-//! writes latency/shed/breaker numbers plus the batched-vs-unbatched
-//! hot-path comparison to `BENCH_serve.json`; `--min-batched-ratio X`
-//! exits nonzero unless the cache+micro-batch hot path beats the plain
-//! server's overload throughput by `X`×, and with `--quick` it instead
-//! runs the instrumentation-overhead smoke and exits nonzero if the
-//! instrumented serve p50 regresses more than the gate allows.
 //! `chaos-soak` (requires `--features chaos`) runs seeded failpoint
 //! episodes over the whole closed loop and exits nonzero if any
 //! standing invariant breaks or site coverage falls short; failing
@@ -53,7 +43,8 @@
 //! `--json`); build with `--features kernel-timers` to include the
 //! per-kernel timers in the dump.
 //!
-//! [`SelectorServer`]: dnnspmv::core::SelectorServer
+//! None of these commands is a benchmark: timing the system is
+//! `perfbench/`'s job (see `BENCHMARK.json`).
 
 use dnnspmv::core::{make_samples, FormatSelector, SelectorConfig};
 use dnnspmv::gen::{Dataset, DatasetSpec};
@@ -279,101 +270,6 @@ fn cmd_stats(o: &Options) {
         for (f, e) in platform.ranking(&profile) {
             println!("  {f:>5}: {e:.1}");
         }
-    }
-}
-
-fn cmd_serve_bench(args: &[String]) {
-    use dnnspmv_bench::serve::{run_overhead_smoke, run_serve_bench, ServeBenchConfig};
-    let mut cfg = ServeBenchConfig::default();
-    let mut json_path = String::from("BENCH_serve.json");
-    let mut quick = false;
-    let mut max_ratio = 1.10;
-    let mut min_batched_ratio: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--max-ratio" => {
-                i += 1;
-                max_ratio = need(args, i, "--max-ratio")
-                    .parse()
-                    .unwrap_or_else(|_| die("--max-ratio needs a number"));
-            }
-            "--min-batched-ratio" => {
-                i += 1;
-                min_batched_ratio = Some(
-                    need(args, i, "--min-batched-ratio")
-                        .parse()
-                        .unwrap_or_else(|_| die("--min-batched-ratio needs a number")),
-                );
-            }
-            "--json" => {
-                i += 1;
-                json_path = need(args, i, "--json");
-            }
-            "--matrices" => {
-                i += 1;
-                cfg.matrices = need(args, i, "--matrices")
-                    .parse()
-                    .unwrap_or_else(|_| die("--matrices needs a number"));
-            }
-            "--epochs" => {
-                i += 1;
-                cfg.epochs = need(args, i, "--epochs")
-                    .parse()
-                    .unwrap_or_else(|_| die("--epochs needs a number"));
-            }
-            "--clients" => {
-                i += 1;
-                cfg.clients = need(args, i, "--clients")
-                    .parse()
-                    .unwrap_or_else(|_| die("--clients needs a number"));
-            }
-            "--requests" => {
-                i += 1;
-                cfg.requests_per_client = need(args, i, "--requests")
-                    .parse()
-                    .unwrap_or_else(|_| die("--requests needs a number"));
-            }
-            other => die(&format!("unknown serve-bench flag '{other}'")),
-        }
-        i += 1;
-    }
-    if quick {
-        // CI overhead gate: a small fast fixture is enough — the gate
-        // compares two servers in the same process, so absolute speed
-        // cancels out.
-        cfg.matrices = cfg.matrices.min(40);
-        cfg.epochs = cfg.epochs.min(1);
-        let report = run_overhead_smoke(&cfg, max_ratio);
-        eprint!("{}", report.render());
-        println!("{}", report.to_json());
-        if !report.within_budget() {
-            std::process::exit(1);
-        }
-        return;
-    }
-    let report = run_serve_bench(&cfg);
-    eprint!("{}", report.render());
-    println!("{}", report.to_json());
-    report
-        .write_json(&json_path)
-        .unwrap_or_else(|e| die(&format!("writing {json_path}: {e}")));
-    eprintln!("wrote {json_path}");
-    // Throughput gate: the hot path (decision cache + micro-batching)
-    // must beat the plain per-request server by the given factor.
-    if let Some(min) = min_batched_ratio {
-        if report.hot_path.throughput_ratio < min {
-            eprintln!(
-                "throughput gate FAILED: batched/unbatched ratio {:.2} < {min:.2}",
-                report.hot_path.throughput_ratio
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "throughput gate passed: ratio {:.2} >= {min:.2}",
-            report.hot_path.throughput_ratio
-        );
     }
 }
 
@@ -658,16 +554,9 @@ fn cmd_metrics(args: &[String]) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!(
-            "usage: dnnspmv <train|test|predict|stats|serve-bench|evolve|chaos-soak|metrics> \
-             [options]"
-        );
+        eprintln!("usage: dnnspmv <train|test|predict|stats|evolve|chaos-soak|metrics> [options]");
         std::process::exit(2);
     };
-    if cmd == "serve-bench" {
-        cmd_serve_bench(&args[1..]);
-        return;
-    }
     if cmd == "evolve" {
         cmd_evolve(&args[1..]);
         return;

@@ -983,67 +983,113 @@ fn rayon_stress_with_cache_and_batching_accounts_exactly() {
     );
 }
 
-/// Time-boxed soak for CI (`--ignored`): sustained parallel load with
-/// periodic hot reloads for a fixed wall-clock budget, then the same
-/// exactness checks as the stress test.
+/// Time-boxed soak for CI (`--ignored`): sustained parallel load on the
+/// real clock with periodic hot reloads for a fixed wall-clock budget,
+/// a two-second CNN panic storm in the middle of it (the breaker trips,
+/// the tree keeps answering, a probe restores the CNN once the storm
+/// passes), then the same exactness checks as the stress test.
 #[test]
 #[ignore = "soak: run explicitly (CI runs it release, time-boxed)"]
 fn soak_sustained_load_with_reloads_stays_consistent() {
     let (cnn, _, data) = fixture();
-    let server: Arc<SelectorServer<f32>> = Arc::new(SelectorServer::new(
+    let start = std::time::Instant::now();
+    let stop_at = start + Duration::from_secs(10);
+    let storm = start + Duration::from_secs(4)..start + Duration::from_secs(6);
+    let hooks = ServeHooks {
+        cnn_fault: Some(Arc::new(move |_seq| {
+            if storm.contains(&std::time::Instant::now()) {
+                CnnFault::Panic
+            } else {
+                CnnFault::None
+            }
+        })),
+    };
+    let server: SelectorServer<f32> = SelectorServer::with_parts(
         full_service(),
         ServerConfig {
             workers: 4,
             queue_capacity: 16,
             default_deadline: Some(Duration::from_secs(5)),
+            breaker: BreakerConfig {
+                failure_threshold: 3,
+                open_backoff: Duration::from_millis(5),
+                max_backoff: Duration::from_millis(50),
+            },
             ..ServerConfig::default()
         },
-    ));
+        hooks,
+        dnnspmv::core::system_clock(),
+    );
     let dir = std::env::temp_dir().join(format!("dnnspmv-serve-soak-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("model.json");
     cnn.save(path.to_string_lossy().as_ref()).unwrap();
 
-    let stop_at = std::time::Instant::now() + Duration::from_secs(10);
-    let reloader = {
-        let server = Arc::clone(&server);
-        let path = path.clone();
-        std::thread::spawn(move || {
+    // One request, tallied as (served, shed, expired). Anything else —
+    // `WorkerLost` above all — fails the soak.
+    let request = |i: usize| -> (u64, u64, u64) {
+        let m = Arc::new(data.matrices[i % data.matrices.len()].clone());
+        match server
+            .submit(m, Some(Duration::from_secs(5)))
+            .and_then(|p| p.wait())
+        {
+            Ok(_) => (1, 0, 0),
+            Err(ServeError::Overloaded { .. }) => (0, 1, 0),
+            Err(ServeError::DeadlineExceeded) => (0, 0, 1),
+            Err(e) => panic!("unexpected soak error: {e}"),
+        }
+    };
+    let add = |a: (u64, u64, u64), b: (u64, u64, u64)| (a.0 + b.0, a.1 + b.1, a.2 + b.2);
+    // Scoped threads, not `into_par_iter`: the vendored rayon runs its
+    // iterator adapters sequentially, and the storm has to meet clients
+    // that really are concurrent.
+    let (mut tally, reloads) = std::thread::scope(|scope| {
+        let reloader = scope.spawn(|| {
             let mut ok = 0u64;
             while std::time::Instant::now() < stop_at {
                 ok += u64::from(server.reload_model(&path).is_ok());
                 std::thread::sleep(Duration::from_millis(250));
             }
             ok
-        })
-    };
-    let (served, shed, expired): (u64, u64, u64) = (0..8usize)
-        .into_par_iter()
-        .map(|t| {
-            let mut tally = (0u64, 0u64, 0u64);
-            let mut i = t;
-            while std::time::Instant::now() < stop_at {
-                let m = Arc::new(data.matrices[i % data.matrices.len()].clone());
-                match server
-                    .submit(m, Some(Duration::from_secs(5)))
-                    .and_then(|p| p.wait())
-                {
-                    Ok(_) => tally.0 += 1,
-                    Err(ServeError::Overloaded { .. }) => tally.1 += 1,
-                    Err(ServeError::DeadlineExceeded) => tally.2 += 1,
-                    Err(e) => panic!("unexpected soak error: {e}"),
-                }
-                i += 7;
-            }
-            tally
-        })
-        .reduce(|| (0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
-    let reloads = reloader.join().unwrap();
+        });
+        let clients: Vec<_> = (0..8usize)
+            .map(|t| {
+                scope.spawn(move || {
+                    let mut tally = (0u64, 0u64, 0u64);
+                    let mut i = t;
+                    while std::time::Instant::now() < stop_at {
+                        tally = add(tally, request(i));
+                        i += 7;
+                    }
+                    tally
+                })
+            })
+            .collect();
+        let tally = clients
+            .into_iter()
+            .map(|c| c.join().expect("soak client panicked"))
+            .fold((0, 0, 0), add);
+        (tally, reloader.join().expect("reloader panicked"))
+    });
+    // The storm ended four seconds before the load did, so the breaker
+    // is normally closed already; a bounded trickle covers a probe that
+    // was still backing off when the clients stopped.
+    let give_up = std::time::Instant::now() + Duration::from_secs(10);
+    while server.report().breaker.state != BreakerState::Closed
+        && std::time::Instant::now() < give_up
+    {
+        tally = add(tally, request(0));
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (served, shed, expired) = tally;
     let _ = std::fs::remove_dir_all(&dir);
 
     let r = server.report();
     assert!(served > 0, "soak served nothing: {r:?}");
     assert!(reloads > 0, "soak never reloaded");
+    assert!(r.breaker.to_open >= 1, "the storm never tripped: {r:?}");
+    assert!(r.served_tree > 0, "the tree never answered: {r:?}");
+    assert_eq!(r.breaker.state, BreakerState::Closed, "{r:?}");
     assert_eq!(r.submitted, served + shed + expired);
     assert_eq!(r.served, served);
     assert_eq!(r.shed, shed);
