@@ -505,18 +505,6 @@ pub struct ServeCacheReport {
     pub entries: i64,
 }
 
-impl ServeCacheReport {
-    /// Hit fraction over all lookups (0 when the cache saw no traffic).
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.hits + self.misses + self.stale + self.expired;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / lookups as f64
-        }
-    }
-}
-
 /// Monotonic server counters plus breaker and ladder snapshots.
 ///
 /// Accounting invariant (once all accepted work has completed):

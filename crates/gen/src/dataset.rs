@@ -84,9 +84,19 @@ pub struct Dataset {
 
 impl Dataset {
     /// Generates the dataset described by `spec` (parallel, seeded).
+    ///
+    /// # Panics
+    /// Panics if `class_weights` sums to zero, or if `n_augmented > 0`
+    /// while `n_base == 0`: augmented matrices derive from base pairs,
+    /// so there is nothing to augment.
     pub fn generate(spec: &DatasetSpec) -> Self {
         let total_w: f64 = spec.class_weights.iter().sum();
         assert!(total_w > 0.0, "class weights must not all be zero");
+        assert!(
+            spec.n_augmented == 0 || spec.n_base > 0,
+            "n_augmented = {} needs n_base > 0: augmentation derives from base matrices",
+            spec.n_augmented
+        );
 
         // Base matrices, one deterministic seed per index.
         let base: Vec<(CooMatrix<f32>, MatrixClass)> = (0..spec.n_base)
@@ -207,6 +217,28 @@ mod tests {
             d.classes.iter().filter(|c| c.is_none()).count(),
             spec.n_augmented
         );
+    }
+
+    #[test]
+    fn small_specs_yield_exactly_len_matrices() {
+        for (n_base, n_augmented) in [(0, 0), (1, 0), (1, 3)] {
+            let spec = DatasetSpec {
+                n_base,
+                n_augmented,
+                ..DatasetSpec::tiny(5)
+            };
+            assert_eq!(Dataset::generate(&spec).len(), spec.len());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "n_augmented = 1 needs n_base > 0")]
+    fn augmentation_without_a_base_is_rejected() {
+        let _ = Dataset::generate(&DatasetSpec {
+            n_base: 0,
+            n_augmented: 1,
+            ..DatasetSpec::tiny(5)
+        });
     }
 
     #[test]

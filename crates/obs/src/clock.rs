@@ -1,10 +1,9 @@
-//! Injectable monotonic time, shared by spans and the serving layer.
+//! Injectable monotonic time for the serving layer.
 //!
-//! PR 4 established the pattern: anything timing-sensitive takes a
+//! Anything timing-sensitive (the selector server's deadlines, breaker
+//! and latency histograms, the decision cache's TTL) takes a
 //! [`ClockFn`] instead of reading `Instant` directly, so tests drive a
-//! fake clock and every duration they observe is exact. This module
-//! hoists that pattern out of `dnnspmv-core` so kernels, training, and
-//! the tracer can use the same type without depending on the server.
+//! fake clock and every duration they observe is exact.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

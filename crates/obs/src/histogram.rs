@@ -4,15 +4,12 @@
 //! [`SUB`] get exact unit buckets; above that, each power-of-two octave
 //! is split into [`SUB`] linear sub-buckets, so every bucket's relative
 //! width is at most `1/SUB` (6.25 % for `SUB = 16`). The bucket count
-//! is fixed at compile time ([`BUCKETS`]), which buys three properties
+//! is fixed at compile time ([`BUCKETS`]), which buys two properties
 //! the serving layer needs:
 //!
 //! * **Lock-free recording** — one relaxed `fetch_add` into a fixed
 //!   array slot plus count/sum/min/max updates; no allocation, no
 //!   resizing, no locks, safe from any number of threads.
-//! * **Mergeable snapshots** — two snapshots add bucket-wise, so
-//!   per-phase stats are snapshot diffs and multi-source stats are
-//!   snapshot sums, both exact in counts.
 //! * **Deterministic quantiles** — a quantile is "the bucket holding
 //!   the rank-`⌈q·n⌉` recorded value"; the estimate returned is that
 //!   bucket's midpoint, clamped into the exact observed `[min, max]`.
@@ -134,8 +131,8 @@ impl LatencyHistogram {
     }
 }
 
-/// An immutable copy of a [`LatencyHistogram`]: mergeable, diffable,
-/// and the thing quantiles are computed on.
+/// An immutable copy of a [`LatencyHistogram`]: the thing quantiles
+/// are computed on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket counts ([`BUCKETS`] entries).
@@ -180,66 +177,6 @@ impl HistogramSnapshot {
             0.0
         } else {
             self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Field-wise merge: bucket-wise sum, min of mins, max of maxes.
-    /// Associative and commutative with [`HistogramSnapshot::empty`] as
-    /// the identity (the property suite pins all three).
-    pub fn merged(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&other.buckets)
-                .map(|(a, b)| a + b)
-                .collect(),
-            count: self.count + other.count,
-            // Wrapping, to match `record`'s atomic fetch_add semantics:
-            // a sum that has wrapped still merges/diffs consistently.
-            sum: self.sum.wrapping_add(other.sum),
-            min: self.min.min(other.min),
-            max: self.max.max(other.max),
-        }
-    }
-
-    /// Bucket-wise difference against an `earlier` snapshot of the same
-    /// histogram — the per-phase view a benchmark takes between two
-    /// registry snapshots. Counts and sum are exact; min/max cannot be
-    /// un-merged, so they are re-derived from the diffed buckets'
-    /// bounds (exact to one bucket, like quantiles).
-    ///
-    /// # Panics
-    /// Panics if `earlier` is not a prefix of `self` (some bucket would
-    /// go negative) — diffing unrelated histograms is a bug.
-    pub fn minus(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .zip(&earlier.buckets)
-            .map(|(now, then)| {
-                now.checked_sub(*then)
-                    .expect("snapshot diff: earlier is not a prefix of self")
-            })
-            .collect();
-        let count = self.count - earlier.count;
-        let first = buckets.iter().position(|&c| c > 0);
-        let last = buckets.iter().rposition(|&c| c > 0);
-        HistogramSnapshot {
-            count,
-            sum: self.sum.wrapping_sub(earlier.sum),
-            min: first.map_or(u64::MAX, bucket_low),
-            max: last.map_or(0, |i| {
-                // The largest value that could have landed in bucket i,
-                // clamped by the lifetime-exact max.
-                let hi = if i + 1 < BUCKETS {
-                    bucket_low(i + 1) - 1
-                } else {
-                    u64::MAX
-                };
-                hi.min(self.max)
-            }),
-            buckets,
         }
     }
 
@@ -356,31 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn diff_recovers_a_phase() {
-        let h = LatencyHistogram::new();
-        h.record(10);
-        h.record(20);
-        let before = h.snapshot();
-        h.record(1000);
-        h.record(2000);
-        let after = h.snapshot();
-        let phase = after.minus(&before);
-        assert_eq!(phase.count, 2);
-        assert_eq!(phase.sum, 3000);
-        // Bucket-bound min/max bracket the phase's values.
-        assert!(phase.min <= 1000 && 1000 < 2 * phase.min.max(1));
-        assert!(phase.max >= 2000);
-        assert_eq!(bucket_index(phase.quantile(1.0)), bucket_index(2000));
-    }
-
-    #[test]
-    fn empty_snapshot_is_merge_identity() {
-        let h = LatencyHistogram::new();
-        h.record(7);
-        h.record(70);
-        let s = h.snapshot();
-        assert_eq!(s.merged(&HistogramSnapshot::empty()), s);
-        assert_eq!(HistogramSnapshot::empty().merged(&s), s);
+    fn empty_snapshot_has_zero_quantiles() {
         assert_eq!(HistogramSnapshot::empty().quantile(0.5), 0);
     }
 }

@@ -9,10 +9,10 @@
 //! the registry maps are only touched at registration and snapshot
 //! time, both off the hot path.
 //!
-//! The [`global`] registry is the process-wide instance the
-//! feature-gated kernel timers and the training loop record into;
-//! subsystems that need isolation (each [`SelectorServer`] generation
-//! set, every test) create their own.
+//! The [`global`] registry is the process-wide instance the training
+//! loop mirrors its report counters into; subsystems that need
+//! isolation (each [`SelectorServer`] generation set, every test)
+//! create their own.
 //!
 //! [`SelectorServer`]: ../dnnspmv_core/struct.SelectorServer.html
 
@@ -161,8 +161,8 @@ impl Registry {
     }
 }
 
-/// The process-wide registry. Kernel timers (feature-gated) and the
-/// training loop record here; `dnnspmv metrics` dumps it.
+/// The process-wide registry. The training loop mirrors its
+/// `TrainReport` counters here; servers use private registries.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
@@ -203,16 +203,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|(k, _)| *k == key)
             .map(|(_, v)| v)
-    }
-
-    /// Sum of every counter named `name`, across all label sets —
-    /// e.g. total requests over all `outcome` labels.
-    pub fn counter_sum(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(_, v)| *v)
-            .sum()
     }
 
     /// Prometheus-style text exposition.
@@ -259,9 +249,9 @@ impl MetricsSnapshot {
     }
 
     /// The snapshot as one JSON object (hand-rolled — this crate takes
-    /// no dependencies). Histogram buckets are sparse `[index, count]`
-    /// pairs with the bucket's inclusive lower bound alongside, so the
-    /// dump merges and diffs like the snapshot it came from.
+    /// no dependencies). Histogram buckets are sparse
+    /// `[index, inclusive lower bound, count]` triples, so a consumer
+    /// can add or subtract dumps bucket-wise without this crate.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":[");
         push_scalars(&mut out, &self.counters, |v| v.to_string());
@@ -402,15 +392,6 @@ mod tests {
         assert!(j.contains("\"ok\\\"weird\""), "{j}");
         assert!(j.contains("\"count\":1"));
         assert!(j.contains("\"buckets\":[["));
-    }
-
-    #[test]
-    fn counter_sum_totals_across_label_sets() {
-        let r = Registry::new();
-        r.counter("req_total", &[("o", "a")]).add(2);
-        r.counter("req_total", &[("o", "b")]).add(5);
-        r.counter("other_total", &[]).add(100);
-        assert_eq!(r.snapshot().counter_sum("req_total"), 7);
     }
 
     #[test]

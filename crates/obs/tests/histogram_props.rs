@@ -2,9 +2,6 @@
 //!
 //! * recording then snapshotting reproduces the exact aggregates
 //!   (count, sum, min, max) of the recorded multiset;
-//! * `merged` is associative and commutative with `empty()` as its
-//!   identity, and splitting a recording across histograms then merging
-//!   equals recording everything into one;
 //! * every quantile lands within one bucket of a sorted-vector oracle
 //!   that uses the same `⌈q·n⌉` rank rule;
 //! * concurrent recording from 8 threads loses no counts.
@@ -59,27 +56,6 @@ proptest! {
         for &v in &values {
             prop_assert!(s.buckets[bucket_index(v)] >= 1, "v={v}");
         }
-    }
-
-    #[test]
-    fn merge_is_commutative_and_has_identity(a in arb_values(), b in arb_values()) {
-        let (sa, sb) = (snap_of(&a), snap_of(&b));
-        prop_assert_eq!(sa.merged(&sb), sb.merged(&sa));
-        prop_assert_eq!(sa.merged(&HistogramSnapshot::empty()), sa.clone());
-        prop_assert_eq!(HistogramSnapshot::empty().merged(&sa), sa);
-    }
-
-    #[test]
-    fn merge_is_associative(a in arb_values(), b in arb_values(), c in arb_values()) {
-        let (sa, sb, sc) = (snap_of(&a), snap_of(&b), snap_of(&c));
-        prop_assert_eq!(sa.merged(&sb).merged(&sc), sa.merged(&sb.merged(&sc)));
-    }
-
-    #[test]
-    fn merging_splits_equals_recording_together(all in arb_values(), cut in 0usize..250) {
-        let cut = cut.min(all.len());
-        let merged = snap_of(&all[..cut]).merged(&snap_of(&all[cut..]));
-        prop_assert_eq!(merged, snap_of(&all));
     }
 
     #[test]

@@ -138,52 +138,6 @@ pub struct MatrixRepr {
     pub channels: Vec<Image>,
 }
 
-/// Per-kind extraction timers (`repr_extract_ns{kind}` in the
-/// process-wide registry), compiled in only under the `obs` feature so
-/// default extraction stays exactly the uninstrumented code.
-#[cfg(feature = "obs")]
-mod extract_timers {
-    use super::ReprKind;
-    use dnnspmv_obs::LatencyHistogram;
-    use std::sync::{Arc, OnceLock};
-    use std::time::Instant;
-
-    fn table() -> &'static [Arc<LatencyHistogram>; 3] {
-        static TABLE: OnceLock<[Arc<LatencyHistogram>; 3]> = OnceLock::new();
-        TABLE.get_or_init(|| {
-            std::array::from_fn(|i| {
-                dnnspmv_obs::global()
-                    .histogram("repr_extract_ns", &[("kind", ReprKind::ALL[i].name())])
-            })
-        })
-    }
-
-    pub(super) struct ExtractTimer {
-        hist: Arc<LatencyHistogram>,
-        start: Instant,
-    }
-
-    pub(super) fn time(kind: ReprKind) -> ExtractTimer {
-        let idx = ReprKind::ALL
-            .iter()
-            .position(|&k| k == kind)
-            .expect("ALL lists every kind");
-        ExtractTimer {
-            hist: Arc::clone(&table()[idx]),
-            start: Instant::now(),
-        }
-    }
-
-    impl Drop for ExtractTimer {
-        fn drop(&mut self) {
-            // Drop also runs when extraction is cancelled mid-way, so
-            // abandoned extractions still show up in the distribution —
-            // exactly the slow tail a deadline post-mortem needs.
-            self.hist.record(self.start.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
 impl MatrixRepr {
     /// Normalises `matrix` into the `kind` representation.
     pub fn extract<S: Scalar>(matrix: &CooMatrix<S>, kind: ReprKind, cfg: &ReprConfig) -> Self {
@@ -201,8 +155,6 @@ impl MatrixRepr {
         cfg: &ReprConfig,
         cancel: CancelCheck,
     ) -> Option<Self> {
-        #[cfg(feature = "obs")]
-        let _t = extract_timers::time(kind);
         let (size, bands, bins) = (cfg.image_size, cfg.hist_rows, cfg.hist_bins);
         let channels = match kind {
             ReprKind::Histogram => histogram::histograms(matrix, bands, bins, cancel)?.into(),

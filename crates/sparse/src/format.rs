@@ -246,63 +246,11 @@ impl<S: Scalar> Spmv<S> for AnyMatrix<S> {
     }
 
     fn spmv(&self, x: &[S], y: &mut [S]) {
-        #[cfg(feature = "obs")]
-        let _t = kernel_timers::time(self.format(), false);
         self.as_spmv().spmv(x, y);
     }
 
     fn spmv_par(&self, x: &[S], y: &mut [S]) {
-        #[cfg(feature = "obs")]
-        let _t = kernel_timers::time(self.format(), true);
         self.as_spmv().spmv_par(x, y);
-    }
-}
-
-/// Per-format SpMV timers (`spmv_ns{format,mode}` in the process-wide
-/// registry), compiled in only under the `obs` feature so the default
-/// dispatch stays exactly the uninstrumented code. Histogram handles
-/// are resolved once into a static table; the per-call cost is two
-/// `Instant` reads and one lock-free histogram record.
-#[cfg(feature = "obs")]
-mod kernel_timers {
-    use super::SparseFormat;
-    use dnnspmv_obs::LatencyHistogram;
-    use std::sync::{Arc, OnceLock};
-    use std::time::Instant;
-
-    fn table() -> &'static [[Arc<LatencyHistogram>; 2]; 9] {
-        static TABLE: OnceLock<[[Arc<LatencyHistogram>; 2]; 9]> = OnceLock::new();
-        TABLE.get_or_init(|| {
-            std::array::from_fn(|i| {
-                let fmt = SparseFormat::ALL[i];
-                let hist = |mode: &str| {
-                    dnnspmv_obs::global()
-                        .histogram("spmv_ns", &[("format", fmt.name()), ("mode", mode)])
-                };
-                [hist("serial"), hist("parallel")]
-            })
-        })
-    }
-
-    pub(super) struct KernelTimer {
-        hist: Arc<LatencyHistogram>,
-        start: Instant,
-    }
-
-    pub(super) fn time(format: SparseFormat, parallel: bool) -> KernelTimer {
-        let idx = format
-            .label_in(&SparseFormat::ALL)
-            .expect("ALL lists every format");
-        KernelTimer {
-            hist: Arc::clone(&table()[idx][usize::from(parallel)]),
-            start: Instant::now(),
-        }
-    }
-
-    impl Drop for KernelTimer {
-        fn drop(&mut self) {
-            self.hist.record(self.start.elapsed().as_nanos() as u64);
-        }
     }
 }
 

@@ -15,7 +15,6 @@
 //!                 [--checkpoint-dir DIR] [--resume FILE]
 //! dnnspmv chaos-soak [--quick] [--episodes N] [--seed S] [--max-rules K]
 //!                    [--json FILE] [--replay SEED "SCHEDULE"]
-//! dnnspmv metrics [--json] [--matrices N]
 //! ```
 //!
 //! `train` fits a CNN selector on a synthetic dataset labelled by the
@@ -37,14 +36,12 @@
 //! episodes over the whole closed loop and exits nonzero if any
 //! standing invariant breaks or site coverage falls short; failing
 //! episodes print a `(seed, schedule)` pair that `--replay` reruns
-//! bit-identically. `metrics` runs a short instrumented workload (repr
-//! extraction, per-format SpMV, selector ladder decisions) and dumps
-//! the process-wide observability registry as Prometheus text (or
-//! `--json`); build with `--features kernel-timers` to include the
-//! per-kernel timers in the dump.
+//! bit-identically.
 //!
-//! None of these commands is a benchmark: timing the system is
-//! `perfbench/`'s job (see `BENCHMARK.json`).
+//! None of these commands is a benchmark or a metrics dump: timing the
+//! system is `perfbench/`'s job (see `BENCHMARK.json`), and a running
+//! server's live metrics come from its own registry
+//! (`SelectorServer::metrics_snapshot`).
 
 use dnnspmv::core::{make_samples, FormatSelector, SelectorConfig};
 use dnnspmv::gen::{Dataset, DatasetSpec};
@@ -167,9 +164,12 @@ fn selector_config(o: &Options) -> SelectorConfig {
 }
 
 fn dataset(n: usize, seed: u64) -> Dataset {
+    // 70 % base, the rest augmented from base pairs — so any non-empty
+    // dataset needs at least one base matrix.
+    let n_base = (n * 7 / 10).max(n.min(1));
     Dataset::generate(&DatasetSpec {
-        n_base: (n * 7) / 10,
-        n_augmented: n - (n * 7) / 10,
+        n_base,
+        n_augmented: n - n_base,
         dim_min: 48,
         dim_max: 256,
         seed,
@@ -482,79 +482,10 @@ fn cmd_evolve(args: &[String]) {
     }
 }
 
-fn cmd_metrics(args: &[String]) {
-    use dnnspmv::core::{DtSelector, SelectorService};
-    use dnnspmv::platform::label_dataset;
-    use dnnspmv::repr::{MatrixRepr, ReprKind};
-    use dnnspmv::sparse::{AnyMatrix, SparseFormat, Spmv};
-
-    let mut json = false;
-    let mut n = 24usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--matrices" => {
-                i += 1;
-                n = need(args, i, "--matrices")
-                    .parse()
-                    .unwrap_or_else(|_| die("--matrices needs a number"));
-            }
-            other => die(&format!("unknown metrics flag '{other}'")),
-        }
-        i += 1;
-    }
-
-    // The registry only holds what has been recorded, so drive a short
-    // workload through every instrumented layer first: representation
-    // extraction (repr_extract_ns), each format's serial and parallel
-    // SpMV kernel (spmv_ns — present when built with
-    // `--features kernel-timers`), and selector ladder decisions
-    // (selector_rung_total, via a tree-only service bound to the
-    // process-wide registry).
-    let data = dataset(n, 9);
-    let repr_cfg = ReprConfig {
-        image_size: 32,
-        hist_rows: 32,
-        hist_bins: 32,
-    };
-    for m in &data.matrices {
-        for kind in ReprKind::ALL {
-            let _ = MatrixRepr::extract(m, kind, &repr_cfg);
-        }
-        let x = vec![1.0f32; m.ncols()];
-        let mut y = vec![0.0f32; m.nrows()];
-        for f in SparseFormat::ALL {
-            // DIA/ELL conversion legitimately fails on matrices past
-            // their padding limits; skip those formats for this matrix.
-            if let Ok(any) = AnyMatrix::convert(m, f) {
-                any.spmv(&x, &mut y);
-                any.spmv_par(&x, &mut y);
-            }
-        }
-    }
-    let platform = PlatformModel::intel_cpu();
-    let labels = label_dataset(&data.matrices, &platform);
-    let dt = DtSelector::train(&data.matrices, &labels, platform.formats().to_vec());
-    let service = SelectorService::new(None, Some(dt))
-        .unwrap_or_else(|e| die(&format!("building service: {e}")))
-        .with_registry(dnnspmv::obs::global().clone());
-    for m in &data.matrices {
-        let _ = service.select(m);
-    }
-
-    let snap = dnnspmv::obs::global().snapshot();
-    if json {
-        println!("{}", snap.to_json());
-    } else {
-        print!("{}", snap.to_prometheus());
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!("usage: dnnspmv <train|test|predict|stats|evolve|chaos-soak|metrics> [options]");
+        eprintln!("usage: dnnspmv <train|test|predict|stats|evolve|chaos-soak> [options]");
         std::process::exit(2);
     };
     if cmd == "evolve" {
@@ -563,10 +494,6 @@ fn main() {
     }
     if cmd == "chaos-soak" {
         cmd_chaos_soak(&args[1..]);
-        return;
-    }
-    if cmd == "metrics" {
-        cmd_metrics(&args[1..]);
         return;
     }
     let o = parse_options(&args[1..]);

@@ -18,8 +18,8 @@
 //! * [`core`] — the end-to-end [`core::FormatSelector`] pipeline.
 //! * [`feedback`] — the closed loop: serve sampling into a crash-safe
 //!   journal, drift detection, and guarded model promotion.
-//! * [`obs`] — the zero-dependency metrics registry, latency
-//!   histograms, and span tracing the other layers record into.
+//! * [`obs`] — the zero-dependency metrics registry and latency
+//!   histograms the serving and feedback layers record into.
 //!
 //! # Quickstart
 //!

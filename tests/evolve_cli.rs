@@ -2,7 +2,9 @@
 //! promotes, 3 when it holds (or there is too little data), 2 on a
 //! broken invocation. The journal is built in-process with the same
 //! writer the serving sampler uses, so the binary replays exactly what
-//! production would hand it.
+//! production would hand it. Two more cases pin the contract for the
+//! rest of the CLI: an unknown command is one `error:` line and exit 2,
+//! and the smallest possible `train` run succeeds.
 
 use dnnspmv::core::{samples::make_channels, FormatSelector, SelectionSource, SelectorConfig};
 use dnnspmv::feedback::{FeedbackRecord, JournalConfig, JournalWriter};
@@ -138,5 +140,37 @@ fn evolve_cli_gate_and_usage_exit_codes() {
         .unwrap();
     assert_eq!(starved.status.code(), Some(3));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_command_exits_2_with_one_line() {
+    let out = bin().arg("metrics").output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: unknown command 'metrics'\n"
+    );
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn train_on_a_single_matrix_succeeds_and_writes_the_model() {
+    let dir = std::env::temp_dir().join(format!("dnnspmv-train-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("one.json");
+    let out = bin()
+        .args(["train", "--matrices", "1", "--epochs", "1"])
+        .args(["--model", model.to_string_lossy().as_ref()])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    FormatSelector::load(&model).expect("saved model loads");
     let _ = std::fs::remove_dir_all(&dir);
 }

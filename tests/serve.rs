@@ -15,9 +15,8 @@ use dnnspmv::gen::{Dataset, DatasetSpec};
 use dnnspmv::nn::TrainConfig;
 use dnnspmv::platform::{label_dataset, PlatformModel};
 use dnnspmv::repr::ReprConfig;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Barrier, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Trained fixture, built once per test binary: a small CNN selector,
@@ -407,7 +406,45 @@ fn hot_reload_rejects_corrupt_artefact_and_swaps_valid_one() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Satellite 3: rayon callers hammer one server concurrently; the
+/// Submit-and-wait for requests `0..total`, dealt round-robin to 8
+/// scoped client threads (the vendored rayon's `into_par_iter` runs
+/// sequentially, which is one client). The barrier holds every client
+/// until all 8 exist, so submissions really do come from concurrent OS
+/// threads.
+fn hammer(
+    server: &SelectorServer<f32>,
+    data: &Dataset,
+    total: usize,
+) -> Vec<Result<SelectionSource, ServeError>> {
+    const CLIENTS: usize = 8;
+    let start = Barrier::new(CLIENTS);
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|t| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    (t..total)
+                        .step_by(CLIENTS)
+                        .map(|i| {
+                            let m = Arc::new(data.matrices[i % data.matrices.len()].clone());
+                            server
+                                .submit(m, None)
+                                .and_then(|p| p.wait())
+                                .map(|s| s.source)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("stress client panicked"))
+            .collect()
+    })
+}
+
+/// Satellite 3: 8 client threads hammer one server concurrently; the
 /// terminal counters must sum exactly to the submissions — no request
 /// lost, none double-counted — and the server-side rung counters must
 /// agree with the ladder's own counters.
@@ -418,21 +455,13 @@ fn rayon_stress_counters_sum_exactly() {
         full_service(),
         ServerConfig {
             workers: 3,
-            queue_capacity: 8,
+            // Fewer slots than clients, so shedding is reachable.
+            queue_capacity: 4,
             ..ServerConfig::default()
         },
     );
     let total = 256usize;
-    let outcomes: Vec<Result<SelectionSource, ServeError>> = (0..total)
-        .into_par_iter()
-        .map(|i| {
-            let m = Arc::new(data.matrices[i % data.matrices.len()].clone());
-            server
-                .submit(m, None)
-                .and_then(|p| p.wait())
-                .map(|s| s.source)
-        })
-        .collect();
+    let outcomes = hammer(&server, data, total);
     let served = outcomes.iter().filter(|o| o.is_ok()).count() as u64;
     let shed = outcomes
         .iter()
@@ -934,16 +963,7 @@ fn rayon_stress_with_cache_and_batching_accounts_exactly() {
         },
     );
     let total = 256usize;
-    let outcomes: Vec<Result<SelectionSource, ServeError>> = (0..total)
-        .into_par_iter()
-        .map(|i| {
-            let m = Arc::new(data.matrices[i % data.matrices.len()].clone());
-            server
-                .submit(m, None)
-                .and_then(|p| p.wait())
-                .map(|s| s.source)
-        })
-        .collect();
+    let outcomes = hammer(&server, data, total);
     let served = outcomes.iter().filter(|o| o.is_ok()).count() as u64;
     let shed = outcomes
         .iter()
