@@ -46,24 +46,6 @@ fn bench_formats(c: &mut Criterion) {
     }
 }
 
-fn bench_parallel_kernels(c: &mut Criterion) {
-    // Sequential vs rayon-parallel on a larger banded matrix (on a
-    // multi-core host the parallel kernels win; on one core the
-    // overhead is visible instead — both are informative).
-    let coo = generate(MatrixClass::Banded, 4096, 7);
-    let x: Vec<f32> = (0..coo.ncols()).map(|i| (i % 13) as f32).collect();
-    let mut y = vec![0.0f32; coo.nrows()];
-    let csr = AnyMatrix::convert(&coo, SparseFormat::Csr).expect("CSR always converts");
-    let mut group = c.benchmark_group("spmv_parallel/csr_4096");
-    group.bench_function("sequential", |b| {
-        b.iter(|| csr.spmv(black_box(&x), black_box(&mut y)))
-    });
-    group.bench_function("rayon", |b| {
-        b.iter(|| csr.spmv_par(black_box(&x), black_box(&mut y)))
-    });
-    group.finish();
-}
-
 fn bench_conversions(c: &mut Criterion) {
     // Format conversion cost (the "format conversion overhead" the
     // paper discusses in §7.6) relative to one SpMV.
@@ -87,6 +69,6 @@ fn bench_conversions(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_formats, bench_parallel_kernels, bench_conversions
+    targets = bench_formats, bench_conversions
 }
 criterion_main!(benches);

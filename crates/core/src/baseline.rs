@@ -6,7 +6,6 @@ use dnnspmv_nn::serialize::{fnv1a64, read_envelope_path, write_envelope_atomic};
 use dnnspmv_nn::NnError;
 use dnnspmv_sparse::{CooMatrix, Scalar, SparseFormat};
 use dnnspmv_tree::{features, DecisionTree, TreeConfig, NUM_FEATURES};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -29,7 +28,7 @@ impl DtSelector {
         formats: Vec<SparseFormat>,
     ) -> Self {
         assert_eq!(matrices.len(), labels.len(), "matrix/label count mismatch");
-        let x: Vec<Vec<f64>> = matrices.par_iter().map(|m| features(m)).collect();
+        let x: Vec<Vec<f64>> = matrices.iter().map(|m| features(m)).collect();
         let tree = DecisionTree::train(&x, labels, TreeConfig::new(formats.len()));
         Self { tree, formats }
     }
@@ -50,8 +49,8 @@ impl DtSelector {
             return 0.0;
         }
         let hits: usize = matrices
-            .par_iter()
-            .zip(labels.par_iter())
+            .iter()
+            .zip(labels)
             .filter(|(m, &l)| self.predict_label(*m) == l)
             .count();
         hits as f64 / matrices.len() as f64
@@ -108,8 +107,8 @@ impl DtSelector {
     ) -> Vec<Vec<usize>> {
         let k = self.formats.len();
         let preds: Vec<(usize, usize)> = matrices
-            .par_iter()
-            .zip(labels.par_iter())
+            .iter()
+            .zip(labels)
             .map(|(m, &l)| (l, self.predict_label(m)))
             .collect();
         let mut cm = vec![vec![0usize; k]; k];

@@ -3,7 +3,6 @@
 use dnnspmv_nn::{Sample, Tensor};
 use dnnspmv_repr::{MatrixRepr, ReprConfig, ReprKind};
 use dnnspmv_sparse::{CooMatrix, Scalar};
-use rayon::prelude::*;
 
 /// Converts one matrix to CNN input channels.
 pub fn make_channels<S: Scalar>(
@@ -35,7 +34,7 @@ pub fn make_channels_until<S: Scalar>(
     )
 }
 
-/// Converts matrices plus labels to training samples, in parallel.
+/// Converts matrices plus labels to training samples.
 ///
 /// # Panics
 /// Panics if `matrices` and `labels` differ in length.
@@ -47,8 +46,8 @@ pub fn make_samples<S: Scalar>(
 ) -> Vec<Sample> {
     assert_eq!(matrices.len(), labels.len(), "matrix/label count mismatch");
     matrices
-        .par_iter()
-        .zip(labels.par_iter())
+        .iter()
+        .zip(labels)
         .map(|(m, &label)| Sample {
             channels: make_channels(m, kind, cfg),
             label,

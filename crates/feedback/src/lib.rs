@@ -19,7 +19,7 @@
 //! 3. **Drift is observable before it hurts** — [`DriftDetector`]
 //!    compares served formats to measured labels in a rolling window,
 //!    exported as permille gauges with a latched, edge-counted trip.
-//! 4. **Nothing is promoted on faith** — [`evolve`] fine-tunes a
+//! 4. **Nothing is promoted on faith** — [`evolve()`] fine-tunes a
 //!    candidate from the journal and shadow-scores it on held-out
 //!    recent records; only a candidate beating the incumbent by a
 //!    margin passes, and [`PromotionGuard`] still watches the live

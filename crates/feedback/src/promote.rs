@@ -1,6 +1,6 @@
 //! Guarded promotion: hot-reload a candidate, watch it, roll it back.
 //!
-//! Shadow evaluation ([`crate::evolve`]) is judged on *held-out journal
+//! Shadow evaluation ([`crate::evolve()`]) is judged on *held-out journal
 //! records* — the best evidence available before promotion, but still
 //! historical. The [`PromotionGuard`] covers the gap: it snapshots the
 //! incumbent's rolling drift accuracy as the baseline, hot-reloads the

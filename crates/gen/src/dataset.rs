@@ -5,7 +5,6 @@ use crate::generators::{generate, MatrixClass};
 use dnnspmv_sparse::CooMatrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of a synthetic dataset.
@@ -83,7 +82,7 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Generates the dataset described by `spec` (parallel, seeded).
+    /// Generates the dataset described by `spec` (seeded).
     ///
     /// # Panics
     /// Panics if `class_weights` sums to zero, or if `n_augmented > 0`
@@ -100,7 +99,6 @@ impl Dataset {
 
         // Base matrices, one deterministic seed per index.
         let base: Vec<(CooMatrix<f32>, MatrixClass)> = (0..spec.n_base)
-            .into_par_iter()
             .map(|i| {
                 let mut rng = StdRng::seed_from_u64(
                     spec.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -113,7 +111,6 @@ impl Dataset {
 
         // Augmented matrices derive from random base pairs.
         let augmented: Vec<CooMatrix<f32>> = (0..spec.n_augmented)
-            .into_par_iter()
             .map(|i| {
                 let mut rng = StdRng::seed_from_u64(
                     spec.seed

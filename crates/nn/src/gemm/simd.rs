@@ -1,7 +1,7 @@
 //! Micro-kernel variants and their once-per-process runtime dispatch.
 //!
 //! The blocked `sgemm` path funnels every packed `MR x NR` tile
-//! through one [`MicroKernel`] function pointer. Which pointer is
+//! through one `MicroKernel` function pointer. Which pointer is
 //! decided once per process by CPU feature detection
 //! ([`KernelVariant::detect`], cached in a `OnceLock`): the explicit
 //! AVX2/FMA kernel where `is_x86_feature_detected!` says so, the

@@ -51,7 +51,7 @@ impl Sequential {
     /// without a deadline pass `&|| false`.
     ///
     /// Image-shaped (`[c, h, w]`) inputs are packed and take
-    /// [`Self::forward_packed_until`]; flat inputs (the head's merged
+    /// `Self::forward_packed_until`; flat inputs (the head's merged
     /// features) run sample-wise from the first layer.
     pub fn forward_batch_until(
         &self,
@@ -507,7 +507,7 @@ impl Sequential {
 }
 
 /// Activation caches of one batched forward pass through a
-/// [`Sequential`], consumed by [`Sequential::backward_batch`].
+/// [`Sequential`], consumed by `Sequential::backward_batch`.
 ///
 /// Layers `[0, split)` ran on the packed `[c, n, h, w]` layout:
 /// `packed[i]` holds layer `i`'s input and `packed[split]` the last

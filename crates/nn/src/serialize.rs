@@ -3,7 +3,7 @@
 //! The trained selector is a one-time artefact per platform (the paper
 //! reports ~27 min of training), so models are saved and shipped; JSON
 //! keeps the format debuggable and dependency-light. Every artefact —
-//! model, checkpoint, selector — is wrapped in an [`Envelope`]:
+//! model, checkpoint, selector — is wrapped in an `Envelope`:
 //!
 //! ```text
 //! { "magic": "dnnspmv",

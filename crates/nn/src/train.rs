@@ -13,7 +13,7 @@
 //!
 //! # Fault tolerance
 //!
-//! Every gradient set passes a [`StepGuard`] before the optimiser sees
+//! Every gradient set passes a `StepGuard` before the optimiser sees
 //! it. Non-finite losses or gradients and (optionally) exploding
 //! global norms mark the step *divergent*: the update is skipped, the
 //! epoch is abandoned, and training rolls back to an in-memory snapshot
@@ -503,7 +503,8 @@ fn train_loop(
         }
     }
 
-    // Process-wide training metrics (`dnnspmv metrics` dumps them).
+    // Process-wide training metrics, read from `dnnspmv_obs::global()`
+    // by embedders and tests (the CLI has no command that dumps them).
     // Handles are bound once per run; recording is a few relaxed
     // atomic adds next to step timing that is already measured, so the
     // training loop's throughput is unaffected.

@@ -29,7 +29,6 @@ pub use model::PlatformModel;
 pub use profile::WorkloadProfile;
 
 use dnnspmv_sparse::{CooMatrix, Scalar, SparseFormat};
-use rayon::prelude::*;
 
 /// The format with the lowest estimated SpMV time on `platform`.
 pub fn best_format<S: Scalar>(matrix: &CooMatrix<S>, platform: &PlatformModel) -> SparseFormat {
@@ -37,8 +36,7 @@ pub fn best_format<S: Scalar>(matrix: &CooMatrix<S>, platform: &PlatformModel) -
     platform.best_format(&profile)
 }
 
-/// Labels every matrix (class index into the platform's format set),
-/// in parallel.
+/// Labels every matrix (class index into the platform's format set).
 pub fn label_dataset<S: Scalar>(matrices: &[CooMatrix<S>], platform: &PlatformModel) -> Vec<usize> {
     label_dataset_noisy(matrices, platform, 0.0, 0)
 }
@@ -59,7 +57,7 @@ pub fn label_dataset_noisy<S: Scalar>(
     seed: u64,
 ) -> Vec<usize> {
     matrices
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(i, m)| {
             let profile = WorkloadProfile::compute(m);

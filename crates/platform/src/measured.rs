@@ -33,8 +33,6 @@ pub struct MeasuredLabeller {
     pub trials: usize,
     /// Untimed warm-up repetitions per format.
     pub warmup: usize,
-    /// Use the parallel kernels.
-    pub parallel: bool,
 }
 
 impl Default for MeasuredLabeller {
@@ -43,7 +41,6 @@ impl Default for MeasuredLabeller {
             formats: SparseFormat::CPU_SET.to_vec(),
             trials: 9,
             warmup: 2,
-            parallel: false,
         }
     }
 }
@@ -63,12 +60,12 @@ impl MeasuredLabeller {
                     return (f, f64::INFINITY);
                 };
                 for _ in 0..self.warmup {
-                    self.run(&converted, &x, &mut y);
+                    converted.spmv(&x, &mut y);
                 }
                 let mut times: Vec<f64> = (0..self.trials.max(1))
                     .map(|_| {
                         let t0 = Instant::now();
-                        self.run(&converted, &x, &mut y);
+                        converted.spmv(&x, &mut y);
                         t0.elapsed().as_secs_f64()
                     })
                     .collect();
@@ -76,14 +73,6 @@ impl MeasuredLabeller {
                 (f, times[times.len() / 2])
             })
             .collect()
-    }
-
-    fn run<S: Scalar>(&self, m: &AnyMatrix<S>, x: &[S], y: &mut [S]) {
-        if self.parallel {
-            m.spmv_par(x, y);
-        } else {
-            m.spmv(x, y);
-        }
     }
 
     /// Times every candidate and returns the full vector plus winner.
@@ -167,7 +156,7 @@ mod tests {
     fn manycore_labeller_times_the_new_kernels() {
         // The widened set flows straight through: SELL-C-σ and
         // merge-path CSR get real (finite, positive) timings like
-        // everything else, sequential and parallel.
+        // everything else.
         let n = 512;
         let mut t = Vec::new();
         for i in 0..n {
@@ -176,22 +165,19 @@ mod tests {
             }
         }
         let m = CooMatrix::from_triplets(n, n, &t).unwrap();
-        for parallel in [false, true] {
-            let lab = MeasuredLabeller {
-                trials: 3,
-                warmup: 1,
-                parallel,
-                ..MeasuredLabeller::for_platform(&PlatformModel::manycore_cpu())
-            };
-            let times = lab.time_formats(&m);
-            assert_eq!(times.len(), SparseFormat::MANYCORE_SET.len());
-            for f in [SparseFormat::Sell, SparseFormat::MergeCsr] {
-                let (_, t) = times
-                    .iter()
-                    .find(|(g, _)| *g == f)
-                    .expect("widened set carries the new formats");
-                assert!(*t > 0.0 && t.is_finite(), "{f}: {t}");
-            }
+        let lab = MeasuredLabeller {
+            trials: 3,
+            warmup: 1,
+            ..MeasuredLabeller::for_platform(&PlatformModel::manycore_cpu())
+        };
+        let times = lab.time_formats(&m);
+        assert_eq!(times.len(), SparseFormat::MANYCORE_SET.len());
+        for f in [SparseFormat::Sell, SparseFormat::MergeCsr] {
+            let (_, t) = times
+                .iter()
+                .find(|(g, _)| *g == f)
+                .expect("widened set carries the new formats");
+            assert!(*t > 0.0 && t.is_finite(), "{f}: {t}");
         }
     }
 }

@@ -11,7 +11,6 @@ use crate::coo::{CooBuilder, CooMatrix};
 use crate::error::SparseError;
 use crate::scalar::Scalar;
 use crate::spmv::Spmv;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Block edge length used by the paper's GPU experiments.
@@ -226,20 +225,6 @@ impl<S: Scalar> Spmv<S> for BsrMatrix<S> {
             self.block_row_dot(br, x, &mut y[lo..hi]);
         }
     }
-
-    fn spmv_par(&self, x: &[S], y: &mut [S]) {
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
-        assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        if self.blocks.len() < 1 << 14 {
-            self.spmv(x, y);
-            return;
-        }
-        let b = self.block;
-        // Each y chunk covers whole block rows, so writes are disjoint.
-        y.par_chunks_mut(b).enumerate().for_each(|(br, yrow)| {
-            self.block_row_dot(br, x, yrow);
-        });
-    }
 }
 
 #[cfg(test)]
@@ -326,36 +311,6 @@ mod tests {
         let bsr = BsrMatrix::from_coo_with_block(&coo, 1).unwrap();
         assert_eq!(bsr.nblocks(), coo.nnz());
         assert_eq!(bsr.fill_ratio(), 1.0);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let n = 1024;
-        let mut t = Vec::new();
-        for bi in 0..(n / 4) {
-            for blk in 0..5usize {
-                for i in 0..4usize {
-                    for j in 0..4usize {
-                        t.push((
-                            bi * 4 + i,
-                            ((bi * 4 + j) + 16 * blk + 8 * (bi % 3)) % n,
-                            (i + j + blk) as f64,
-                        ));
-                    }
-                }
-            }
-        }
-        let coo = CooMatrix::from_triplets(n, n, &t).unwrap();
-        let bsr = BsrMatrix::from_coo(&coo).unwrap();
-        assert!(bsr.blocks.len() >= 1 << 14);
-        let x: Vec<f64> = (0..n).map(|i| ((i % 29) as f64) * 0.3 - 4.0).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        bsr.spmv(&x, &mut y1);
-        bsr.spmv_par(&x, &mut y2);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!(a.approx_eq(*b, 1e-12));
-        }
     }
 
     #[test]

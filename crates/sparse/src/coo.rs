@@ -1,16 +1,11 @@
 //! Coordinate (COO) format — the canonical exchange representation.
 //!
 //! Entries are kept sorted by `(row, col)` with no duplicates; all other
-//! formats convert from/to this type. The parallel SpMV partitions the
-//! entry array into contiguous chunks whose boundaries are snapped to row
-//! boundaries, so each output element is owned by exactly one thread and
-//! no atomic accumulation is needed (this mirrors what a real COO kernel
-//! would do with atomics, minus the contention).
+//! formats convert from/to this type.
 
 use crate::error::SparseError;
 use crate::scalar::Scalar;
 use crate::spmv::Spmv;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Sparse matrix in sorted, deduplicated coordinate form.
@@ -264,58 +259,6 @@ impl<S: Scalar> Spmv<S> for CooMatrix<S> {
             y[self.rows[i] as usize] += self.vals[i] * x[self.cols[i] as usize];
         }
     }
-
-    fn spmv_par(&self, x: &[S], y: &mut [S]) {
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
-        assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        let nnz = self.vals.len();
-        if nnz < 1 << 14 {
-            // Parallel setup costs more than the work for small matrices.
-            self.spmv(x, y);
-            return;
-        }
-        // Split the entry array into chunks snapped to row boundaries so
-        // each thread owns a disjoint slice of y.
-        let nchunks = rayon::current_num_threads().max(1) * 4;
-        let mut bounds = Vec::with_capacity(nchunks + 1);
-        bounds.push(0usize);
-        for k in 1..nchunks {
-            let target = k * nnz / nchunks;
-            // Snap forward to the first entry of the next row.
-            let row = self.rows[target.min(nnz - 1)];
-            let snapped = self.rows.partition_point(|&r| r <= row);
-            if snapped > *bounds.last().expect("bounds is non-empty") && snapped < nnz {
-                bounds.push(snapped);
-            }
-        }
-        bounds.push(nnz);
-
-        // Row ranges covered by each chunk are disjoint, so y can be
-        // split into matching disjoint slices.
-        y.fill(S::ZERO);
-        let mut tasks: Vec<(usize, usize, &mut [S])> = Vec::with_capacity(bounds.len() - 1);
-        let mut rest = y;
-        let mut consumed = 0usize;
-        for w in bounds.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            if lo == hi {
-                continue;
-            }
-            let row_lo = self.rows[lo] as usize;
-            let row_hi = self.rows[hi - 1] as usize + 1;
-            let (_, tail) = rest.split_at_mut(row_lo - consumed);
-            let (mine, tail) = tail.split_at_mut(row_hi - row_lo);
-            rest = tail;
-            consumed = row_hi;
-            tasks.push((lo, hi, mine));
-        }
-        tasks.into_par_iter().for_each(|(lo, hi, yslice)| {
-            let row0 = self.rows[lo] as usize;
-            for i in lo..hi {
-                yslice[self.rows[i] as usize - row0] += self.vals[i] * x[self.cols[i] as usize];
-            }
-        });
-    }
 }
 
 /// Incremental COO constructor accepting unsorted, duplicated input.
@@ -485,43 +428,6 @@ mod tests {
         let mut y = [0.0; 4];
         m.spmv(&x, &mut y);
         assert_eq!(y, [6.0, 8.0, 18.0, 13.0]);
-    }
-
-    #[test]
-    fn spmv_par_matches_sequential() {
-        let m = sample();
-        let x = [1.0, -2.0, 0.5, 3.0];
-        let mut y1 = [0.0; 4];
-        let mut y2 = [0.0; 4];
-        m.spmv(&x, &mut y1);
-        m.spmv_par(&x, &mut y2);
-        assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn spmv_par_large_matches_sequential() {
-        // Exceeds the parallel-dispatch threshold with skewed row sizes.
-        let n = 512;
-        let mut t = Vec::new();
-        for i in 0..n {
-            for j in 0..(1 + (i * 37) % 64) {
-                t.push((i, (i + j * 7) % n, (i + j) as f64 * 0.01 + 1.0));
-            }
-        }
-        // Make one huge row to stress boundary snapping.
-        for j in 0..n {
-            t.push((200, j, 0.5));
-        }
-        let m = CooMatrix::from_triplets(n, n, &t).unwrap();
-        assert!(m.nnz() > 1 << 14);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        m.spmv(&x, &mut y1);
-        m.spmv_par(&x, &mut y2);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!(a.approx_eq(*b, 1e-12), "{a} vs {b}");
-        }
     }
 
     #[test]

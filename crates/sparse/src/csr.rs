@@ -1,13 +1,12 @@
 //! Compressed Sparse Row (CSR) — the default general-purpose format.
 //!
 //! CSR compresses COO's row array into `nrows + 1` offsets. Its SpMV
-//! iterates rows and is trivially parallel over row chunks; this is the
-//! baseline format ("default CSR" in the paper's speedup comparisons).
+//! iterates rows, one dot product each; this is the baseline format
+//! ("default CSR" in the paper's speedup comparisons).
 
 use crate::coo::CooMatrix;
 use crate::scalar::Scalar;
 use crate::spmv::Spmv;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Sparse matrix in compressed sparse row form.
@@ -114,25 +113,6 @@ impl<S: Scalar> Spmv<S> for CsrMatrix<S> {
             *out = self.row_dot(r, x);
         }
     }
-
-    fn spmv_par(&self, x: &[S], y: &mut [S]) {
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
-        assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        if self.nnz() < 1 << 14 {
-            self.spmv(x, y);
-            return;
-        }
-        // Chunk rows; rayon load-balances across chunks, which is enough
-        // unless row lengths are pathologically skewed (that is exactly
-        // the case where CSR loses to load-balanced formats like CSR5).
-        let chunk = crate::spmv::par_chunk_rows(self.nrows, 8);
-        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, ys)| {
-            let base = ci * chunk;
-            for (i, out) in ys.iter_mut().enumerate() {
-                *out = self.row_dot(base + i, x);
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -195,29 +175,6 @@ mod tests {
         let (cols, vals) = csr.row(2);
         assert_eq!(cols, &[0, 2, 3]);
         assert_eq!(vals, &[8.0, 3.0, 7.0]);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_large_skewed_matrix() {
-        let n = 1500;
-        let mut t = Vec::new();
-        for i in 0..n {
-            let len = if i % 97 == 0 { 300 } else { 5 + i % 23 };
-            for j in 0..len {
-                t.push((i, (i * 31 + j * 17) % n, ((i + j) % 13) as f64 - 6.0));
-            }
-        }
-        let coo = CooMatrix::from_triplets(n, n, &t).unwrap();
-        let csr = CsrMatrix::from_coo(&coo);
-        assert!(csr.nnz() > 1 << 14);
-        let x: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        csr.spmv(&x, &mut y1);
-        csr.spmv_par(&x, &mut y2);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!(a.approx_eq(*b, 1e-12));
-        }
     }
 
     #[test]

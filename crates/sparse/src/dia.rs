@@ -14,7 +14,6 @@ use crate::coo::CooMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
 use crate::spmv::Spmv;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Default cap on materialised diagonals: conversions needing more
@@ -130,18 +129,6 @@ impl<S: Scalar> DiaMatrix<S> {
     pub fn storage_bytes(&self) -> usize {
         self.offsets.len() * 8 + self.data.len() * S::BYTES
     }
-
-    #[inline]
-    fn row_dot(&self, i: usize, x: &[S]) -> S {
-        let mut acc = S::ZERO;
-        for (d, &off) in self.offsets.iter().enumerate() {
-            let j = i as i64 + off;
-            if j >= 0 && j < self.ncols as i64 {
-                acc += self.data[d * self.nrows + i] * x[j as usize];
-            }
-        }
-        acc
-    }
 }
 
 impl<S: Scalar> Spmv<S> for DiaMatrix<S> {
@@ -167,24 +154,6 @@ impl<S: Scalar> Spmv<S> for DiaMatrix<S> {
                 y[i] += lane[i] * x[(i as i64 + off) as usize];
             }
         }
-    }
-
-    fn spmv_par(&self, x: &[S], y: &mut [S]) {
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
-        assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        if self.data.len() < 1 << 15 {
-            self.spmv(x, y);
-            return;
-        }
-        // Row-block partitioning: each thread owns a contiguous y range
-        // and walks all diagonals restricted to it.
-        let chunk = crate::spmv::par_chunk_rows(self.nrows, 4);
-        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, ys)| {
-            let base = ci * chunk;
-            for (i, out) in ys.iter_mut().enumerate() {
-                *out = self.row_dot(base + i, x);
-            }
-        });
     }
 }
 
@@ -276,32 +245,6 @@ mod tests {
         let coo = CooMatrix::from_triplets(8, 8, &[(7, 0, 1.0)]).unwrap();
         let dia = DiaMatrix::from_coo(&coo).unwrap();
         assert_eq!(dia.fill_ratio(), 1.0 / 8.0);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        // Large banded matrix to clear the parallel threshold.
-        let n = 4096;
-        let mut t = Vec::new();
-        for i in 0..n {
-            for off in [-9i64, -3, -1, 0, 1, 3, 7, 64] {
-                let j = i as i64 + off;
-                if (0..n as i64).contains(&j) {
-                    t.push((i, j as usize, (i as f64 * 0.01) + off as f64));
-                }
-            }
-        }
-        let coo = CooMatrix::from_triplets(n, n, &t).unwrap();
-        let dia = DiaMatrix::from_coo(&coo).unwrap();
-        assert!(dia.ndiags() * n >= 1 << 15);
-        let x: Vec<f64> = (0..n).map(|i| ((i % 17) as f64) - 8.0).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        dia.spmv(&x, &mut y1);
-        dia.spmv_par(&x, &mut y2);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!(a.approx_eq(*b, 1e-12));
-        }
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::coo::CooMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
 use crate::spmv::Spmv;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Default cap on the padded row width (`max_row_nnz`). Conversions
@@ -141,23 +140,6 @@ impl<S: Scalar> Spmv<S> for EllMatrix<S> {
             *out = self.row_dot(r, x);
         }
     }
-
-    fn spmv_par(&self, x: &[S], y: &mut [S]) {
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
-        assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        if self.vals.len() < 1 << 14 {
-            self.spmv(x, y);
-            return;
-        }
-        // Rows all cost the same in ELL, so plain chunking balances.
-        let chunk = crate::spmv::par_chunk_rows(self.nrows, 4);
-        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, ys)| {
-            let base = ci * chunk;
-            for (i, out) in ys.iter_mut().enumerate() {
-                *out = self.row_dot(base + i, x);
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -243,26 +225,5 @@ mod tests {
         let ell = EllMatrix::from_coo(&coo).unwrap();
         assert_eq!(ell.width(), 0);
         assert_eq!(ell.spmv_alloc(&[1.0; 3]), vec![0.0; 3]);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let n = 2048;
-        let mut t = Vec::new();
-        for i in 0..n {
-            for k in 0..9usize {
-                t.push((i, (i + k * 5) % n, (k as f64) - 4.0));
-            }
-        }
-        let coo = CooMatrix::from_triplets(n, n, &t).unwrap();
-        let ell = EllMatrix::from_coo(&coo).unwrap();
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).cos()).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        ell.spmv(&x, &mut y1);
-        ell.spmv_par(&x, &mut y2);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!(a.approx_eq(*b, 1e-12));
-        }
     }
 }

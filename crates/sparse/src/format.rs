@@ -41,7 +41,7 @@ pub enum SparseFormat {
     Csr5,
     /// SELL-C-σ sliced ELLPACK with σ-window row sorting.
     Sell,
-    /// CSR storage with the merge-path load-balanced parallel kernel.
+    /// CSR storage with the merge-path load-balanced kernel.
     MergeCsr,
 }
 
@@ -247,10 +247,6 @@ impl<S: Scalar> Spmv<S> for AnyMatrix<S> {
 
     fn spmv(&self, x: &[S], y: &mut [S]) {
         self.as_spmv().spmv(x, y);
-    }
-
-    fn spmv_par(&self, x: &[S], y: &mut [S]) {
-        self.as_spmv().spmv_par(x, y);
     }
 }
 

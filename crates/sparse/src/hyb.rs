@@ -10,7 +10,6 @@ use crate::coo::{CooBuilder, CooMatrix};
 use crate::error::SparseError;
 use crate::scalar::Scalar;
 use crate::spmv::Spmv;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Sparse matrix in hybrid ELL + COO form.
@@ -176,32 +175,6 @@ impl<S: Scalar> Spmv<S> for HybMatrix<S> {
             y[self.coo_rows[i] as usize] += self.coo_vals[i] * x[self.coo_cols[i] as usize];
         }
     }
-
-    fn spmv_par(&self, x: &[S], y: &mut [S]) {
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
-        assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        if self.ell_vals.len() + self.coo_vals.len() < 1 << 14 {
-            self.spmv(x, y);
-            return;
-        }
-        // Parallel ELL pass; the COO tail is by construction small, so a
-        // sequential fix-up pass costs little and avoids write conflicts.
-        let chunk = crate::spmv::par_chunk_rows(self.nrows, 4);
-        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, ys)| {
-            let rbase = ci * chunk;
-            for (i, out) in ys.iter_mut().enumerate() {
-                let base = (rbase + i) * self.ell_width;
-                let mut acc = S::ZERO;
-                for k in 0..self.ell_width {
-                    acc += self.ell_vals[base + k] * x[self.ell_cols[base + k] as usize];
-                }
-                *out = acc;
-            }
-        });
-        for i in 0..self.coo_vals.len() {
-            y[self.coo_rows[i] as usize] += self.coo_vals[i] * x[self.coo_cols[i] as usize];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -271,28 +244,5 @@ mod tests {
         let hyb = HybMatrix::from_coo(&coo);
         assert_eq!(hyb.ell_width(), 3);
         assert_eq!(hyb.coo_nnz(), 0);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let n = 1500;
-        let mut t = Vec::new();
-        for i in 0..n {
-            let len = if i % 100 == 0 { 60 } else { 8 };
-            for k in 0..len {
-                t.push((i, (i * 13 + k * 7) % n, (k as f64) * 0.1 - 1.0));
-            }
-        }
-        let coo = CooMatrix::from_triplets(n, n, &t).unwrap();
-        let hyb = HybMatrix::from_coo(&coo);
-        assert!(hyb.coo_nnz() > 0);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        hyb.spmv(&x, &mut y1);
-        hyb.spmv_par(&x, &mut y2);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!(a.approx_eq(*b, 1e-12));
-        }
     }
 }

@@ -5,10 +5,9 @@
 //! touches — COO, CSR, DIA and ELL on the CPU side (the SMATLib set) and
 //! HYB, BSR and a CSR5-style tiled format on the GPU side (the cuSPARSE
 //! set) — plus the two many-core formats from the follow-on literature,
-//! SELL-C-σ and merge-path CSR (arXiv:1805.11938) — together with
-//! sequential and [rayon]-parallel sparse matrix–vector multiplication
-//! (SpMV) kernels, format conversions, single-pass structural
-//! statistics, and MatrixMarket I/O.
+//! SELL-C-σ and merge-path CSR (arXiv:1805.11938) — together with one
+//! sparse matrix–vector multiplication (SpMV) kernel per format, format
+//! conversions, single-pass structural statistics, and MatrixMarket I/O.
 //!
 //! # Canonical representation
 //!
@@ -19,11 +18,10 @@
 //!
 //! # SpMV semantics
 //!
-//! All kernels compute `y = A * x` (overwriting `y`). The [`Spmv`] trait
-//! exposes a sequential `spmv` and a parallel `spmv_par`; both produce
-//! identical results up to floating-point associativity, and the parallel
-//! kernels are written so that no output element is written by two
-//! threads (see the per-format module docs for the partitioning schemes).
+//! All kernels compute `y = A * x` (overwriting `y`). Each format has
+//! exactly one kernel, [`Spmv::spmv`]: labels are timed on it and serving
+//! runs it. [`Spmv::spmv_par`] is the entry point a thread-parallel
+//! driver will fill; until then it runs `spmv` unchanged.
 //!
 //! # Quick example
 //!

@@ -1,6 +1,6 @@
 //! Merge-based CSR SpMV (Merrill & Garland, SC'16).
 //!
-//! Storage is plain CSR; the parallel kernel is what changes. Row-chunked
+//! Storage is plain CSR; the kernel is what changes. Row-chunked
 //! CSR hands each worker an equal number of *rows*, so one heavy row
 //! serializes the whole sweep on power-law matrices. Merge-based CSR
 //! instead treats SpMV as merging two lists — the row descriptors
@@ -14,22 +14,24 @@
 //! The partition search for diagonal `d` finds the split `(r, i)` with
 //! `r + i = d` such that rows `< r` are fully consumed by nonzeros
 //! `< i` — a binary search over `row_ptr`, O(log nrows) per worker.
+//!
+//! [`Spmv::spmv`] runs the merge path as one partition — bounds `(0, 0)`
+//! and `(nrows, nnz)`, no carry: the row scan.
+//! [`MergeCsrMatrix::spmv_partitioned`] runs `P` partitions in order.
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
 use crate::spmv::Spmv;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Partitions per worker thread. Oversubscription lets rayon's work
-/// stealing smooth out scheduling noise without inflating the O(P)
-/// carry fixup.
+/// Merge-path partitions per core that the many-core cost model
+/// assumes (it prices their O(P) search and carry fixup). No SpMV
+/// kernel splits work across threads until ROADMAP item 1's driver.
 pub const PARTITIONS_PER_THREAD: usize = 4;
 
-/// Sparse matrix in CSR layout with a merge-path-partitioned parallel
-/// SpMV.
+/// Sparse matrix in CSR layout with a merge-path-partitioned SpMV.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MergeCsrMatrix<S: Scalar> {
     nrows: usize,
@@ -196,9 +198,9 @@ impl<S: Scalar> MergeCsrMatrix<S> {
         }
     }
 
-    /// Parallel SpMV over explicit merge-path partitions. `y` is split
-    /// at the partition row boundaries so every worker owns a disjoint
-    /// slice; carries are applied sequentially afterwards.
+    /// SpMV over explicit merge-path partitions, run in order. `y` is
+    /// split at the partition row boundaries so every partition owns a
+    /// disjoint slice; carries are applied afterwards.
     pub fn spmv_partitioned(&self, x: &[S], y: &mut [S], parts: usize) {
         let bounds = self.partition_points(parts);
         let parts = bounds.len() - 1;
@@ -212,7 +214,7 @@ impl<S: Scalar> MergeCsrMatrix<S> {
             prev = b.0;
         }
         let carries: Vec<Option<(usize, S)>> = slices
-            .into_par_iter()
+            .into_iter()
             .enumerate()
             .map(|(w, out)| self.partition_spmv(bounds[w], bounds[w + 1], x, out))
             .collect();
@@ -234,30 +236,14 @@ impl<S: Scalar> Spmv<S> for MergeCsrMatrix<S> {
     fn spmv(&self, x: &[S], y: &mut [S]) {
         assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        for (r, out) in y.iter_mut().enumerate() {
-            let mut acc = S::ZERO;
-            for j in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.vals[j] * x[self.cols[j] as usize];
-            }
-            *out = acc;
-        }
-    }
-
-    fn spmv_par(&self, x: &[S], y: &mut [S]) {
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
-        assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        if self.vals.len() < 1 << 14 {
-            self.spmv(x, y);
-            return;
-        }
-        let parts = rayon::current_num_threads().max(1) * PARTITIONS_PER_THREAD;
-        self.spmv_partitioned(x, y, parts);
+        let carry = self.partition_spmv((0, 0), (self.nrows, self.nnz()), x, y);
+        debug_assert!(carry.is_none());
     }
 }
 
 impl<S: Scalar> From<&CsrMatrix<S>> for MergeCsrMatrix<S> {
     /// Re-wraps existing CSR arrays under the merge-path kernel; the
-    /// storage is identical, only the parallel schedule differs.
+    /// storage is identical, only the schedule differs.
     fn from(csr: &CsrMatrix<S>) -> Self {
         Self {
             nrows: csr.nrows(),
@@ -386,7 +372,7 @@ mod tests {
         for coo in [figure1(), power_law(257)] {
             let m = MergeCsrMatrix::from_coo(&coo);
             let x: Vec<f64> = (0..coo.ncols()).map(|i| (i as f64 * 0.3).sin()).collect();
-            let want = m.spmv_alloc(&x);
+            let want = coo.spmv_alloc(&x);
             for parts in [1, 2, 3, 5, 8, 32, 1000] {
                 let mut y = vec![7.0; coo.nrows()];
                 m.spmv_partitioned(&x, &mut y, parts);
@@ -406,7 +392,7 @@ mod tests {
         let coo = CooMatrix::from_triplets(n, n, &t).unwrap();
         let m = MergeCsrMatrix::from_coo(&coo);
         let x: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let want = m.spmv_alloc(&x);
+        let want = coo.spmv_alloc(&x);
         for parts in [2, 4, 16] {
             let mut y = vec![0.0; n];
             m.spmv_partitioned(&x, &mut y, parts);
@@ -421,26 +407,11 @@ mod tests {
         let coo = CooMatrix::from_triplets(6, 6, &[(3, 2, 2.0), (5, 5, 1.0)]).unwrap();
         let m = MergeCsrMatrix::from_coo(&coo);
         let x = [1.0; 6];
-        let want = m.spmv_alloc(&x);
+        let want = coo.spmv_alloc(&x);
         for parts in [1, 2, 3, 8] {
             let mut y = vec![9.0; 6];
             m.spmv_partitioned(&x, &mut y, parts);
             assert_eq!(y, want, "parts {parts}");
-        }
-    }
-
-    #[test]
-    fn parallel_entry_point_matches_sequential() {
-        let coo = power_law(3000);
-        let m = MergeCsrMatrix::from_coo(&coo);
-        assert!(m.nnz() >= 1 << 14);
-        let x: Vec<f64> = (0..3000).map(|i| (i as f64 * 0.05).cos()).collect();
-        let mut y1 = vec![0.0; 3000];
-        let mut y2 = vec![0.0; 3000];
-        m.spmv(&x, &mut y1);
-        m.spmv_par(&x, &mut y2);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!(a.approx_eq(*b, 1e-10));
         }
     }
 

@@ -12,14 +12,13 @@
 //! al., arXiv:1805.11938).
 //!
 //! σ = 1 disables sorting entirely (plain SELL-C): no permutation is
-//! stored, and both kernels write `y` directly instead of scattering
+//! stored, and the kernel writes `y` directly instead of scattering
 //! through the row permutation.
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
 use crate::spmv::Spmv;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Default chunk height C. 8 lanes covers AVX-512 doubles and keeps the
@@ -344,18 +343,6 @@ impl<S: Scalar> SellMatrix<S> {
             }
         }
     }
-
-    /// Scatters packed results to their original rows.
-    fn scatter(&self, packed: &[S], y: &mut [S]) {
-        match &self.perm {
-            Some(p) => {
-                for (i, &r) in p.iter().enumerate() {
-                    y[r as usize] = packed[i];
-                }
-            }
-            None => y.copy_from_slice(packed),
-        }
-    }
 }
 
 impl<S: Scalar> Spmv<S> for SellMatrix<S> {
@@ -385,35 +372,6 @@ impl<S: Scalar> Spmv<S> for SellMatrix<S> {
                         y[r as usize] = v;
                     }
                 }
-            }
-        }
-    }
-
-    fn spmv_par(&self, x: &[S], y: &mut [S]) {
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
-        assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        if self.vals.len() < 1 << 14 {
-            self.spmv(x, y);
-            return;
-        }
-        // Tasks are whole chunks, so no two threads share a packed row;
-        // round the generic chunking policy up to a multiple of C.
-        let task_rows = crate::spmv::par_chunk_rows(self.nrows, 4).next_multiple_of(self.chunk);
-        let run = |buf: &mut [S]| {
-            buf.par_chunks_mut(task_rows)
-                .enumerate()
-                .for_each(|(t, out)| {
-                    let c0 = t * task_rows / self.chunk;
-                    let c1 = c0 + out.len().div_ceil(self.chunk);
-                    self.chunk_range_kernel(c0, c1, x, out);
-                });
-        };
-        match &self.perm {
-            None => run(y),
-            Some(_) => {
-                let mut packed = vec![S::ZERO; self.nrows];
-                run(&mut packed);
-                self.scatter(&packed, y);
             }
         }
     }
@@ -580,33 +538,6 @@ mod tests {
         let mut wrong_nnz = good.clone();
         wrong_nnz.nnz = 1;
         assert!(wrong_nnz.to_coo().is_err());
-    }
-
-    #[test]
-    fn parallel_matches_sequential_with_scatter() {
-        let n = 4096;
-        let mut t = Vec::new();
-        for j in 0..64 {
-            t.push((0, j, 1.0 + j as f64));
-        }
-        for i in 1..n {
-            for k in 0..5usize {
-                t.push((i, (i * 3 + k * 11) % n, k as f64 - 2.5));
-            }
-        }
-        let coo = CooMatrix::from_triplets(n, n, &t).unwrap();
-        for sigma in [1, 256, 4096] {
-            let sell = SellMatrix::from_coo_with_params(&coo, 8, sigma);
-            assert!(sell.vals.len() >= 1 << 14, "large enough to hit par path");
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).cos()).collect();
-            let mut y1 = vec![0.0; n];
-            let mut y2 = vec![0.0; n];
-            sell.spmv(&x, &mut y1);
-            sell.spmv_par(&x, &mut y2);
-            for (a, b) in y1.iter().zip(&y2) {
-                assert!(a.approx_eq(*b, 1e-12));
-            }
-        }
     }
 
     #[test]

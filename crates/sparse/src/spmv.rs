@@ -14,12 +14,13 @@ pub trait Spmv<S: Scalar>: Send + Sync {
     /// Number of columns of the operator.
     fn ncols(&self) -> usize;
 
-    /// Sequential kernel.
+    /// The format's one kernel: the one labels are timed on and serving
+    /// runs.
     fn spmv(&self, x: &[S], y: &mut [S]);
 
-    /// Parallel kernel. The default falls back to the sequential kernel;
-    /// formats override it with a partitioning scheme that suits their
-    /// layout. Results match `spmv` up to floating-point associativity.
+    /// Entry point for thread-parallel SpMV. No format overrides it: it
+    /// runs [`Spmv::spmv`], so callers of either time the same kernel. A
+    /// real span driver goes here (ROADMAP item 1).
     fn spmv_par(&self, x: &[S], y: &mut [S]) {
         self.spmv(x, y);
     }
@@ -30,15 +31,6 @@ pub trait Spmv<S: Scalar>: Send + Sync {
         self.spmv(x, &mut y);
         y
     }
-}
-
-/// Row-chunk size for rayon-parallel SpMV kernels: splits `nrows` into
-/// roughly `factor` chunks per thread (over-decomposition smooths load
-/// imbalance from skewed row lengths), floored at 64 rows so tiny
-/// matrices don't drown in task overhead. Formats pick `factor` by how
-/// uneven their per-row work is — CSR uses 8, ELL/HYB 4.
-pub fn par_chunk_rows(nrows: usize, factor: usize) -> usize {
-    (nrows / (rayon::current_num_threads().max(1) * factor)).max(64)
 }
 
 #[cfg(test)]
@@ -72,24 +64,5 @@ mod tests {
     fn spmv_alloc_allocates_correct_length() {
         let id = Identity(2);
         assert_eq!(id.spmv_alloc(&[4.0, 5.0]), vec![4.0, 5.0]);
-    }
-
-    #[test]
-    fn par_chunk_rows_floors_small_matrices() {
-        assert_eq!(par_chunk_rows(0, 8), 64);
-        assert_eq!(par_chunk_rows(63, 8), 64);
-        assert_eq!(par_chunk_rows(10_000, 1), {
-            let t = rayon::current_num_threads().max(1);
-            (10_000 / t).max(64)
-        });
-    }
-
-    #[test]
-    fn par_chunk_rows_scales_with_factor() {
-        let t = rayon::current_num_threads().max(1);
-        let big = 1 << 20;
-        assert_eq!(par_chunk_rows(big, 8), (big / (t * 8)).max(64));
-        // More chunks per thread -> smaller chunks (down to the floor).
-        assert!(par_chunk_rows(big, 8) <= par_chunk_rows(big, 4));
     }
 }

@@ -407,10 +407,8 @@ fn hot_reload_rejects_corrupt_artefact_and_swaps_valid_one() {
 }
 
 /// Submit-and-wait for requests `0..total`, dealt round-robin to 8
-/// scoped client threads (the vendored rayon's `into_par_iter` runs
-/// sequentially, which is one client). The barrier holds every client
-/// until all 8 exist, so submissions really do come from concurrent OS
-/// threads.
+/// concurrent clients, one scoped OS thread each. The barrier holds
+/// every client until all 8 exist, so submissions really do overlap.
 fn hammer(
     server: &SelectorServer<f32>,
     data: &Dataset,
@@ -1060,9 +1058,8 @@ fn soak_sustained_load_with_reloads_stays_consistent() {
         }
     };
     let add = |a: (u64, u64, u64), b: (u64, u64, u64)| (a.0 + b.0, a.1 + b.1, a.2 + b.2);
-    // Scoped threads, not `into_par_iter`: the vendored rayon runs its
-    // iterator adapters sequentially, and the storm has to meet clients
-    // that really are concurrent.
+    // 8 concurrent clients, one scoped OS thread each: the storm has to
+    // meet clients that really overlap.
     let (mut tally, reloads) = std::thread::scope(|scope| {
         let reloader = scope.spawn(|| {
             let mut ok = 0u64;
