@@ -1,14 +1,14 @@
-//! Criterion benches for the GEMM compute core: naive vs GEMM-backed
-//! convolution at the paper's 128x128 input size, single-sample vs
-//! batched CNN prediction, and per-sample vs batched training steps.
-//! Run with `CRITERION_FULL=1 cargo bench -p dnnspmv-bench --bench
-//! nn_kernels` when citing numbers.
+//! Criterion benches for whole-network CNN work: single-sample vs
+//! batched prediction, and the batched training step. Per-layer kernel
+//! throughput (`nn.gemm_gflops.*`, `nn.im2col_us`) and the training
+//! step (`nn.train_step_ms`) are timed by the repository benchmark in
+//! `perfbench/`. Run with `CRITERION_FULL=1 cargo bench -p
+//! dnnspmv-bench --bench nn_kernels` when citing numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dnnspmv_nn::layers::{Conv2d, Dense};
 use dnnspmv_nn::{
-    build_cnn, train_step, train_step_reference, BatchTrainState, CnnConfig, Merging, Optimizer,
-    OptimizerKind, Sample, Tensor,
+    build_cnn, train_step, BatchTrainState, CnnConfig, Merging, Optimizer, OptimizerKind, Sample,
+    Tensor,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -17,55 +17,6 @@ use std::hint::black_box;
 fn rand_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
     let vol: usize = shape.iter().product();
     Tensor::from_vec(shape, (0..vol).map(|_| rng.random::<f32>() - 0.5).collect())
-}
-
-/// Figure 10's first tower layer on the paper-sized input: a 3x3x16
-/// convolution over one 128x128 channel. The headline perf claim of
-/// the GEMM rewrite is measured here.
-fn bench_conv_forward(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let conv = Conv2d::new(1, 16, 3, 1, &mut rng);
-    let x = rand_tensor(&[1, 128, 128], &mut rng);
-    let mut group = c.benchmark_group("conv2d_forward_128x128_3x3x16");
-    group.bench_function("naive", |b| {
-        b.iter(|| black_box(conv.forward_reference(black_box(&x))))
-    });
-    group.bench_function("gemm", |b| {
-        b.iter(|| black_box(conv.forward(black_box(&x))))
-    });
-    group.finish();
-
-    // Deeper mid-network layer: many input channels, strided.
-    let conv2 = Conv2d::new(16, 32, 3, 2, &mut rng);
-    let x2 = rand_tensor(&[16, 64, 64], &mut rng);
-    let mut group = c.benchmark_group("conv2d_forward_64x64_3x3x16to32_s2");
-    group.bench_function("naive", |b| {
-        b.iter(|| black_box(conv2.forward_reference(black_box(&x2))))
-    });
-    group.bench_function("gemm", |b| {
-        b.iter(|| black_box(conv2.forward(black_box(&x2))))
-    });
-    group.finish();
-}
-
-/// Dense layer at the head's width: single-vector matvec vs the naive
-/// loop, and a batch pushed through one GEMM.
-fn bench_dense_forward(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(2);
-    let dense = Dense::new(1024, 32, &mut rng);
-    let x = rand_tensor(&[1024], &mut rng);
-    let batch: Vec<Tensor> = (0..32).map(|_| rand_tensor(&[1024], &mut rng)).collect();
-    let mut group = c.benchmark_group("dense_forward_1024x32");
-    group.bench_function("naive", |b| {
-        b.iter(|| black_box(dense.forward_reference(black_box(&x))))
-    });
-    group.bench_function("gemm", |b| {
-        b.iter(|| black_box(dense.forward(black_box(&x))))
-    });
-    group.bench_function("gemm_batch32", |b| {
-        b.iter(|| black_box(dense.forward_batch(black_box(&batch))))
-    });
-    group.finish();
 }
 
 /// Whole-network inference: N sequential `predict` calls vs one
@@ -104,9 +55,8 @@ fn bench_predict_batched(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole training step: the per-sample reference loop vs the batched
-/// GEMM path (one forward/backward per batch, single optimiser
-/// update). The acceptance target is batched >= 2x at batch 32.
+/// Whole batched training step: one forward/backward per batch, single
+/// optimiser update.
 fn bench_train_step(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
     let net0 = build_cnn(
@@ -129,16 +79,6 @@ fn bench_train_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("cnn_train_step");
     for &n in &[8usize, 32] {
         let batch: Vec<usize> = (0..n).collect();
-        group.bench_with_input(BenchmarkId::new("reference", n), &n, |b, _| {
-            let mut net = net0.clone();
-            let mut opt = Optimizer::new(&mut net, OptimizerKind::adam(), 1e-3, false);
-            let mut accum = net.zero_grads();
-            b.iter(|| {
-                black_box(train_step_reference(
-                    &mut net, &samples, &batch, &mut opt, &mut accum,
-                ))
-            })
-        });
         group.bench_with_input(BenchmarkId::new("batched", n), &n, |b, _| {
             let mut net = net0.clone();
             let mut opt = Optimizer::new(&mut net, OptimizerKind::adam(), 1e-3, false);
@@ -155,6 +95,6 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_conv_forward, bench_dense_forward, bench_predict_batched, bench_train_step
+    targets = bench_predict_batched, bench_train_step
 }
 criterion_main!(benches);

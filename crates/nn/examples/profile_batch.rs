@@ -76,7 +76,7 @@ fn main() {
 
     // Per-layer cost while chained: the walk over each prefix of the
     // tower, less the prefix before it (the first row carries the pack,
-    // every row its own unpack).
+    // every row its own gather into rows).
     let mut before = clone_us;
     for i in 0..tower.layers.len() {
         let prefix = Sequential::new(tower.layers[..=i].to_vec());

@@ -2,14 +2,15 @@
 //! plus the im2col/col2im packing that turns convolution into matrix
 //! multiply.
 //!
-//! Every FLOP-heavy path in the crate funnels into [`sgemm`]:
-//! [`crate::layers::Conv2d`] lowers its input with [`im2col_into`] and
-//! multiplies against the filter bank, [`crate::layers::Dense`] is a
-//! GEMM (or its `n == 1` matvec fast path) directly, and the batched
-//! inference API packs many samples into one product per layer. The
-//! kernel follows the classic BLIS/GotoBLAS decomposition: `NC`-wide
-//! column panels of B, `KC`-deep rank-k updates, `MC`-tall row blocks
-//! of A, operands repacked into `MR x NR` micro-panels so the
+//! Every FLOP-heavy path in the crate funnels into [`sgemm`], one
+//! product per layer for the whole batch: [`crate::layers::Conv2d`]
+//! lowers its packed `[c, n, h, w]` batch with [`im2col_packed_into`]
+//! and multiplies against the filter bank, and [`crate::layers::Dense`]
+//! multiplies its `[n, in_dim]` row matrix by the transposed weights
+//! directly — a batch of one included. The kernel follows the classic
+//! BLIS/GotoBLAS decomposition: `NC`-wide column panels of B, `KC`-deep
+//! rank-k updates, `MC`-tall row blocks of A, operands repacked into
+//! `MR x NR` micro-panels so the
 //! innermost micro-kernel reads contiguously and runs as an explicit
 //! SIMD 8x8 accumulator ([`simd`]: AVX2/FMA or NEON where the CPU has
 //! them, a portable `mul_add` twin everywhere, chosen once per process
@@ -33,7 +34,6 @@
 pub mod simd;
 pub mod threading;
 
-use crate::tensor::Tensor;
 pub use simd::{with_forced_kernel, KernelVariant};
 use simd::{MicroKernel, MR, NR};
 pub use threading::{
@@ -364,8 +364,6 @@ fn pack_b(
     }
 }
 
-/// Convolution output extent for an `h x w` input, square `ksize`
-/// kernel, `stride`, and symmetric zero `pad`.
 /// Dot product with sixteen independent fused partial sums, so the
 /// accumulation vectorises and pipelines instead of forming one serial
 /// latency chain. Slice-level core of the inner-product GEMM path,
@@ -407,6 +405,8 @@ pub fn lane_sum(xs: &[f32]) -> f32 {
     acc.iter().sum::<f32>() + tail
 }
 
+/// Convolution output extent for an `h x w` input, square `ksize`
+/// kernel, `stride`, and symmetric zero `pad`.
 pub fn conv_out_hw(h: usize, w: usize, ksize: usize, stride: usize, pad: usize) -> (usize, usize) {
     (
         (h + 2 * pad - ksize) / stride + 1,
@@ -422,8 +422,11 @@ pub fn conv_out_hw(h: usize, w: usize, ksize: usize, stride: usize, pad: usize) 
 /// `x[ic, oy*stride + ky - pad, ox*stride + kx - pad]`, or `0.0` where
 /// the receptive field hangs over the border. Every cell of the block
 /// is written, so `col` may hold stale data from a previous use. The
-/// `ld`/`col_off` pair lets batched callers pack N images side by side
-/// into one `c*ksize*ksize x N*oh*ow` matrix.
+/// `ld`/`col_off` pair places the block inside a wider matrix.
+///
+/// The layers lower whole batches through [`im2col_packed_into`]; this
+/// single-image form is kept because the repository benchmark times it
+/// (`nn.im2col_us` in `perfbench/`).
 #[allow(clippy::too_many_arguments)]
 pub fn im2col_into(
     x: &[f32],
@@ -570,31 +573,6 @@ fn im2col_channel(
     }
 }
 
-/// Scatter-adds an im2col-layout gradient back onto the image grid:
-/// the adjoint of [`im2col_into`]. `gin` accumulates (`+=`), since
-/// overlapping receptive fields each contribute to the same pixel.
-#[allow(clippy::too_many_arguments)]
-pub fn col2im_into(
-    col: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    ksize: usize,
-    stride: usize,
-    pad: usize,
-    gin: &mut [f32],
-    ld: usize,
-    col_off: usize,
-) {
-    assert_eq!(gin.len(), c * h * w, "output buffer shape mismatch");
-    let (oh, ow) = conv_out_hw(h, w, ksize, stride, pad);
-    assert!(col_off + oh * ow <= ld, "column block exceeds row stride");
-    for ic in 0..c {
-        let gc = &mut gin[ic * h * w..(ic + 1) * h * w];
-        col2im_channel(gc, ic, h, w, ksize, stride, pad, oh, ow, col, ld, col_off);
-    }
-}
-
 /// Scatter-adds an im2col-layout gradient of a packed `[c, n, h, w]`
 /// batch back onto the image grid: the adjoint of
 /// [`im2col_packed_into`]. `gin` accumulates (`+=`) and must be zeroed
@@ -636,8 +614,7 @@ pub fn col2im_packed_into(
 }
 
 /// Scatter-adds channel `ic`'s `ksize*ksize` im2col rows back onto one
-/// `[h, w]` plane `gc`. Shared body of [`col2im_into`] and
-/// [`col2im_packed_into`].
+/// `[h, w]` plane `gc`: the body of [`col2im_packed_into`].
 #[allow(clippy::too_many_arguments)]
 fn col2im_channel(
     gc: &mut [f32],
@@ -740,36 +717,6 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     let r = f(&mut s);
     SCRATCH.with(|c| *c.borrow_mut() = Some(s));
     r
-}
-
-impl Tensor {
-    /// 2-D matrix product over borrowed tensors: `self [m, k] . other
-    /// [k, n] -> [m, n]`, evaluated by [`sgemm`] without copying
-    /// either operand. Slice-level callers can invoke [`sgemm`]
-    /// directly for transposed operands or accumulation.
-    pub fn matmul_view(&self, other: &Tensor) -> Tensor {
-        let [m, k] = *self.shape() else {
-            panic!("matmul_view lhs expects [m, k], got {:?}", self.shape())
-        };
-        let [k2, n] = *other.shape() else {
-            panic!("matmul_view rhs expects [k, n], got {:?}", other.shape())
-        };
-        assert_eq!(k, k2, "inner dimensions differ: {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        sgemm(
-            m,
-            n,
-            k,
-            1.0,
-            self.data(),
-            Trans::No,
-            other.data(),
-            Trans::No,
-            0.0,
-            &mut out,
-        );
-        Tensor::from_vec(&[m, n], out)
-    }
 }
 
 #[cfg(test)]
@@ -937,51 +884,20 @@ mod tests {
     }
 
     #[test]
-    fn col2im_is_the_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random x, y — pins the
-        // scatter-add against the gather over every stride/pad case.
-        let mut rng = StdRng::seed_from_u64(17);
-        for &(c, h, w, ksize, stride, pad) in &[
-            (1usize, 5usize, 7usize, 3usize, 1usize, 1usize),
-            (2, 6, 6, 3, 2, 1),
-            (3, 8, 5, 3, 1, 0),
-            (1, 7, 7, 5, 2, 2),
-        ] {
-            let (oh, ow) = conv_out_hw(h, w, ksize, stride, pad);
-            let rows = c * ksize * ksize;
-            let x = rand_vec(&mut rng, c * h * w);
-            let y = rand_vec(&mut rng, rows * oh * ow);
-            let mut col = vec![0.0f32; rows * oh * ow];
-            im2col_into(&x, c, h, w, ksize, stride, pad, &mut col, oh * ow, 0);
-            let lhs: f64 = col
-                .iter()
-                .zip(&y)
-                .map(|(&a, &b)| f64::from(a) * f64::from(b))
-                .sum();
-            let mut back = vec![0.0f32; c * h * w];
-            col2im_into(&y, c, h, w, ksize, stride, pad, &mut back, oh * ow, 0);
-            let rhs: f64 = x
-                .iter()
-                .zip(&back)
-                .map(|(&a, &b)| f64::from(a) * f64::from(b))
-                .sum();
-            assert!(
-                (lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()),
-                "adjoint mismatch ({c},{h},{w},k{ksize},s{stride},p{pad}): {lhs} vs {rhs}"
-            );
-        }
-    }
-
-    #[test]
     fn packed_col2im_is_the_adjoint_of_packed_im2col() {
-        // Same inner-product identity as the per-sample test, but over
-        // the `[c, n, h, w]` batch layout the training path scatters
-        // into.
+        // <im2col(x), y> == <x, col2im(y)> for random x, y over the
+        // `[c, n, h, w]` batch layout the training path scatters into —
+        // pins the scatter-add against the gather over every stride/pad
+        // case, batches of one included.
         let mut rng = StdRng::seed_from_u64(29);
         for &(c, n, h, w, ksize, stride, pad) in &[
             (2usize, 3usize, 6usize, 6usize, 3usize, 1usize, 1usize),
             (1, 4, 7, 5, 3, 2, 1),
             (3, 1, 8, 8, 3, 1, 1),
+            (1, 1, 5, 7, 3, 1, 1),
+            (2, 1, 6, 6, 3, 2, 1),
+            (3, 2, 8, 5, 3, 1, 0),
+            (1, 2, 7, 7, 5, 2, 2),
         ] {
             let (oh, ow) = conv_out_hw(h, w, ksize, stride, pad);
             let rows = c * ksize * ksize;
@@ -1025,15 +941,6 @@ mod tests {
         for r in 0..rows {
             assert_eq!(&big[r * 2 * l + l..][..l], &single[r * l..][..l]);
         }
-    }
-
-    #[test]
-    fn matmul_view_known_answer() {
-        let a = Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Tensor::from_vec(&[3, 2], vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.matmul_view(&b);
-        assert_eq!(c.shape(), &[2, 2]);
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]

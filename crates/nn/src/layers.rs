@@ -2,19 +2,20 @@
 //!
 //! Layers are an enum (not trait objects) so whole networks serialise
 //! with serde and clone cheaply. Forward passes are *stateless*: the
-//! training loop keeps each layer's input and hands it back to
-//! [`Layer::backward`], so one network value can serve interleaved
-//! forward/backward calls without hidden per-layer caches. Training
-//! runs fully batched — one activation-gradient GEMM and one
-//! weight-gradient GEMM per layer per mini-batch, with the batch
-//! reduction fused into the weight-gradient product.
+//! caller keeps each layer's input and hands it back to the backward
+//! pass, so one network value can serve interleaved forward/backward
+//! calls without hidden per-layer caches.
 //!
-//! Convolution and dense layers evaluate through the [`crate::gemm`]
-//! compute core (im2col + blocked `sgemm`); the original naive loops
-//! survive as `forward_reference` / `backward_reference` so
-//! equivalence tests and the gradient checker pin the fast path to
-//! them. [`Layer::forward_batch`] packs many samples into a single
-//! GEMM per layer for batched inference.
+//! Convolution and dense layers have exactly two implementations per
+//! direction. The batched kernels production runs — inference and
+//! training alike — work on whole batches through the [`crate::gemm`]
+//! compute core: convolutions on the packed `[c, n, h, w]` layout
+//! (im2col + one `sgemm`), dense layers on `[n, dim]` row matrices, with
+//! the batch reduction of every weight gradient fused into one GEMM.
+//! The naive per-sample loops (`forward_reference` /
+//! `backward_reference`, reached through [`Layer::forward`] /
+//! [`Layer::backward`]) are the reference they are checked against and
+//! share no kernel with them.
 
 use crate::gemm::{self, Trans};
 use crate::tensor::Tensor;
@@ -68,78 +69,16 @@ impl Conv2d {
         gemm::conv_out_hw(h, w, self.ksize, self.stride, self.pad)
     }
 
-    /// GEMM-backed forward pass: lower the input with im2col, then one
-    /// `weight [out_ch, c*k*k] . col [c*k*k, oh*ow]` product on top of
-    /// the broadcast bias.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let [c, h, w] = *x.shape() else {
-            panic!("Conv2d expects [c, h, w], got {:?}", x.shape())
-        };
-        assert_eq!(c, self.in_ch, "input channel mismatch");
-        let (oh, ow) = self.out_hw(h, w);
-        let l = oh * ow;
-        let k2c = self.in_ch * self.ksize * self.ksize;
-        let mut out = vec![0.0f32; self.out_ch * l];
-        for (oc, &bv) in self.bias.data().iter().enumerate() {
-            out[oc * l..(oc + 1) * l].fill(bv);
-        }
-        gemm::with_scratch(|s| {
-            s.col.resize(k2c * l, 0.0);
-            gemm::im2col_into(
-                x.data(),
-                c,
-                h,
-                w,
-                self.ksize,
-                self.stride,
-                self.pad,
-                &mut s.col,
-                l,
-                0,
-            );
-            gemm::sgemm(
-                self.out_ch,
-                l,
-                k2c,
-                1.0,
-                self.weight.data(),
-                Trans::No,
-                &s.col,
-                Trans::No,
-                1.0,
-                &mut out,
-            );
-        });
-        Tensor::from_vec(&[self.out_ch, oh, ow], out)
-    }
-
-    /// Batched forward pass: every sample's im2col block lands side by
-    /// side in one `[c*k*k, N*oh*ow]` matrix, so the whole batch is a
-    /// single GEMM against the filter bank.
-    pub fn forward_batch(&self, xs: &[Tensor]) -> Vec<Tensor> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let [c, h, w] = *xs[0].shape() else {
-            panic!("Conv2d expects [c, h, w], got {:?}", xs[0].shape())
-        };
-        let mut packed = vec![0.0f32; c * xs.len() * h * w];
-        pack_batch_into(xs, &mut packed);
-        let mut out = Vec::new();
-        let [oc, n, oh, ow] = gemm::with_scratch(|s| {
-            self.forward_packed_into(&packed, xs.len(), h, w, &mut s.col, &mut out)
-        });
-        unpack_planes(&out[..oc * n * oh * ow], oc, n, oh, ow)
-    }
-
     /// Forward pass on a packed `[c, n, h, w]` batch (see
     /// [`pack_batch_into`]): the samples are lowered into the recycled
-    /// im2col scratch `col` and one GEMM produces the
-    /// `[out_ch, n, oh, ow]` output directly in the same layout, so
-    /// stacks of convolutional layers hand the batch along without any
-    /// per-sample unpacking. `out` is grown, never shrunk — only the
-    /// returned extent is meaningful; the batched walks recycle both
-    /// buffers across layers and batches to keep their pages warm.
+    /// im2col scratch `col` and one
+    /// `weight [out_ch, c*k*k] . col [c*k*k, n*oh*ow]` GEMM on top of
+    /// the broadcast bias produces the `[out_ch, n, oh, ow]` output
+    /// directly in the same layout, so stacks of convolutional layers
+    /// hand the batch along without any per-sample unpacking. `out` is
+    /// grown, never shrunk — only the returned extent is meaningful; the
+    /// batched walks recycle both buffers across layers and batches to
+    /// keep their pages warm.
     pub(crate) fn forward_packed_into(
         &self,
         x: &[f32],
@@ -193,9 +132,9 @@ impl Conv2d {
         [self.out_ch, n, oh, ow]
     }
 
-    /// Naive 7-loop forward pass, kept as the correctness reference
-    /// for the GEMM path (equivalence-tested in `tests/proptest_nn.rs`
-    /// and benchmarked in `nn_kernels`).
+    /// Naive 7-loop forward pass over one `[c, h, w]` sample: the
+    /// reference `forward_packed_into` is checked against, and
+    /// what [`Layer::forward`] runs.
     pub fn forward_reference(&self, x: &Tensor) -> Tensor {
         let [c, h, w] = *x.shape() else {
             panic!("Conv2d expects [c, h, w], got {:?}", x.shape())
@@ -236,79 +175,6 @@ impl Conv2d {
             }
         }
         out
-    }
-
-    /// GEMM-backed backward pass over the im2col lowering:
-    /// `gW = gout . col^T`, `gcol = W^T . gout`, `gin = col2im(gcol)`,
-    /// `gb` = per-filter row sums of `gout`.
-    pub fn backward(&self, x: &Tensor, gout: &Tensor) -> (Tensor, Vec<Tensor>) {
-        let [c, h, w] = *x.shape() else {
-            panic!("Conv2d expects [c, h, w], got {:?}", x.shape())
-        };
-        let (oh, ow) = self.out_hw(h, w);
-        debug_assert_eq!(gout.shape(), &[self.out_ch, oh, ow]);
-        let l = oh * ow;
-        let k2c = self.in_ch * self.ksize * self.ksize;
-        let god = gout.data();
-        let mut gin = Tensor::zeros(x.shape());
-        let mut gw = Tensor::zeros(self.weight.shape());
-        let mut gb = Tensor::zeros(self.bias.shape());
-        for (oc, gv) in gb.data_mut().iter_mut().enumerate() {
-            *gv = god[oc * l..(oc + 1) * l].iter().sum();
-        }
-        gemm::with_scratch(|s| {
-            s.col.resize(k2c * l, 0.0);
-            gemm::im2col_into(
-                x.data(),
-                c,
-                h,
-                w,
-                self.ksize,
-                self.stride,
-                self.pad,
-                &mut s.col,
-                l,
-                0,
-            );
-            gemm::sgemm(
-                self.out_ch,
-                k2c,
-                l,
-                1.0,
-                god,
-                Trans::No,
-                &s.col,
-                Trans::Yes,
-                0.0,
-                gw.data_mut(),
-            );
-            s.aux.resize(k2c * l, 0.0);
-            gemm::sgemm(
-                k2c,
-                l,
-                self.out_ch,
-                1.0,
-                self.weight.data(),
-                Trans::Yes,
-                god,
-                Trans::No,
-                0.0,
-                &mut s.aux,
-            );
-            gemm::col2im_into(
-                &s.aux,
-                c,
-                h,
-                w,
-                self.ksize,
-                self.stride,
-                self.pad,
-                gin.data_mut(),
-                l,
-                0,
-            );
-        });
-        (gin, vec![gw, gb])
     }
 
     /// Batched backward pass on the packed `[c, n, h, w]` layout: one
@@ -388,8 +254,9 @@ impl Conv2d {
         }
     }
 
-    /// Naive backward pass, the correctness reference for
-    /// [`Self::backward`].
+    /// Naive per-sample backward pass: the reference
+    /// `backward_packed_into` is checked against, and what
+    /// [`Layer::backward`] runs.
     pub fn backward_reference(&self, x: &Tensor, gout: &Tensor) -> (Tensor, Vec<Tensor>) {
         let [c, h, w] = *x.shape() else {
             panic!("Conv2d expects [c, h, w], got {:?}", x.shape())
@@ -635,9 +502,10 @@ impl MaxPool2d {
     }
 
     /// Routes each output gradient back to its window's argmax over
-    /// `planes` independent `[h, w]` planes — the backward twin of
-    /// [`Self::pool_planes`], shared by the per-sample and the packed
-    /// `[c, n, h, w]` batched paths. `gind` is overwritten.
+    /// `planes` independent `[h, w]` planes — the per-sample backward
+    /// twin of [`Self::pool_planes`] (the packed walk scatters onto the
+    /// indices [`Self::pool_planes_indexed`] recorded instead). `gind` is
+    /// overwritten.
     pub(crate) fn unpool_planes(
         &self,
         xd: &[f32],
@@ -704,49 +572,10 @@ impl Dense {
         }
     }
 
-    /// GEMM-backed forward pass: `y = W . x + b` through the `n == 1`
-    /// matvec fast path of [`gemm::sgemm`].
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.len(), self.in_dim, "Dense input width mismatch");
-        let mut out = self.bias.data().to_vec();
-        gemm::sgemm(
-            self.out_dim,
-            1,
-            self.in_dim,
-            1.0,
-            self.weight.data(),
-            Trans::No,
-            x.data(),
-            Trans::No,
-            1.0,
-            &mut out,
-        );
-        Tensor::from_vec(&[self.out_dim], out)
-    }
-
-    /// Batched forward pass: rows of `X [N, in_dim]` are the samples,
-    /// so the whole batch is one `Y = X . W^T + b` product.
-    pub fn forward_batch(&self, xs: &[Tensor]) -> Vec<Tensor> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let nb = xs.len();
-        let mut xmat = vec![0.0f32; nb * self.in_dim];
-        for (x, row) in xs.iter().zip(xmat.chunks_mut(self.in_dim)) {
-            assert_eq!(x.len(), self.in_dim, "Dense input width mismatch");
-            row.copy_from_slice(x.data());
-        }
-        let mut y = Vec::new();
-        self.forward_rows_into(&xmat, nb, &mut y);
-        y[..nb * self.out_dim]
-            .chunks(self.out_dim)
-            .map(|row| Tensor::from_vec(&[self.out_dim], row.to_vec()))
-            .collect()
-    }
-
-    /// Buffer-level batched forward pass: `Y [nb, out_dim] = X
-    /// [nb, in_dim] . W^T + b` in one GEMM. `y` is grown, never shrunk;
-    /// only the `[nb, out_dim]` extent is meaningful.
+    /// Batched forward pass over row matrices — rows of `X` are the
+    /// samples: `Y [nb, out_dim] = X [nb, in_dim] . W^T + b` in one
+    /// GEMM. `y` is grown, never shrunk; only the `[nb, out_dim]` extent
+    /// is meaningful.
     pub(crate) fn forward_rows_into(&self, x: &[f32], nb: usize, y: &mut Vec<f32>) {
         assert_eq!(x.len(), nb * self.in_dim, "Dense row-matrix mismatch");
         if y.len() < nb * self.out_dim {
@@ -770,8 +599,7 @@ impl Dense {
         );
     }
 
-    /// Buffer-level batched backward pass over `[nb, dim]` row
-    /// matrices: the weight gradient is a single `gW = gout^T . X` GEMM
+    /// Batched backward pass over `[nb, dim]` row matrices: the weight gradient is a single `gW = gout^T . X` GEMM
     /// with the batch reduction fused into its inner dimension, the
     /// bias gradient is the column sum of `gout`, and — when wanted —
     /// the input gradient is `gin = gout . W`. `gw`/`gb` are
@@ -825,8 +653,9 @@ impl Dense {
         }
     }
 
-    /// Naive matvec forward pass, the correctness reference for
-    /// [`Self::forward`].
+    /// Naive matvec forward pass over one sample: the reference
+    /// `forward_rows_into` is checked against, and what
+    /// [`Layer::forward`] runs.
     pub fn forward_reference(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.len(), self.in_dim, "Dense input width mismatch");
         let xd = x.data();
@@ -844,42 +673,9 @@ impl Dense {
         Tensor::from_vec(&[self.out_dim], out)
     }
 
-    /// GEMM-backed backward pass: the rank-1 update `gW = gout . x^T`
-    /// and the transposed matvec `gin = W^T . gout`.
-    pub fn backward(&self, x: &Tensor, gout: &Tensor) -> (Tensor, Vec<Tensor>) {
-        debug_assert_eq!(gout.len(), self.out_dim);
-        let mut gw = Tensor::zeros(self.weight.shape());
-        let mut gin = Tensor::zeros(x.shape());
-        gemm::sgemm(
-            self.out_dim,
-            self.in_dim,
-            1,
-            1.0,
-            gout.data(),
-            Trans::No,
-            x.data(),
-            Trans::No,
-            0.0,
-            gw.data_mut(),
-        );
-        gemm::sgemm(
-            self.in_dim,
-            1,
-            self.out_dim,
-            1.0,
-            self.weight.data(),
-            Trans::Yes,
-            gout.data(),
-            Trans::No,
-            0.0,
-            gin.data_mut(),
-        );
-        let gb = Tensor::from_vec(&[self.out_dim], gout.data().to_vec());
-        (gin, vec![gw, gb])
-    }
-
-    /// Naive backward pass, the correctness reference for
-    /// [`Self::backward`].
+    /// Naive per-sample backward pass: the reference
+    /// `backward_rows_into` is checked against, and what
+    /// [`Layer::backward`] runs.
     pub fn backward_reference(&self, x: &Tensor, gout: &Tensor) -> (Tensor, Vec<Tensor>) {
         debug_assert_eq!(gout.len(), self.out_dim);
         let xd = x.data();
@@ -922,53 +718,39 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Forward pass (stateless).
+    /// Per-sample forward pass through the naive kernels (stateless):
+    /// the reference walk of [`crate::network::Sequential::forward_cached`].
     pub fn forward(&self, x: &Tensor) -> Tensor {
         match self {
-            Layer::Conv2d(l) => l.forward(x),
+            Layer::Conv2d(l) => l.forward_reference(x),
             Layer::MaxPool2d(l) => l.forward(x),
             Layer::Relu => {
                 let mut out = x.clone();
-                // Written as a select, not a conditional store: random-
-                // sign activations make the branch unpredictable, and
-                // the select form vectorises.
-                for v in out.data_mut() {
-                    *v = if *v < 0.0 { 0.0 } else { *v };
-                }
+                relu_in_place(out.data_mut());
                 out
             }
             Layer::Flatten => x.clone().reshape(&[x.len()]),
-            Layer::Dense(l) => l.forward(x),
+            Layer::Dense(l) => l.forward_reference(x),
         }
     }
 
-    /// Batched forward pass over same-shaped inputs. Convolution and
-    /// dense layers fuse the batch into a single GEMM; the cheap
-    /// elementwise/pooling layers map over the samples.
-    pub fn forward_batch(&self, xs: &[Tensor]) -> Vec<Tensor> {
-        match self {
-            Layer::Conv2d(l) => l.forward_batch(xs),
-            Layer::Dense(l) => l.forward_batch(xs),
-            _ => xs.iter().map(|x| self.forward(x)).collect(),
-        }
-    }
-
-    /// Backward pass: gradient w.r.t. the layer input plus gradients
-    /// w.r.t. each parameter tensor (aligned with [`Layer::params`]).
+    /// Per-sample backward pass through the naive kernels: gradient
+    /// w.r.t. the layer input plus gradients w.r.t. each parameter
+    /// tensor (aligned with [`Layer::params`]).
     pub fn backward(&self, x: &Tensor, gout: &Tensor) -> (Tensor, Vec<Tensor>) {
         match self {
-            Layer::Conv2d(l) => l.backward(x, gout),
+            Layer::Conv2d(l) => l.backward_reference(x, gout),
             Layer::MaxPool2d(l) => (l.backward(x, gout), Vec::new()),
             Layer::Relu => {
                 let mut gin = gout.clone();
-                // Select, not a conditional store — see `forward`.
+                // Select, not a conditional store — see `relu_in_place`.
                 for (g, &v) in gin.data_mut().iter_mut().zip(x.data()) {
                     *g = if v <= 0.0 { 0.0 } else { *g };
                 }
                 (gin, Vec::new())
             }
             Layer::Flatten => (gout.clone().reshape(x.shape()), Vec::new()),
-            Layer::Dense(l) => l.backward(x, gout),
+            Layer::Dense(l) => l.backward_reference(x, gout),
         }
     }
 
@@ -1153,19 +935,28 @@ pub(crate) fn ensure_len<T: Clone + Default>(v: &mut Vec<T>, len: usize) -> &mut
     &mut v[..len]
 }
 
+/// ReLU in place. Written as a select, not a conditional store:
+/// random-sign activations make the branch unpredictable, and the
+/// select form vectorises.
+pub(crate) fn relu_in_place(xs: &mut [f32]) {
+    for v in xs {
+        *v = if *v < 0.0 { 0.0 } else { *v };
+    }
+}
+
 /// Packs `n` same-shaped `[c, h, w]` samples into the `[c, n, h, w]`
 /// batch layout the packed walks run on: channel `ic` of sample `si`
 /// lands at plane `ic*n + si`, so every channel's per-sample planes sit
 /// side by side and a convolution's batched GEMM output is already in
-/// this layout. `out` holds exactly `c * n * h * w` elements.
+/// this layout. A flat `[dim]` sample is one `1 × dim` plane, so flat
+/// samples pack into the `[n, dim]` row matrix. `out` holds exactly
+/// `n` samples' worth of elements.
 pub(crate) fn pack_batch_into(xs: &[Tensor], out: &mut [f32]) {
-    let [c, h, w] = *xs[0].shape() else {
-        panic!(
-            "pack_batch_into expects [c, h, w] samples, got {:?}",
-            xs[0].shape()
-        )
+    let (c, plane) = match *xs[0].shape() {
+        [c, h, w] => (c, h * w),
+        [dim] => (1, dim),
+        ref s => panic!("pack_batch_into expects [c, h, w] or [dim] samples, got {s:?}"),
     };
-    let plane = h * w;
     let n = xs.len();
     assert_eq!(out.len(), c * n * plane, "packed buffer shape mismatch");
     for (si, x) in xs.iter().enumerate() {
@@ -1176,24 +967,11 @@ pub(crate) fn pack_batch_into(xs: &[Tensor], out: &mut [f32]) {
     }
 }
 
-/// Splits a packed `[c, n, h, w]` batch back into `n` per-sample
-/// `[c, h, w]` tensors: the inverse of [`pack_batch_into`].
-pub(crate) fn unpack_planes(xd: &[f32], c: usize, n: usize, h: usize, w: usize) -> Vec<Tensor> {
-    let plane = h * w;
-    (0..n)
-        .map(|si| {
-            let mut d = vec![0.0f32; c * plane];
-            for ic in 0..c {
-                d[ic * plane..][..plane].copy_from_slice(&xd[(ic * n + si) * plane..][..plane]);
-            }
-            Tensor::from_vec(&[c, h, w], d)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::{with_gemm_threading, GemmThreading};
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
@@ -1404,67 +1182,165 @@ mod tests {
         Tensor::from_vec(shape, (0..vol).map(|_| d.sample(rng) as f32).collect())
     }
 
-    fn assert_close(got: &Tensor, want: &Tensor, what: &str) {
-        assert_eq!(got.shape(), want.shape(), "{what} shape");
-        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
-            assert!(
+    /// `got` within 1e-4 (relative) of `want`, element by element.
+    fn close(got: &[f32], want: &[f32], what: &str) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.len(), want.len(), "{} length", what);
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            prop_assert!(
                 (g - w).abs() <= 1e-4 * (1.0 + w.abs()),
                 "{what}[{i}]: {g} vs {w}"
             );
         }
+        Ok(())
     }
 
-    #[test]
-    fn conv_gemm_path_matches_reference() {
-        let mut r = rng();
-        for &(in_ch, out_ch, stride, hw) in &[(1, 4, 1, 9), (2, 3, 2, 8), (3, 5, 1, 6)] {
-            let conv = Conv2d::new(in_ch, out_ch, 3, stride, &mut r);
-            let x = rand_tensor(&[in_ch, hw, hw], &mut r);
-            assert_close(&conv.forward(&x), &conv.forward_reference(&x), "fwd");
-            let gout = rand_tensor(conv.forward(&x).shape(), &mut r);
-            let (gin, gp) = conv.backward(&x, &gout);
-            let (gin_r, gp_r) = conv.backward_reference(&x, &gout);
-            assert_close(&gin, &gin_r, "gin");
-            assert_close(&gp[0], &gp_r[0], "gw");
-            assert_close(&gp[1], &gp_r[1], "gb");
+    /// Sample `si` of a packed `[c, n, plane]` batch, as `[c, plane]`.
+    fn sample_of(packed: &[f32], c: usize, n: usize, plane: usize, si: usize) -> Vec<f32> {
+        (0..c)
+            .flat_map(|ic| &packed[(ic * n + si) * plane..][..plane])
+            .copied()
+            .collect()
+    }
+
+    /// The packed convolution kernels against the naive pair: outputs
+    /// and input gradients sample by sample, weight and bias gradients
+    /// against the sum of the per-sample naive gradients. `pad` is set
+    /// directly — `new` only produces "same" pads.
+    #[allow(clippy::too_many_arguments)]
+    fn check_packed_conv(
+        in_ch: usize,
+        out_ch: usize,
+        ksize: usize,
+        stride: usize,
+        pad: usize,
+        h: usize,
+        w: usize,
+        n: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut r = StdRng::seed_from_u64(seed);
+        let mut conv = Conv2d::new(in_ch, out_ch, ksize, stride, &mut r);
+        conv.pad = pad;
+        let xs: Vec<Tensor> = (0..n)
+            .map(|_| rand_tensor(&[in_ch, h, w], &mut r))
+            .collect();
+        let mut x = vec![0.0f32; in_ch * n * h * w];
+        pack_batch_into(&xs, &mut x);
+        let (mut col, mut out) = (Vec::new(), Vec::new());
+        let [oc, _, oh, ow] = conv.forward_packed_into(&x, n, h, w, &mut col, &mut out);
+        let gouts: Vec<Tensor> = (0..n).map(|_| rand_tensor(&[oc, oh, ow], &mut r)).collect();
+        let mut gout = vec![0.0f32; oc * n * oh * ow];
+        pack_batch_into(&gouts, &mut gout);
+        let (mut aux, mut gin) = (Vec::new(), Vec::new());
+        let mut gw = Tensor::zeros(conv.weight.shape());
+        let mut gb = Tensor::zeros(conv.bias.shape());
+        conv.backward_packed_into(
+            n,
+            h,
+            w,
+            &gout,
+            &col,
+            &mut aux,
+            Some(&mut gin),
+            &mut gw,
+            &mut gb,
+        );
+        let mut want_gw = Tensor::zeros(conv.weight.shape());
+        let mut want_gb = Tensor::zeros(conv.bias.shape());
+        for (si, (x, g)) in xs.iter().zip(&gouts).enumerate() {
+            let y = conv.forward_reference(x);
+            close(&sample_of(&out, oc, n, oh * ow, si), y.data(), "forward")?;
+            let (gin_ref, gp) = conv.backward_reference(x, g);
+            close(&sample_of(&gin, in_ch, n, h * w, si), gin_ref.data(), "gin")?;
+            want_gw.add_assign(&gp[0]);
+            want_gb.add_assign(&gp[1]);
         }
+        close(gw.data(), want_gw.data(), "gW")?;
+        close(gb.data(), want_gb.data(), "gb")
     }
 
-    #[test]
-    fn dense_gemm_path_matches_reference() {
-        let mut r = rng();
-        let d = Dense::new(37, 11, &mut r);
-        let x = rand_tensor(&[37], &mut r);
-        assert_close(&d.forward(&x), &d.forward_reference(&x), "fwd");
-        let gout = rand_tensor(&[11], &mut r);
-        let (gin, gp) = d.backward(&x, &gout);
-        let (gin_r, gp_r) = d.backward_reference(&x, &gout);
-        assert_close(&gin, &gin_r, "gin");
-        assert_close(&gp[0], &gp_r[0], "gw");
-        assert_close(&gp[1], &gp_r[1], "gb");
-    }
-
-    #[test]
-    fn conv_batched_forward_matches_single() {
-        let mut r = rng();
-        let conv = Conv2d::new(2, 4, 3, 2, &mut r);
-        let xs: Vec<Tensor> = (0..5).map(|_| rand_tensor(&[2, 9, 9], &mut r)).collect();
-        let batched = conv.forward_batch(&xs);
-        assert_eq!(batched.len(), xs.len());
-        for (x, got) in xs.iter().zip(&batched) {
-            assert_close(got, &conv.forward(x), "batched conv");
+    /// The row-matrix dense kernels against the naive pair, the same
+    /// way as [`check_packed_conv`].
+    fn check_rows_dense(
+        in_dim: usize,
+        out_dim: usize,
+        nb: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut r = StdRng::seed_from_u64(seed);
+        let dense = Dense::new(in_dim, out_dim, &mut r);
+        let xs: Vec<Tensor> = (0..nb).map(|_| rand_tensor(&[in_dim], &mut r)).collect();
+        let gouts: Vec<Tensor> = (0..nb).map(|_| rand_tensor(&[out_dim], &mut r)).collect();
+        let rows =
+            |ts: &[Tensor]| -> Vec<f32> { ts.iter().flat_map(|t| t.data()).copied().collect() };
+        let (x, gout) = (rows(&xs), rows(&gouts));
+        let (mut y, mut gin) = (Vec::new(), Vec::new());
+        dense.forward_rows_into(&x, nb, &mut y);
+        let mut gw = Tensor::zeros(dense.weight.shape());
+        let mut gb = Tensor::zeros(dense.bias.shape());
+        dense.backward_rows_into(&x, nb, &gout, Some(&mut gin), &mut gw, &mut gb);
+        let mut want_gw = Tensor::zeros(dense.weight.shape());
+        let mut want_gb = Tensor::zeros(dense.bias.shape());
+        for (si, (x, g)) in xs.iter().zip(&gouts).enumerate() {
+            let y_ref = dense.forward_reference(x);
+            close(&y[si * out_dim..][..out_dim], y_ref.data(), "forward")?;
+            let (gin_ref, gp) = dense.backward_reference(x, g);
+            close(&gin[si * in_dim..][..in_dim], gin_ref.data(), "gin")?;
+            want_gw.add_assign(&gp[0]);
+            want_gb.add_assign(&gp[1]);
         }
-        assert!(conv.forward_batch(&[]).is_empty());
+        close(gw.data(), want_gw.data(), "gW")?;
+        close(gb.data(), want_gb.data(), "gb")
     }
 
-    #[test]
-    fn pack_unpack_batch_round_trips() {
-        let mut r = rng();
-        let xs: Vec<Tensor> = (0..4).map(|_| rand_tensor(&[3, 5, 6], &mut r)).collect();
-        let mut packed = vec![0.0f32; 3 * 4 * 5 * 6];
-        pack_batch_into(&xs, &mut packed);
-        for (orig, got) in xs.iter().zip(unpack_planes(&packed, 3, 4, 5, 6)) {
-            assert_eq!(orig, &got, "pack/unpack must round-trip exactly");
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // Kernel sizes, paddings and strides the paper's schedule never
+        // uses (ksize != 3, pad != 1, pad >= ksize, stride 3).
+        #[test]
+        fn packed_conv_matches_naive_on_hostile_geometry(
+            in_ch in 1usize..5,
+            out_ch in 1usize..5,
+            ksize in 1usize..5,
+            stride in 1usize..4,
+            pad in 0usize..3,
+            h in 5usize..11,
+            w in 5usize..11,
+            n in 1usize..7,
+            seed in 0u64..1000,
+        ) {
+            check_packed_conv(in_ch, out_ch, ksize, stride, pad, h, w, n, seed)?;
+        }
+
+        // Widths from 1 (the matvec and rank-1 regimes of `sgemm`) up,
+        // batches that leave ragged GEMM tiles.
+        #[test]
+        fn rows_dense_matches_naive_for_any_width(
+            in_dim in 1usize..81,
+            out_dim in 1usize..81,
+            nb in 1usize..10,
+            seed in 0u64..1000,
+        ) {
+            check_rows_dense(in_dim, out_dim, nb, seed)?;
+        }
+
+        // Fixed slot counts above the pool size still partition rows,
+        // so this drives the multi-span dispatch on any host.
+        #[test]
+        fn batched_kernels_match_naive_under_threaded_gemm(
+            ksize in 1usize..5,
+            stride in 1usize..4,
+            pad in 0usize..3,
+            hw in 5usize..11,
+            n in 1usize..7,
+            width in 1usize..81,
+            seed in 0u64..1000,
+        ) {
+            with_gemm_threading(GemmThreading::Fixed(4), || {
+                check_packed_conv(3, 4, ksize, stride, pad, hw, hw, n, seed)?;
+                check_rows_dense(width, 81 - width, n, seed)
+            })?;
         }
     }
 
@@ -1479,8 +1355,9 @@ mod tests {
             Layer::Conv2d(Conv2d::new(4, 3, 3, 2, &mut r)),
         ]);
         // Conv entry lands in the packed layout; relu/pool keep it; the
-        // next conv consumes it directly; results match sample-wise
-        // runs — for a batch of one exactly as for a batch of five.
+        // next conv consumes it directly; each sample comes back as its
+        // flattened row and matches the per-sample reference walk — for
+        // a batch of one as for a batch of five.
         for n in [1usize, 5] {
             let xs: Vec<Tensor> = (0..n).map(|_| rand_tensor(&[2, 8, 8], &mut r)).collect();
             let mut want = xs.clone();
@@ -1488,38 +1365,20 @@ mod tests {
                 want = want.iter().map(|x| layer.forward(x)).collect();
             }
             let got = walk.forward_batch_until(xs, &|| false).unwrap();
-            assert_eq!(
-                want, got,
-                "packed walk must match per-sample layers exactly"
-            );
-        }
-    }
-
-    #[test]
-    fn dense_batched_forward_matches_single() {
-        let mut r = rng();
-        let d = Dense::new(24, 7, &mut r);
-        let xs: Vec<Tensor> = (0..9).map(|_| rand_tensor(&[24], &mut r)).collect();
-        let batched = d.forward_batch(&xs);
-        assert_eq!(batched.len(), xs.len());
-        for (x, got) in xs.iter().zip(&batched) {
-            assert_close(got, &d.forward(x), "batched dense");
-        }
-        assert!(d.forward_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn layer_forward_batch_maps_elementwise_layers() {
-        let mut r = rng();
-        let xs: Vec<Tensor> = (0..3).map(|_| rand_tensor(&[2, 4, 4], &mut r)).collect();
-        for layer in [
-            Layer::Relu,
-            Layer::MaxPool2d(MaxPool2d { size: 2 }),
-            Layer::Flatten,
-        ] {
-            let batched = layer.forward_batch(&xs);
-            for (x, got) in xs.iter().zip(&batched) {
-                assert_eq!(got, &layer.forward(x));
+            assert_eq!(got.len(), n);
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.shape(), &[w.len()]);
+                close(g.data(), w.data(), "walk").unwrap();
+            }
+            // Flat samples enter as `[n, dim]` rows.
+            let head = Sequential::new(vec![
+                Layer::Dense(Dense::new(got[0].len(), 5, &mut r)),
+                Layer::Relu,
+                Layer::Dense(Dense::new(5, 2, &mut r)),
+            ]);
+            let rows = head.forward_batch_until(got.clone(), &|| false).unwrap();
+            for (g, x) in rows.iter().zip(&got) {
+                close(g.data(), head.forward_cached(x).1.data(), "head").unwrap();
             }
         }
     }

@@ -9,8 +9,9 @@
 //!   plus im2col/col2im lowering and reusable scratch buffers.
 //! * [`layers`] — Conv2d / MaxPool2d / ReLU / Flatten / Dense with
 //!   hand-derived backward passes (finite-difference-checked in tests);
-//!   convolution and dense evaluate through the GEMM core, with the
-//!   original naive loops kept as `*_reference` pins.
+//!   convolution and dense have two implementations per direction: the
+//!   batched GEMM kernels production runs and the naive per-sample
+//!   `*_reference` loops they are checked against.
 //! * [`network`] — [`network::Sequential`] stacks and the two-part
 //!   [`network::Cnn`] expressing both the late-merging structure
 //!   (Figures 7/10) and the early-merging baseline (Figure 6).
@@ -18,9 +19,9 @@
 //! * [`loss`], [`optimizer`], [`mod@train`] — softmax cross-entropy
 //!   (per-sample and fused batched), SGD with momentum / Adam driven by
 //!   one accumulated gradient set per step, and a mini-batch loop that
-//!   trains through the batched GEMM forward/backward path (with the
-//!   per-sample loop pinned as [`train::train_reference`]) and records
-//!   the loss curves plotted in Figure 11.
+//!   trains through the batched GEMM forward/backward path (checked
+//!   against the per-sample naive loop, [`train::train_reference`]) and
+//!   records the loss curves plotted in Figure 11.
 //! * [`transfer`] — the cross-architecture migration strategies of
 //!   Section 6 (continuous evolvement / top evolvement / from scratch).
 //! * [`serialize`] — versioned, checksummed, atomically-written JSON
@@ -54,8 +55,7 @@ pub use optimizer::{Optimizer, OptimizerKind};
 pub use structures::{build_cnn, describe_structure, CnnConfig, Merging};
 pub use tensor::Tensor;
 pub use train::{
-    evaluate, train, train_reference, train_step, train_step_reference, train_with_hooks,
-    BatchTrainState, DivergenceConfig, RecoveryStats, StepTimeStats, TrainConfig, TrainHooks,
-    TrainReport,
+    evaluate, train, train_reference, train_step, train_with_hooks, BatchTrainState,
+    DivergenceConfig, RecoveryStats, StepTimeStats, TrainConfig, TrainHooks, TrainReport,
 };
 pub use transfer::{migrate, Migration};

@@ -50,119 +50,143 @@ impl Sequential {
     /// only abandoned when no member still wants the answer; callers
     /// without a deadline pass `&|| false`.
     ///
-    /// Image-shaped (`[c, h, w]`) inputs are packed and take
-    /// `Self::forward_packed_until`; flat inputs (the head's merged
-    /// features) run sample-wise from the first layer.
+    /// Image-shaped (`[c, h, w]`) samples are packed into
+    /// `[c, n, h, w]`; flat `[dim]` samples (the head's merged features)
+    /// are one-channel `1 × dim` planes, whose packed layout is the
+    /// `[n, dim]` row matrix. Either way every sample comes back as one
+    /// flat row, so a stack that ends in an image layer returns its
+    /// output flattened to `[c·h·w]`.
     pub fn forward_batch_until(
         &self,
         xs: Vec<Tensor>,
         cancel: &dyn Fn() -> bool,
     ) -> Option<Vec<Tensor>> {
-        match xs.first().map(Tensor::shape) {
-            Some(&[c, h, w]) => self.forward_packed_until(
-                [c, xs.len(), h, w],
-                &|dst| layers::pack_batch_into(&xs, dst),
-                cancel,
-            ),
-            _ => self.forward_tail(0, xs, cancel),
-        }
+        let shape = match xs.first().map(Tensor::shape) {
+            None => return Some(Vec::new()),
+            Some(&[c, h, w]) => [c, xs.len(), h, w],
+            Some(s) => [1, xs.len(), 1, s.iter().product()],
+        };
+        let (rows, dim) =
+            self.forward_packed_until(shape, &|dst| layers::pack_batch_into(&xs, dst), cancel)?;
+        Some(split_rows(&rows, xs.len(), dim))
     }
 
     /// [`Self::forward_batch_until`] from a packed `[c, n, h, w]` input
     /// that `fill` writes straight into the walk's first buffer (plane
     /// `ic * n + si` holds channel `ic` of sample `si`), so a caller
     /// holding the samples in another form never builds per-sample
-    /// `[c, h, w]` tensors first.
+    /// tensors first. Returns the stack output as `[n, dim]` rows and
+    /// `dim`.
     ///
     /// The convolutional prefix runs on the packed block: each
     /// conv/pool/relu layer hands the whole batch along without
-    /// per-sample unpack copies. The walk ping-pongs between two
-    /// recycled scratch buffers (batch-sized activations live above the
+    /// per-sample copies. The walk ping-pongs between two recycled
+    /// scratch buffers (batch-sized activations live above the
     /// allocator's mmap threshold, so fresh allocations would
-    /// page-fault on every layer) and ReLU runs in place. Sample-wise
-    /// processing resumes at the first layer that needs individual
-    /// tensors (`Flatten`).
+    /// page-fault on every layer) and ReLU runs in place. Where the
+    /// prefix ends — at the first `Flatten` or `Dense` — the batch is
+    /// gathered into `[n, c·h·w]` rows, the gather training's repack
+    /// boundary does, and the rest of the stack runs on rows: one GEMM
+    /// per dense layer, ReLU in place, `Flatten` a no-op. A stack that
+    /// starts on `[n, dim]` rows takes them as `[1, n, 1, dim]`, whose
+    /// gather is the identity.
     pub(crate) fn forward_packed_until(
         &self,
-        mut shape: [usize; 4],
+        shape: [usize; 4],
         fill: &dyn Fn(&mut [f32]),
         cancel: &dyn Fn() -> bool,
-    ) -> Option<Vec<Tensor>> {
-        let mut li = 0;
-        let unpacked = gemm::with_scratch(|s| {
+    ) -> Option<(Vec<f32>, usize)> {
+        let n = shape[1];
+        gemm::with_scratch(|s| {
             let mut ping = std::mem::take(&mut s.ping);
             let mut pong = std::mem::take(&mut s.pong);
             fill(layers::ensure_len(&mut ping, shape.iter().product()));
-            let mut cancelled = false;
-            while li < self.layers.len() {
-                if cancel() {
-                    cancelled = true;
-                    break;
-                }
-                let [c, n, h, w] = shape;
-                match &self.layers[li] {
-                    Layer::Conv2d(l) => {
-                        shape = l.forward_packed_into(
-                            &ping[..c * n * h * w],
-                            n,
-                            h,
-                            w,
-                            &mut s.col,
-                            &mut pong,
-                        );
-                        std::mem::swap(&mut ping, &mut pong);
-                    }
-                    Layer::MaxPool2d(l) => {
-                        let (oh, ow) = l.out_hw(h, w);
-                        l.pool_planes(
-                            &ping[..c * n * h * w],
-                            c * n,
-                            h,
-                            w,
-                            layers::ensure_len(&mut pong, c * n * oh * ow),
-                        );
-                        shape = [c, n, oh, ow];
-                        std::mem::swap(&mut ping, &mut pong);
-                    }
-                    Layer::Relu => {
-                        for v in &mut ping[..c * n * h * w] {
-                            *v = if *v < 0.0 { 0.0 } else { *v };
-                        }
-                    }
-                    Layer::Flatten | Layer::Dense(_) => break,
-                }
-                li += 1;
-            }
-            let [c, n, h, w] = shape;
+            let out = self
+                .walk_until(shape, &mut ping, &mut pong, &mut s.col, cancel)
+                .map(|dim| (ping[..n * dim].to_vec(), dim));
             // Scratch goes back even on cancellation, so an
-            // abandoned batch never costs the next one its buffers.
-            let out = if cancelled {
-                None
-            } else {
-                Some(layers::unpack_planes(&ping[..c * n * h * w], c, n, h, w))
-            };
+            // abandoned batch never costs the next one its buffers. The
+            // larger one goes back as `pong`, where the next walk's first
+            // layer writes: otherwise walks with an odd number of
+            // buffer swaps alternate the roles from call to call and
+            // both buffers grow to the largest activation.
+            if ping.capacity() > pong.capacity() {
+                std::mem::swap(&mut ping, &mut pong);
+            }
             s.ping = ping;
             s.pong = pong;
             out
-        })?;
-        self.forward_tail(li, unpacked, cancel)
+        })
     }
 
-    /// Sample-wise remainder of the walk from layer `from`: the head's
-    /// dense stack, and a tower's `Flatten` after its packed prefix.
-    fn forward_tail(
+    /// Body of [`Self::forward_packed_until`] over its scratch buffers:
+    /// returns the output width, with the output rows in `ping`.
+    fn walk_until(
         &self,
-        from: usize,
-        mut cur: Vec<Tensor>,
+        mut shape: [usize; 4],
+        ping: &mut Vec<f32>,
+        pong: &mut Vec<f32>,
+        col: &mut Vec<f32>,
         cancel: &dyn Fn() -> bool,
-    ) -> Option<Vec<Tensor>> {
-        for l in &self.layers[from..] {
+    ) -> Option<usize> {
+        let split = self.batch_split();
+        for layer in &self.layers[..split] {
             if cancel() {
                 return None;
             }
-            cur = l.forward_batch(&cur);
+            let [c, n, h, w] = shape;
+            match layer {
+                Layer::Conv2d(l) => {
+                    shape = l.forward_packed_into(&ping[..c * n * h * w], n, h, w, col, pong);
+                    std::mem::swap(ping, pong);
+                }
+                Layer::MaxPool2d(l) => {
+                    let (oh, ow) = l.out_hw(h, w);
+                    l.pool_planes(
+                        &ping[..c * n * h * w],
+                        c * n,
+                        h,
+                        w,
+                        layers::ensure_len(pong, c * n * oh * ow),
+                    );
+                    shape = [c, n, oh, ow];
+                    std::mem::swap(ping, pong);
+                }
+                Layer::Relu => layers::relu_in_place(&mut ping[..c * n * h * w]),
+                Layer::Flatten | Layer::Dense(_) => {
+                    unreachable!("rows layer inside the packed prefix")
+                }
+            }
         }
-        Some(cur)
+        let [c, n, h, w] = shape;
+        let mut dim = c * h * w;
+        rows_from_packed(
+            &ping[..n * dim],
+            c,
+            n,
+            h * w,
+            layers::ensure_len(pong, n * dim),
+        );
+        std::mem::swap(ping, pong);
+        for layer in &self.layers[split..] {
+            if cancel() {
+                return None;
+            }
+            match layer {
+                Layer::Dense(l) => {
+                    l.forward_rows_into(&ping[..n * dim], n, pong);
+                    std::mem::swap(ping, pong);
+                    dim = l.out_dim;
+                }
+                Layer::Relu => layers::relu_in_place(&mut ping[..n * dim]),
+                Layer::Flatten => {}
+                other => panic!(
+                    "image layer {} after the flatten boundary",
+                    other.describe()
+                ),
+            }
+        }
+        Some(dim)
     }
 
     /// Forward pass that keeps each layer's input for backprop.
@@ -262,19 +286,15 @@ impl Sequential {
         cache.rows.resize_with(count + 1, Vec::new);
         cache.row_dims.resize(count + 1, 0);
         let [c, _, h, w] = cache.packed_shapes[split];
-        let (hw, chw) = (h * w, c * h * w);
+        let chw = c * h * w;
         cache.row_dims[0] = chw;
-        {
-            let (packed, rows) = (&cache.packed, &mut cache.rows);
-            let src = &packed[split][..c * n * hw];
-            let dst = layers::ensure_len(&mut rows[0], n * chw);
-            for si in 0..n {
-                for ic in 0..c {
-                    dst[si * chw + ic * hw..][..hw]
-                        .copy_from_slice(&src[(ic * n + si) * hw..][..hw]);
-                }
-            }
-        }
+        rows_from_packed(
+            &cache.packed[split][..n * chw],
+            c,
+            n,
+            h * w,
+            layers::ensure_len(&mut cache.rows[0], n * chw),
+        );
         self.forward_rows_walk(cache);
     }
 
@@ -804,9 +824,13 @@ impl Cnn {
     /// and dense layer runs a single GEMM per tower (or head) for the
     /// whole batch — this is the path behind [`crate::train::evaluate`],
     /// the selector's prediction and the serving layer, where a single
-    /// request is a batch of one. `cancel` is polled between tower
-    /// layers and head layers (see [`Sequential::forward_batch_until`]):
-    /// `None` once it reports `true`. A serving layer folds several
+    /// request is a batch of one. Each tower ends on `[n, feat]` rows,
+    /// the rows merge into the head's input and the head runs on rows,
+    /// exactly as in [`Self::forward_batch_cached`], so both compute
+    /// bit-identical logits; they are split into per-sample tensors only
+    /// on the way out. `cancel` is polled between tower layers and head
+    /// layers (see [`Sequential::forward_batch_until`]): `None` once it
+    /// reports `true`. A serving layer folds several
     /// requests' deadlines into one predicate (typically "all members
     /// expired"), so the whole batch is abandoned only when nobody is
     /// left waiting.
@@ -821,25 +845,24 @@ impl Cnn {
         let n = batch.len();
         let (h, w) = self.channel_shape;
         let per_tower_c = self.per_tower_channels(batch);
-        let mut feats: Vec<Vec<Tensor>> = vec![Vec::with_capacity(self.towers.len()); n];
+        let mut feats = Vec::with_capacity(self.towers.len());
         for (ti, tower) in self.towers.iter().enumerate() {
-            let outs = tower.forward_packed_until(
+            feats.push(tower.forward_packed_until(
                 [per_tower_c, n, h, w],
                 &|dst| self.pack_tower_input(batch, ti, dst),
                 cancel,
-            )?;
-            for (f, o) in feats.iter_mut().zip(outs) {
-                f.push(o);
-            }
+            )?);
         }
-        let merged: Vec<Tensor> = feats
-            .iter()
-            .map(|fs| {
-                let refs: Vec<&Tensor> = fs.iter().collect();
-                Tensor::concat_flat(&refs)
-            })
-            .collect();
-        self.head.forward_batch_until(merged, cancel)
+        let feat_total = feats.iter().map(|(_, dim)| dim).sum();
+        let (logits, classes) = self.head.forward_packed_until(
+            [1, n, 1, feat_total],
+            &|dst| {
+                let towers = feats.iter().map(|(rows, dim)| (&rows[..], *dim));
+                merge_rows(towers, n, feat_total, dst)
+            },
+            cancel,
+        )?;
+        Some(split_rows(&logits, n, classes))
     }
 
     /// Batched argmax predictions, parallel to `batch`.
@@ -876,25 +899,12 @@ impl Cnn {
             cache.tower_feat.push(tc.out_rows().1);
         }
         let feat_total: usize = cache.tower_feat.iter().sum();
-        {
-            let CnnBatchCache {
-                towers: tcs,
-                head,
-                tower_feat,
-                ..
-            } = cache;
-            let merged = head.input_rows(n, feat_total);
-            let mut off = 0usize;
-            for (tc, &feat) in tcs.iter().zip(tower_feat.iter()) {
-                let (src, dim) = tc.out_rows();
-                debug_assert_eq!(dim, feat);
-                for si in 0..n {
-                    merged[si * feat_total + off..][..feat]
-                        .copy_from_slice(&src[si * dim..][..dim]);
-                }
-                off += feat;
-            }
-        }
+        merge_rows(
+            cache.towers.iter().map(SeqBatchCache::out_rows),
+            n,
+            feat_total,
+            cache.head.input_rows(n, feat_total),
+        );
         self.head.forward_batch_cached_rows(&mut cache.head);
     }
 
@@ -1112,6 +1122,47 @@ impl Cnn {
     }
 }
 
+/// Gathers a packed `[c, n, h, w]` batch (`hw = h * w`) into `[n, c·h·w]`
+/// rows, sample `si`'s channels back to back in row `si`: the boundary
+/// between the two layouts, for the inference walk and the cached
+/// training pass alike (`Sequential::backward_batch` scatters back
+/// through its adjoint).
+fn rows_from_packed(src: &[f32], c: usize, n: usize, hw: usize, dst: &mut [f32]) {
+    let chw = c * hw;
+    for si in 0..n {
+        for ic in 0..c {
+            dst[si * chw + ic * hw..][..hw].copy_from_slice(&src[(ic * n + si) * hw..][..hw]);
+        }
+    }
+}
+
+/// Writes the towers' `[n, dim]` output rows side by side into the
+/// head's `[n, feat_total]` input rows, for inference and the cached
+/// training pass alike.
+fn merge_rows<'a>(
+    towers: impl IntoIterator<Item = (&'a [f32], usize)>,
+    n: usize,
+    feat_total: usize,
+    merged: &mut [f32],
+) {
+    let mut off = 0;
+    for (src, dim) in towers {
+        for si in 0..n {
+            merged[si * feat_total + off..][..dim].copy_from_slice(&src[si * dim..][..dim]);
+        }
+        off += dim;
+    }
+    debug_assert_eq!(off, feat_total);
+}
+
+/// Splits `[n, dim]` rows into `n` per-sample `[dim]` tensors: the
+/// public boundary of the inference walk.
+fn split_rows(rows: &[f32], n: usize, dim: usize) -> Vec<Tensor> {
+    (0..n)
+        .map(|si| Tensor::from_vec(&[dim], rows[si * dim..][..dim].to_vec()))
+        .collect()
+}
+
 /// Index of the largest element (first wins ties).
 pub fn argmax(v: &[f32]) -> usize {
     let mut best = 0;
@@ -1268,52 +1319,56 @@ mod tests {
 
     #[test]
     fn batched_cached_forward_and_backward_match_per_sample() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (towers, channels, seed) in [(2usize, 2usize, 31u64), (1, 2, 32)] {
             let net = tiny_cnn(towers, channels, seed);
             let samples: Vec<Vec<Tensor>> =
-                (0..4).map(|i| sample_channels(channels, 200 + i)).collect();
-            let refs: Vec<&[Tensor]> = samples.iter().map(|s| s.as_slice()).collect();
-            let mut cache = CnnBatchCache::default();
-            net.forward_batch_cached(&refs, &mut cache);
-            assert_eq!(cache.batch_len(), samples.len());
-            let (logits, classes) = cache.logits_rows();
-            assert_eq!(classes, 3);
-            for (si, s) in samples.iter().enumerate() {
-                let want = net.forward(s);
-                for (g, w) in logits[si * classes..][..classes].iter().zip(want.data()) {
-                    assert!((g - w).abs() <= 1e-4 * (1.0 + w.abs()), "{g} vs {w}");
+                (0..5).map(|i| sample_channels(channels, 200 + i)).collect();
+            for n in [1usize, 5] {
+                let batch = &samples[..n];
+                let refs: Vec<&[Tensor]> = batch.iter().map(|s| s.as_slice()).collect();
+                let mut cache = CnnBatchCache::default();
+                net.forward_batch_cached(&refs, &mut cache);
+                assert_eq!(cache.batch_len(), n);
+                let (logits, classes) = cache.logits_rows();
+                assert_eq!(classes, 3);
+                // One forward arithmetic: inference computes the training
+                // pass's logits bit for bit.
+                let inferred = net.forward_batch(&refs);
+                assert_eq!(inferred.len(), n);
+                for (si, got) in inferred.iter().enumerate() {
+                    assert_eq!(bits(got.data()), bits(&logits[si * classes..][..classes]));
                 }
-            }
-            // Batch-summed gradients against the per-sample sum.
-            let glogits: Vec<f32> = (0..samples.len() * classes)
-                .map(|i| (i as f32 * 0.37).sin())
-                .collect();
-            let mut want = net.zero_grads();
-            for (si, s) in samples.iter().enumerate() {
-                let c = net.forward_cached(s);
-                let gl = Tensor::from_vec(&[classes], glogits[si * classes..][..classes].to_vec());
-                want.add_assign(&net.backward(&c, &gl));
-            }
-            let mut got = net.zero_grads();
-            net.backward_batch(&mut cache, &glogits, false, &mut got);
-            for (a, b) in got.flat().iter().zip(want.flat()) {
-                for (x, y) in a.data().iter().zip(b.data()) {
-                    assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()), "{x} vs {y}");
+                // Batch-summed gradients against the per-sample sum.
+                let glogits: Vec<f32> = (0..n * classes).map(|i| (i as f32 * 0.37).sin()).collect();
+                let mut want = net.zero_grads();
+                for (si, s) in batch.iter().enumerate() {
+                    let c = net.forward_cached(s);
+                    let gl =
+                        Tensor::from_vec(&[classes], glogits[si * classes..][..classes].to_vec());
+                    want.add_assign(&net.backward(&c, &gl));
                 }
+                let mut got = net.zero_grads();
+                net.backward_batch(&mut cache, &glogits, false, &mut got);
+                for (a, b) in got.flat().iter().zip(want.flat()) {
+                    for (x, y) in a.data().iter().zip(b.data()) {
+                        assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()), "{x} vs {y}");
+                    }
+                }
+                // Frozen towers: identical head gradients, zeroed tower
+                // gradients (their backward walks are skipped).
+                let mut frozen = net.zero_grads();
+                net.backward_batch(&mut cache, &glogits, true, &mut frozen);
+                for (a, b) in frozen.head.iter().flatten().zip(got.head.iter().flatten()) {
+                    assert_eq!(a, b, "frozen head gradients must be unchanged");
+                }
+                assert!(frozen
+                    .towers
+                    .iter()
+                    .flatten()
+                    .flatten()
+                    .all(|t| t.data().iter().all(|&v| v == 0.0)));
             }
-            // Frozen towers: identical head gradients, zeroed tower
-            // gradients (their backward walks are skipped).
-            let mut frozen = net.zero_grads();
-            net.backward_batch(&mut cache, &glogits, true, &mut frozen);
-            for (a, b) in frozen.head.iter().flatten().zip(got.head.iter().flatten()) {
-                assert_eq!(a, b, "frozen head gradients must be unchanged");
-            }
-            assert!(frozen
-                .towers
-                .iter()
-                .flatten()
-                .flatten()
-                .all(|t| t.data().iter().all(|&v| v == 0.0)));
         }
     }
 

@@ -6,10 +6,11 @@
 //! weight gradients (the batch reduction fused into the GEMM inner
 //! dimension), and a single fused softmax-cross-entropy pass over the
 //! logit rows. The optimiser consumes one accumulated gradient set per
-//! step. [`train_reference`] pins the original per-sample
-//! forward/backward loop — numerically equivalent (losses match within
-//! float tolerance under the same seed) and the baseline the batched
-//! path is benchmarked against.
+//! step. [`train_reference`] is the oracle the batched trainer is
+//! checked against: the per-sample forward/backward loop over the naive
+//! layer kernels, sharing no kernel with the batched path, and
+//! numerically equivalent to it (losses match within float tolerance
+//! under the same seed).
 //!
 //! # Fault tolerance
 //!
@@ -268,31 +269,20 @@ pub fn train_with_hooks(
     )
 }
 
-/// Trains `net` via the pinned per-sample reference path. Slower than
-/// [`train`] but numerically the baseline: under the same config and
-/// seed both paths see identical batches and their loss histories
-/// agree to float tolerance.
+/// Trains `net` via the per-sample reference path over the naive layer
+/// kernels. Slower than [`train`] but numerically the baseline: under
+/// the same config and seed both paths see identical batches and their
+/// loss histories agree to float tolerance.
 ///
 /// # Panics
 /// Panics on terminal failure, like [`train`].
 pub fn train_reference(net: &mut Cnn, samples: &[Sample], cfg: &TrainConfig) -> TrainReport {
-    train_reference_with_hooks(net, samples, cfg, TrainHooks::default())
-        .expect("reference training failed")
-}
-
-/// [`train_reference`] with fault-injection hooks and a typed error.
-pub fn train_reference_with_hooks(
-    net: &mut Cnn,
-    samples: &[Sample],
-    cfg: &TrainConfig,
-    hooks: TrainHooks<'_>,
-) -> Result<TrainReport, NnError> {
     let mut accum = net.zero_grads();
     train_impl(
         net,
         samples,
         cfg,
-        hooks,
+        TrainHooks::default(),
         move |net, samples, batch, opt, guard| {
             let lsum = reference_forward_backward(net, samples, batch, &mut accum);
             let scale = 1.0 / batch.len() as f32;
@@ -307,6 +297,7 @@ pub fn train_reference_with_hooks(
             (loss, admitted)
         },
     )
+    .expect("reference training failed")
 }
 
 /// Per-step gatekeeper between backward and the optimiser: fires the
@@ -699,26 +690,6 @@ fn reference_forward_backward(
         lsum += loss;
     }
     lsum
-}
-
-/// One per-sample reference optimisation step; returns the mean batch
-/// loss *before* the update.
-///
-/// Gradients reduce sequentially into the single preallocated `accum`
-/// set (cleared on entry) — no per-sample gradient sets are kept. The
-/// optimiser folds the batch mean into the update via its `scale`
-/// argument instead of rescaling the accumulator first.
-pub fn train_step_reference(
-    net: &mut Cnn,
-    samples: &[Sample],
-    batch: &[usize],
-    opt: &mut Optimizer,
-    accum: &mut CnnGrads,
-) -> f32 {
-    let lsum = reference_forward_backward(net, samples, batch, accum);
-    let scale = 1.0 / batch.len() as f32;
-    opt.step(net, accum, scale);
-    lsum * scale
 }
 
 /// Inference batch size for [`evaluate`] and [`confusion_matrix`]:

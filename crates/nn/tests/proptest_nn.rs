@@ -4,7 +4,6 @@
 use dnnspmv_nn::layers::{Conv2d, Dense, Layer, MaxPool2d};
 use dnnspmv_nn::loss::{softmax, softmax_cross_entropy};
 use dnnspmv_nn::tensor::Tensor;
-use dnnspmv_nn::{with_gemm_threading, GemmThreading};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -135,121 +134,6 @@ proptest! {
             let out = l.forward(&Tensor::zeros(&shape));
             let expect = l.out_shape(&shape);
             prop_assert_eq!(out.shape(), expect.as_slice());
-        }
-    }
-}
-
-/// Satellite re-run: layer finite-difference gradients hold when every
-/// GEMM inside forward/backward goes through the threaded path. Fixed
-/// thread counts above the pool size still partition work, so this
-/// exercises multi-span dispatch even on a single-core runner.
-#[test]
-fn layer_gradients_hold_under_threaded_gemm() {
-    with_gemm_threading(GemmThreading::Fixed(4), || {
-        let mut rng = StdRng::seed_from_u64(1313);
-        let conv = Layer::Conv2d(Conv2d::new(2, 3, 3, 1, &mut rng));
-        finite_diff_check(&conv, &[2, 8, 8], 1313).unwrap();
-        let dense = Layer::Dense(Dense::new(24, 7, &mut rng));
-        finite_diff_check(&dense, &[24], 14).unwrap();
-        let pool = Layer::MaxPool2d(MaxPool2d { size: 2 });
-        finite_diff_check(&pool, &[2, 8, 8], 15).unwrap();
-    });
-}
-
-/// Random normal tensor for the equivalence tests.
-fn randn(shape: &[usize], rng: &mut StdRng) -> Tensor {
-    use rand_distr::{Distribution, Normal};
-    let d = Normal::new(0.0, 1.0).expect("valid");
-    let vol: usize = shape.iter().product();
-    Tensor::from_vec(shape, (0..vol).map(|_| d.sample(rng) as f32).collect())
-}
-
-fn close(got: &Tensor, want: &Tensor) -> Result<(), TestCaseError> {
-    prop_assert_eq!(got.shape(), want.shape());
-    for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
-        prop_assert!(
-            (g - w).abs() <= 1e-4 * (1.0 + w.abs()),
-            "element {}: {} vs {}",
-            i,
-            g,
-            w
-        );
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    // The GEMM-backed Conv2d forward/backward must agree with the
-    // naive reference loops across random shapes, strides and
-    // paddings (pad is set directly; `new` only produces "same" pads).
-    #[test]
-    fn conv_gemm_equals_naive_for_random_geometry(
-        in_ch in 1usize..4,
-        out_ch in 1usize..5,
-        ksize in 1usize..5,
-        stride in 1usize..4,
-        pad in 0usize..3,
-        h in 5usize..11,
-        w in 5usize..11,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut conv = Conv2d::new(in_ch, out_ch, ksize, stride, &mut rng);
-        conv.pad = pad; // exercise non-"same" paddings too
-        prop_assume!(h + 2 * pad >= ksize && w + 2 * pad >= ksize);
-        let x = randn(&[in_ch, h, w], &mut rng);
-        let fwd = conv.forward(&x);
-        close(&fwd, &conv.forward_reference(&x))?;
-        let gout = randn(fwd.shape(), &mut rng);
-        let (gin, gparams) = conv.backward(&x, &gout);
-        let (gin_ref, gparams_ref) = conv.backward_reference(&x, &gout);
-        close(&gin, &gin_ref)?;
-        close(&gparams[0], &gparams_ref[0])?;
-        close(&gparams[1], &gparams_ref[1])?;
-    }
-
-    // Same pin for Dense: matvec/rank-1 GEMM paths vs naive loops.
-    #[test]
-    fn dense_gemm_equals_naive_for_random_widths(
-        in_dim in 1usize..80,
-        out_dim in 1usize..40,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let dense = Dense::new(in_dim, out_dim, &mut rng);
-        let x = randn(&[in_dim], &mut rng);
-        close(&dense.forward(&x), &dense.forward_reference(&x))?;
-        let gout = randn(&[out_dim], &mut rng);
-        let (gin, gparams) = dense.backward(&x, &gout);
-        let (gin_ref, gparams_ref) = dense.backward_reference(&x, &gout);
-        close(&gin, &gin_ref)?;
-        close(&gparams[0], &gparams_ref[0])?;
-        close(&gparams[1], &gparams_ref[1])?;
-    }
-
-    // Batched inference must agree with per-sample inference for any
-    // batch size, including sizes that leave ragged GEMM tiles.
-    #[test]
-    fn batched_layers_equal_per_sample_forward(
-        in_ch in 1usize..3,
-        out_ch in 1usize..4,
-        stride in 1usize..3,
-        hw in 5usize..9,
-        batch in 1usize..7,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let conv = Conv2d::new(in_ch, out_ch, 3, stride, &mut rng);
-        let xs: Vec<Tensor> = (0..batch).map(|_| randn(&[in_ch, hw, hw], &mut rng)).collect();
-        for (x, got) in xs.iter().zip(conv.forward_batch(&xs)) {
-            close(&got, &conv.forward(x))?;
-        }
-        let dense = Dense::new(in_ch * hw * hw, out_ch + 1, &mut rng);
-        let vs: Vec<Tensor> = (0..batch).map(|_| randn(&[in_ch * hw * hw], &mut rng)).collect();
-        for (v, got) in vs.iter().zip(dense.forward_batch(&vs)) {
-            close(&got, &dense.forward(v))?;
         }
     }
 }
