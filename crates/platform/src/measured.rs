@@ -6,9 +6,13 @@
 //! it to confirm that the model's *winners* usually win for real on the
 //! host — at the cost of being machine-dependent and slow, which is why
 //! the deterministic model drives the main experiments.
+//!
+//! Only formats with a kernel can be timed. CSR5 and merge-path CSR are
+//! names the cost models price; asking this labeller to time one is a
+//! caller bug, so it panics naming the format rather than reporting a
+//! time it never measured.
 
-use crate::PlatformModel;
-use dnnspmv_sparse::{AnyMatrix, CooMatrix, Scalar, SparseFormat, Spmv};
+use dnnspmv_sparse::{AnyMatrix, CooMatrix, Scalar, SparseError, SparseFormat, Spmv};
 use std::time::Instant;
 
 /// One matrix's measurement: per-format median times plus the winner.
@@ -48,6 +52,10 @@ impl Default for MeasuredLabeller {
 impl MeasuredLabeller {
     /// Median SpMV time in seconds for each candidate format
     /// (`f64::INFINITY` for formats the matrix cannot convert to).
+    ///
+    /// # Panics
+    ///
+    /// If a candidate has no kernel ([`SparseError::NoKernel`]).
     pub fn time_formats<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Vec<(SparseFormat, f64)> {
         let x: Vec<S> = (0..matrix.ncols())
             .map(|i| S::from_f64(1.0 + (i % 7) as f64 * 0.125))
@@ -56,8 +64,10 @@ impl MeasuredLabeller {
         self.formats
             .iter()
             .map(|&f| {
-                let Ok(converted) = AnyMatrix::convert(matrix, f) else {
-                    return (f, f64::INFINITY);
+                let converted = match AnyMatrix::convert(matrix, f) {
+                    Ok(converted) => converted,
+                    Err(e @ SparseError::NoKernel { .. }) => panic!("cannot time {f}: {e}"),
+                    Err(_) => return (f, f64::INFINITY),
                 };
                 for _ in 0..self.warmup {
                     converted.spmv(&x, &mut y);
@@ -89,14 +99,6 @@ impl MeasuredLabeller {
     /// The measured-fastest format.
     pub fn best_format<S: Scalar>(&self, matrix: &CooMatrix<S>) -> SparseFormat {
         self.measure(matrix).best
-    }
-
-    /// A labeller matching a platform model's candidate set.
-    pub fn for_platform(platform: &PlatformModel) -> Self {
-        Self {
-            formats: platform.formats().to_vec(),
-            ..Self::default()
-        }
     }
 }
 
@@ -145,18 +147,7 @@ mod tests {
         assert_ne!(best, SparseFormat::Dia);
     }
 
-    #[test]
-    fn for_platform_copies_the_format_set() {
-        let gpu = PlatformModel::nvidia_gpu();
-        let lab = MeasuredLabeller::for_platform(&gpu);
-        assert_eq!(lab.formats, gpu.formats());
-    }
-
-    #[test]
-    fn manycore_labeller_times_the_new_kernels() {
-        // The widened set flows straight through: SELL-C-σ and
-        // merge-path CSR get real (finite, positive) timings like
-        // everything else.
+    fn jittered_rows() -> CooMatrix<f32> {
         let n = 512;
         let mut t = Vec::new();
         for i in 0..n {
@@ -164,20 +155,32 @@ mod tests {
                 t.push((i, (i + k * 17) % n, 1.0f32 + k as f32));
             }
         }
-        let m = CooMatrix::from_triplets(n, n, &t).unwrap();
-        let lab = MeasuredLabeller {
+        CooMatrix::from_triplets(n, n, &t).unwrap()
+    }
+
+    fn labeller_for(formats: &[SparseFormat]) -> MeasuredLabeller {
+        MeasuredLabeller {
+            formats: formats.to_vec(),
             trials: 3,
             warmup: 1,
-            ..MeasuredLabeller::for_platform(&PlatformModel::manycore_cpu())
-        };
-        let times = lab.time_formats(&m);
-        assert_eq!(times.len(), SparseFormat::MANYCORE_SET.len());
-        for f in [SparseFormat::Sell, SparseFormat::MergeCsr] {
-            let (_, t) = times
-                .iter()
-                .find(|(g, _)| *g == f)
-                .expect("widened set carries the new formats");
-            assert!(*t > 0.0 && t.is_finite(), "{f}: {t}");
         }
+    }
+
+    #[test]
+    fn manycore_labeller_times_the_new_kernels() {
+        // SELL-C-σ has a kernel, so it gets a real (finite, positive)
+        // timing like the CPU formats.
+        let times =
+            labeller_for(&[SparseFormat::Csr, SparseFormat::Sell]).time_formats(&jittered_rows());
+        let (_, t) = times[1];
+        assert!(t > 0.0 && t.is_finite(), "SELL: {t}");
+    }
+
+    #[test]
+    #[should_panic(expected = "MCSR")]
+    fn timing_a_name_only_format_panics_naming_it() {
+        // Merge-path CSR is priced by the cost model only: there is no
+        // kernel to time, and a made-up time would be a wrong label.
+        labeller_for(&SparseFormat::MANYCORE_SET).time_formats(&jittered_rows());
     }
 }

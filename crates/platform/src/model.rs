@@ -27,7 +27,6 @@
 use crate::profile::WorkloadProfile;
 use dnnspmv_sparse::dia::DEFAULT_MAX_DIAGS;
 use dnnspmv_sparse::ell::DEFAULT_MAX_WIDTH;
-use dnnspmv_sparse::merge_csr::PARTITIONS_PER_THREAD;
 use dnnspmv_sparse::sell::DEFAULT_CHUNK;
 use dnnspmv_sparse::SparseFormat;
 use serde::{Deserialize, Serialize};
@@ -42,6 +41,9 @@ const PTR_BYTES: f64 = 8.0;
 const LINE_BYTES: f64 = 64.0;
 /// CSR5 tile size used for bookkeeping costs.
 const TILE_NNZ: f64 = 256.0;
+/// Merge-path partitions per core (their O(P) search and carry fixup
+/// are priced per partition).
+const PARTITIONS_PER_THREAD: f64 = 4.0;
 
 /// An execution platform: hardware parameters plus per-format
 /// calibration, and the candidate format set its SpMV library offers.
@@ -326,7 +328,7 @@ impl PlatformModel {
                 (b, slots, 0.5 * per_core_rows)
             }
             SparseFormat::MergeCsr => {
-                let parts = PARTITIONS_PER_THREAD as f64 * self.cores;
+                let parts = PARTITIONS_PER_THREAD * self.cores;
                 let b = nnz * (VAL_BYTES + IDX_BYTES)
                     + (m + 1.0) * PTR_BYTES
                     + parts * 16.0

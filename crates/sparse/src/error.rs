@@ -1,5 +1,6 @@
 //! Error type shared by all sparse-matrix constructors and I/O.
 
+use crate::format::SparseFormat;
 use std::fmt;
 
 /// Errors produced by format constructors, conversions, and I/O.
@@ -21,6 +22,9 @@ pub enum SparseError {
     /// Converting to BSR would materialise more dense blocks than the
     /// fill-ratio cap allows (hostile scatter patterns would OOM).
     TooManyBlocks { nblocks: usize, limit: usize },
+    /// The format is a name the cost models price, with no storage
+    /// type or kernel to convert to (CSR5, merge-path CSR).
+    NoKernel { format: SparseFormat },
     /// Structural invariant violated (sortedness, duplicate entry, ...).
     InvalidStructure(String),
     /// Input/x/y vector length did not match the matrix shape.
@@ -61,6 +65,10 @@ impl fmt::Display for SparseError {
             SparseError::TooManyBlocks { nblocks, limit } => write!(
                 f,
                 "BSR conversion would materialise {nblocks} blocks, above the limit of {limit}"
+            ),
+            SparseError::NoKernel { format } => write!(
+                f,
+                "{format} has no kernel: the cost models price this format by name only"
             ),
             SparseError::InvalidStructure(msg) => write!(f, "invalid structure: {msg}"),
             SparseError::DimensionMismatch {

@@ -3,18 +3,16 @@
 //! The selector pipeline works with format *IDs* (class labels), so this
 //! module provides the enum, the per-platform candidate sets matching
 //! the paper's evaluation (SMATLib on CPU, cuSPARSE + CSR5 on GPU), and
-//! a dispatcher that converts a canonical COO matrix into any chosen
-//! format and runs SpMV on it.
+//! a dispatcher that converts a canonical COO matrix into any format
+//! with a kernel and runs SpMV on it.
 
 use crate::bsr::BsrMatrix;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
-use crate::csr5::Csr5Matrix;
 use crate::dia::DiaMatrix;
 use crate::ell::EllMatrix;
 use crate::error::SparseError;
 use crate::hyb::HybMatrix;
-use crate::merge_csr::MergeCsrMatrix;
 use crate::scalar::Scalar;
 use crate::sell::SellMatrix;
 use crate::spmv::Spmv;
@@ -37,11 +35,15 @@ pub enum SparseFormat {
     Hyb,
     /// Block sparse row (4x4 blocks by default).
     Bsr,
-    /// CSR5-style tiled segmented-sum.
+    /// CSR5 tiled segmented-sum. A name only: the GPU cost model prices
+    /// it, but it has no storage type or kernel here (sequentially it is
+    /// CSR's row scan).
     Csr5,
     /// SELL-C-σ sliced ELLPACK with σ-window row sorting.
     Sell,
-    /// CSR storage with the merge-path load-balanced kernel.
+    /// Merge-path CSR. A name only: the many-core cost model prices it,
+    /// but it has no storage type or kernel here (sequentially it is
+    /// CSR's row scan).
     MergeCsr,
 }
 
@@ -56,7 +58,8 @@ impl SparseFormat {
     ];
 
     /// The GPU candidate set used by the paper's cuSPARSE(+CSR5)
-    /// experiments (Table 3): CSR, ELL, HYB, BSR, CSR5, COO.
+    /// experiments (Table 3): CSR, ELL, HYB, BSR, CSR5, COO. CSR5 is
+    /// priced by the cost model only; it has no kernel.
     pub const GPU_SET: [SparseFormat; 6] = [
         SparseFormat::Csr,
         SparseFormat::Ell,
@@ -67,8 +70,9 @@ impl SparseFormat {
     ];
 
     /// The many-core CPU candidate set: the SMATLib CPU formats plus
-    /// the two wide-machine kernels from the follow-on SpMV literature
-    /// (arXiv:1805.11938) — SELL-C-σ and merge-path CSR.
+    /// the two wide-machine formats from the follow-on SpMV literature
+    /// (arXiv:1805.11938) — SELL-C-σ and merge-path CSR. Merge-path CSR
+    /// is priced by the cost model only; it has no kernel.
     pub const MANYCORE_SET: [SparseFormat; 6] = [
         SparseFormat::Coo,
         SparseFormat::Csr,
@@ -78,9 +82,10 @@ impl SparseFormat {
         SparseFormat::MergeCsr,
     ];
 
-    /// All formats implemented by this crate. New formats are appended
-    /// so existing positional tables (per-format bias, timer slots)
-    /// keep their indices across versions.
+    /// Every format name, including the two without a kernel (CSR5,
+    /// merge-path CSR). New formats are appended so existing positional
+    /// tables (per-format bias, timer slots) keep their indices across
+    /// versions.
     pub const ALL: [SparseFormat; 9] = [
         SparseFormat::Coo,
         SparseFormat::Csr,
@@ -158,12 +163,8 @@ pub enum AnyMatrix<S: Scalar> {
     Hyb(HybMatrix<S>),
     /// Block sparse row.
     Bsr(BsrMatrix<S>),
-    /// CSR5-style tiled.
-    Csr5(Csr5Matrix<S>),
     /// SELL-C-σ sliced ELLPACK.
     Sell(SellMatrix<S>),
-    /// Merge-path CSR.
-    MergeCsr(MergeCsrMatrix<S>),
 }
 
 impl<S: Scalar> AnyMatrix<S> {
@@ -171,7 +172,9 @@ impl<S: Scalar> AnyMatrix<S> {
     ///
     /// DIA, ELL, and BSR conversions can fail when the matrix would blow
     /// their padding limits — the same reason a real autotuner excludes
-    /// those formats for such matrices.
+    /// those formats for such matrices. CSR5 and merge-path CSR always
+    /// fail with [`SparseError::NoKernel`]: the cost models price them,
+    /// but there is nothing to convert to.
     pub fn convert(coo: &CooMatrix<S>, format: SparseFormat) -> Result<Self, SparseError> {
         Ok(match format {
             SparseFormat::Coo => AnyMatrix::Coo(coo.clone()),
@@ -180,9 +183,10 @@ impl<S: Scalar> AnyMatrix<S> {
             SparseFormat::Ell => AnyMatrix::Ell(EllMatrix::from_coo(coo)?),
             SparseFormat::Hyb => AnyMatrix::Hyb(HybMatrix::from_coo(coo)),
             SparseFormat::Bsr => AnyMatrix::Bsr(BsrMatrix::from_coo(coo)?),
-            SparseFormat::Csr5 => AnyMatrix::Csr5(Csr5Matrix::from_coo(coo)),
             SparseFormat::Sell => AnyMatrix::Sell(SellMatrix::from_coo(coo)),
-            SparseFormat::MergeCsr => AnyMatrix::MergeCsr(MergeCsrMatrix::from_coo(coo)),
+            SparseFormat::Csr5 | SparseFormat::MergeCsr => {
+                return Err(SparseError::NoKernel { format })
+            }
         })
     }
 
@@ -195,9 +199,7 @@ impl<S: Scalar> AnyMatrix<S> {
             AnyMatrix::Ell(_) => SparseFormat::Ell,
             AnyMatrix::Hyb(_) => SparseFormat::Hyb,
             AnyMatrix::Bsr(_) => SparseFormat::Bsr,
-            AnyMatrix::Csr5(_) => SparseFormat::Csr5,
             AnyMatrix::Sell(_) => SparseFormat::Sell,
-            AnyMatrix::MergeCsr(_) => SparseFormat::MergeCsr,
         }
     }
 
@@ -215,9 +217,7 @@ impl<S: Scalar> AnyMatrix<S> {
             AnyMatrix::Ell(m) => m.to_coo(),
             AnyMatrix::Hyb(m) => m.to_coo()?,
             AnyMatrix::Bsr(m) => m.to_coo()?,
-            AnyMatrix::Csr5(m) => m.to_coo(),
             AnyMatrix::Sell(m) => m.to_coo()?,
-            AnyMatrix::MergeCsr(m) => m.to_coo()?,
         })
     }
 
@@ -229,9 +229,7 @@ impl<S: Scalar> AnyMatrix<S> {
             AnyMatrix::Ell(m) => m,
             AnyMatrix::Hyb(m) => m,
             AnyMatrix::Bsr(m) => m,
-            AnyMatrix::Csr5(m) => m,
             AnyMatrix::Sell(m) => m,
-            AnyMatrix::MergeCsr(m) => m,
         }
     }
 }
@@ -311,11 +309,24 @@ mod tests {
         assert_eq!(SparseFormat::MergeCsr.label_in(&SparseFormat::ALL), Some(8));
     }
 
+    /// Converts `coo` to `f`, asserting that exactly the formats the
+    /// cost models price by name only have no kernel.
+    fn convert_unless_name_only(coo: &CooMatrix<f64>, f: SparseFormat) -> Option<AnyMatrix<f64>> {
+        let got = AnyMatrix::convert(coo, f);
+        if matches!(f, SparseFormat::Csr5 | SparseFormat::MergeCsr) {
+            assert_eq!(got, Err(SparseError::NoKernel { format: f }));
+            return None;
+        }
+        Some(got.unwrap_or_else(|e| panic!("format {f}: {e}")))
+    }
+
     #[test]
     fn convert_round_trips_every_format() {
         let coo = sample();
         for f in SparseFormat::ALL {
-            let any = AnyMatrix::convert(&coo, f).unwrap();
+            let Some(any) = convert_unless_name_only(&coo, f) else {
+                continue;
+            };
             assert_eq!(any.format(), f);
             assert_eq!(any.to_coo().unwrap(), coo, "format {f}");
         }
@@ -327,7 +338,9 @@ mod tests {
         let x = [0.5, -1.0, 2.0, 3.0];
         let want = coo.spmv_alloc(&x);
         for f in SparseFormat::ALL {
-            let any = AnyMatrix::convert(&coo, f).unwrap();
+            let Some(any) = convert_unless_name_only(&coo, f) else {
+                continue;
+            };
             let got = any.spmv_alloc(&x);
             for (a, b) in got.iter().zip(&want) {
                 assert!(a.approx_eq(*b, 1e-12), "format {f}: {a} vs {b}");

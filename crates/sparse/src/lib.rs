@@ -1,13 +1,20 @@
 //! Sparse matrix storage formats and SpMV kernels.
 //!
 //! This crate is the kernel substrate of the `dnnspmv` workspace: it
-//! implements, from scratch, every storage format the paper's evaluation
-//! touches — COO, CSR, DIA and ELL on the CPU side (the SMATLib set) and
-//! HYB, BSR and a CSR5-style tiled format on the GPU side (the cuSPARSE
-//! set) — plus the two many-core formats from the follow-on literature,
-//! SELL-C-σ and merge-path CSR (arXiv:1805.11938) — together with one
+//! implements, from scratch, the storage formats the paper's evaluation
+//! runs — COO, CSR, DIA and ELL on the CPU side (the SMATLib set), HYB
+//! and BSR from the GPU side (the cuSPARSE set), and SELL-C-σ from the
+//! follow-on many-core literature (arXiv:1805.11938) — together with one
 //! sparse matrix–vector multiplication (SpMV) kernel per format, format
 //! conversions, single-pass structural statistics, and MatrixMarket I/O.
+//!
+//! CSR5 (GPU set) and merge-path CSR (many-core set) are names only:
+//! they stay [`SparseFormat`] variants so the cost models can price them
+//! and label indices stay stable, but they have no storage type and no
+//! kernel. Sequentially both are CSR's row scan, and their parallel
+//! difference (splitting a row across tasks) is exactly what a
+//! bit-identical parallel SpMV forbids. [`AnyMatrix::convert`] returns
+//! [`SparseError::NoKernel`] for them.
 //!
 //! # Canonical representation
 //!
@@ -39,7 +46,6 @@
 pub mod bsr;
 pub mod coo;
 pub mod csr;
-pub mod csr5;
 pub mod dense;
 pub mod dia;
 pub mod ell;
@@ -47,7 +53,6 @@ pub mod error;
 pub mod format;
 pub mod hyb;
 pub mod io;
-pub mod merge_csr;
 pub mod scalar;
 pub mod sell;
 pub mod spmv;
@@ -56,14 +61,12 @@ pub mod stats;
 pub use bsr::BsrMatrix;
 pub use coo::{CooBuilder, CooMatrix};
 pub use csr::CsrMatrix;
-pub use csr5::Csr5Matrix;
 pub use dense::DenseMatrix;
 pub use dia::DiaMatrix;
 pub use ell::EllMatrix;
 pub use error::SparseError;
 pub use format::{AnyMatrix, SparseFormat};
 pub use hyb::HybMatrix;
-pub use merge_csr::MergeCsrMatrix;
 pub use scalar::Scalar;
 pub use sell::SellMatrix;
 pub use spmv::Spmv;

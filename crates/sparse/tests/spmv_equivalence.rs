@@ -1,19 +1,15 @@
-//! SpMV equivalence properties for the new kernels: SELL-C-σ across
-//! several (C, σ) parameter pairs and merge-path CSR across several
-//! partition counts, all checked against the scalar CSR reference on
-//! random matrices *and* the adversarial shapes the kernels were
-//! designed around (power-law skew, empty rows, one mega-row).
+//! SpMV equivalence properties for SELL-C-σ across several (C, σ)
+//! parameter pairs, checked against the scalar CSR reference on random
+//! matrices *and* the adversarial shapes the kernel was designed around
+//! (power-law skew, empty rows, one mega-row).
 
-use dnnspmv_sparse::{CooMatrix, CsrMatrix, MergeCsrMatrix, Scalar, SellMatrix, Spmv};
+use dnnspmv_sparse::{CooMatrix, CsrMatrix, Scalar, SellMatrix, Spmv};
 use proptest::prelude::*;
 
 /// (C, σ) pairs covering the interesting regimes: unsorted fast path
 /// (σ=1), window smaller / equal / larger than typical dims, and
 /// chunk heights that do and don't divide the row count.
 const SELL_PARAMS: [(usize, usize); 5] = [(8, 1), (8, 32), (4, 4096), (16, 64), (3, 7)];
-
-/// Partition counts from degenerate to far oversubscribed.
-const PART_COUNTS: [usize; 5] = [1, 2, 5, 16, 200];
 
 /// Strategy: a random sparse matrix with bounded dimensions and nnz.
 fn arb_matrix() -> impl Strategy<Value = CooMatrix<f64>> {
@@ -59,7 +55,7 @@ fn arb_adversarial() -> impl Strategy<Value = CooMatrix<f64>> {
     })
 }
 
-/// The scalar CSR product every kernel must reproduce.
+/// The scalar CSR product SELL must reproduce.
 fn reference(coo: &CooMatrix<f64>, x: &[f64]) -> Vec<f64> {
     CsrMatrix::from_coo(coo).spmv_alloc(x)
 }
@@ -102,34 +98,6 @@ proptest! {
         for (c, sigma) in SELL_PARAMS {
             let sell = SellMatrix::from_coo_with_params(&coo, c, sigma);
             assert_close(&sell.spmv_alloc(&x), &want, &format!("SELL C={c} sigma={sigma}"))?;
-        }
-    }
-
-    #[test]
-    fn merge_csr_matches_csr_on_random_matrices(coo in arb_matrix()) {
-        let x = dense_x(&coo);
-        let want = reference(&coo, &x);
-        let m = MergeCsrMatrix::from_coo(&coo);
-        assert_close(&m.spmv_alloc(&x), &want, "merge")?;
-        let mut y = vec![7.0; coo.nrows()];
-        m.spmv(&x, &mut y);
-        assert_close(&y, &want, "merge dirty y")?;
-        for parts in PART_COUNTS {
-            let mut y = vec![-1.0; coo.nrows()];
-            m.spmv_partitioned(&x, &mut y, parts);
-            assert_close(&y, &want, &format!("merge parts={parts}"))?;
-        }
-    }
-
-    #[test]
-    fn merge_csr_matches_csr_on_adversarial_matrices(coo in arb_adversarial()) {
-        let x = dense_x(&coo);
-        let want = reference(&coo, &x);
-        let m = MergeCsrMatrix::from_coo(&coo);
-        for parts in PART_COUNTS {
-            let mut y = vec![0.0; coo.nrows()];
-            m.spmv_partitioned(&x, &mut y, parts);
-            assert_close(&y, &want, &format!("merge parts={parts}"))?;
         }
     }
 

@@ -11,7 +11,7 @@ use dnnspmv::nn::transfer::Migration;
 use dnnspmv::nn::{checkpoint_path, train_with_hooks, NnError, TrainConfig, TrainHooks};
 use dnnspmv::platform::{label_dataset, label_dataset_noisy, PlatformModel};
 use dnnspmv::repr::{ReprConfig, ReprKind};
-use dnnspmv::sparse::{AnyMatrix, Scalar, SparseFormat, Spmv};
+use dnnspmv::sparse::{AnyMatrix, Scalar, SparseError, SparseFormat, Spmv};
 
 fn small_config() -> SelectorConfig {
     SelectorConfig {
@@ -246,7 +246,9 @@ fn manycore_pipeline_selects_the_new_kernels_end_to_end() {
     // The widened universe flows through every stage: the manycore
     // model labels with SELL-C-σ and merge-path CSR, the CNN trains a
     // 6-class head on those labels, and predictions stay inside the
-    // manycore candidate set and convert to runnable kernels.
+    // manycore candidate set. A predicted format with a kernel runs
+    // as predicted; merge-path CSR is a name the model prices, so it
+    // refuses to convert and `prepare` walks down to a runnable one.
     let data = small_dataset(29);
     let manycore = PlatformModel::manycore_cpu();
     let labels = label_dataset(&data.matrices, &manycore);
@@ -264,17 +266,47 @@ fn manycore_pipeline_selects_the_new_kernels_end_to_end() {
         &small_config(),
     );
     assert_eq!(sel.formats.len(), SparseFormat::MANYCORE_SET.len());
-    for m in data.matrices.iter().take(12) {
-        let f = sel.predict(m);
-        assert!(SparseFormat::MANYCORE_SET.contains(&f));
-        let any = AnyMatrix::convert(m, f).expect("manycore formats always convert");
+    let matches_oracle = |m: &dnnspmv::sparse::CooMatrix<f32>, any: &AnyMatrix<f32>| {
         let x: Vec<f32> = (0..m.ncols()).map(|i| (i % 5) as f32 - 2.0).collect();
         let got = any.spmv_alloc(&x);
         let want = m.spmv_alloc(&x);
         for (a, b) in got.iter().zip(&want) {
-            assert!(a.approx_eq(*b, 1e-3), "format {f}: {a} vs {b}");
+            assert!(a.approx_eq(*b, 1e-3), "format {}: {a} vs {b}", any.format());
         }
+    };
+    for m in data.matrices.iter().take(12) {
+        let f = sel.predict(m);
+        assert!(SparseFormat::MANYCORE_SET.contains(&f));
+        let any = match AnyMatrix::convert(m, f) {
+            Err(SparseError::NoKernel { format }) => {
+                assert_eq!(
+                    format,
+                    SparseFormat::MergeCsr,
+                    "only MCSR lacks a kernel here"
+                );
+                sel.prepare(m)
+            }
+            other => other.expect("manycore formats with a kernel always convert"),
+        };
+        matches_oracle(m, &any);
     }
+
+    // The small head does not rank MCSR first on these matrices, so
+    // swap two class names on a copy to force an MCSR prediction
+    // through `prepare`.
+    let m = &data.matrices[0];
+    let mut forced = sel.clone();
+    let top = sel.predict_label(m);
+    let mcsr = SparseFormat::MergeCsr.label_in(&forced.formats).unwrap();
+    forced.formats.swap(top, mcsr);
+    assert_eq!(forced.predict(m), SparseFormat::MergeCsr);
+    assert_eq!(
+        AnyMatrix::convert(m, SparseFormat::MergeCsr),
+        Err(SparseError::NoKernel {
+            format: SparseFormat::MergeCsr
+        })
+    );
+    matches_oracle(m, &forced.prepare(m));
 }
 
 #[test]
@@ -453,6 +485,11 @@ fn any_matrix_conversion_round_trips_on_generated_data() {
         for f in SparseFormat::ALL {
             match AnyMatrix::convert(m, f) {
                 Ok(stored) => assert_eq!(stored.to_coo().unwrap(), *m, "format {f}"),
+                Err(SparseError::NoKernel { format }) => {
+                    // The two names the cost models price have no kernel.
+                    assert_eq!(format, f);
+                    assert!(matches!(f, SparseFormat::Csr5 | SparseFormat::MergeCsr));
+                }
                 Err(_) => {
                     // Only the padded formats may refuse.
                     assert!(matches!(
