@@ -595,7 +595,9 @@ fn evolve_and_promote(ctx: &EvolveCtx<'_>) {
 }
 
 /// Judges one finished episode against the standing invariants.
-fn check_invariants(run: &EpisodeRun) -> Vec<String> {
+/// `admission_sheds` counts injected admission failures: those requests
+/// are shed before they reach the decision cache.
+fn check_invariants(run: &EpisodeRun, admission_sheds: u64) -> Vec<String> {
     let mut v = run.inline_violations.clone();
     let r = &run.report;
     if r.accounted() != r.submitted {
@@ -615,6 +617,16 @@ fn check_invariants(run: &EpisodeRun) -> Vec<String> {
         v.push(format!(
             "path accounting broken: served {} != cache {} + batched {} + single {}",
             r.served, r.served_cache, r.batched_served, r.single_served
+        ));
+    }
+    let c = &r.cache;
+    let lookups = c.hits + c.misses + c.stale + c.expired + c.audited;
+    if lookups + r.rejected_shutdown + admission_sheds != r.submitted {
+        v.push(format!(
+            "cache lookup accounting broken: hits {} + misses {} + stale {} + expired {} \
+             + audited {} != submitted {} - rejected_shutdown {} - admission sheds \
+             {admission_sheds}",
+            c.hits, c.misses, c.stale, c.expired, c.audited, r.submitted, r.rejected_shutdown
         ));
     }
     if run.worker_lost > 0 {
@@ -691,12 +703,14 @@ fn run_episode(
     let outcome = catch_unwind(AssertUnwindSafe(|| run_episode_body(fixture, cfg, &dir)));
     dnnspmv_chaos::deactivate();
     let stats = dnnspmv_chaos::site_stats();
-    let trace: Vec<String> = dnnspmv_chaos::trace()
+    let fired = dnnspmv_chaos::trace();
+    let admission_sheds = fired
         .iter()
-        .map(|e| e.to_string())
-        .collect();
+        .filter(|e| e.site == sites::SERVE_ADMISSION && e.action == dnnspmv_chaos::Action::Err)
+        .count() as u64;
+    let trace: Vec<String> = fired.iter().map(|e| e.to_string()).collect();
     let (violations, attempts) = match outcome {
-        Ok(run) => (check_invariants(&run), run.attempts),
+        Ok(run) => (check_invariants(&run, admission_sheds), run.attempts),
         Err(panic) => {
             let msg = panic
                 .downcast_ref::<&str>()

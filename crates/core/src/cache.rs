@@ -26,16 +26,21 @@
 //!   That policy lives in the server; the cache stores what it is
 //!   given.
 //!
-//! The fingerprint hashes exact shape and nonzero counts, a
-//! log-bucketed row-length histogram, and a strided sample of
-//! coordinates (exhaustive for `nnz ≤ 2048`). Two structurally
-//! different matrices can in principle collide, in which case the cache
-//! returns a format decision computed for a look-alike — a performance
-//! approximation, never a correctness hazard, exactly like the CNN's
-//! own down-sampled input representations.
+//! The fingerprint reads O(sample) entries, never every nonzero: exact
+//! shape and nonzero count, a strided sample of at most
+//! [`FINGERPRINT_COORD_SAMPLE`] coordinates (exhaustive for
+//! `nnz ≤ 2048`), and the row length at every 32nd sampled position.
+//! Two structurally different matrices that agree on everything sampled
+//! share a key, in which case the cache returns a format decision
+//! computed for a look-alike — a performance approximation, never a
+//! correctness hazard, exactly like the CNN's own down-sampled input
+//! representations. The server checks for such an approximation: it
+//! re-serves each entry's every
+//! [`CACHE_AUDIT_PERIOD`](crate::server::CACHE_AUDIT_PERIOD)th hit
+//! through the miss path and counts whether the fresh decision matched
+//! the cached one.
 
 use crate::service::Selection;
-use dnnspmv_fingerprint::Fnv1a64;
 use dnnspmv_sparse::{CooMatrix, Scalar};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -116,6 +121,8 @@ struct Node {
     generation: u64,
     inserted_at: u64,
     sel: Selection,
+    /// Hits since the fingerprint was inserted (a refresh keeps it).
+    hits: u64,
     prev: usize,
     next: usize,
 }
@@ -209,24 +216,32 @@ impl DecisionCache {
     /// are dropped on sight and reported distinctly so the serving
     /// layer can count them.
     pub fn lookup(&self, fp: u64, generation: u64, now: u64) -> CacheLookup {
+        self.lookup_counted(fp, generation, now).0
+    }
+
+    /// [`DecisionCache::lookup`], plus, on a hit, how many hits the entry
+    /// has served since its fingerprint was inserted, this one included
+    /// (0 otherwise). The server audits by this count.
+    pub(crate) fn lookup_counted(&self, fp: u64, generation: u64, now: u64) -> (CacheLookup, u64) {
         let mut s = self.shard(fp).lock().expect("cache shard lock");
         let Some(&i) = s.map.get(&fp) else {
-            return CacheLookup::Miss;
+            return (CacheLookup::Miss, 0);
         };
         if s.slab[i].generation != generation {
             s.remove(i);
-            return CacheLookup::Stale;
+            return (CacheLookup::Stale, 0);
         }
         if self
             .ttl_ns
             .is_some_and(|ttl| now.saturating_sub(s.slab[i].inserted_at) >= ttl)
         {
             s.remove(i);
-            return CacheLookup::Expired;
+            return (CacheLookup::Expired, 0);
         }
         s.unlink(i);
         s.push_front(i);
-        CacheLookup::Hit(s.slab[i].sel)
+        s.slab[i].hits += 1;
+        (CacheLookup::Hit(s.slab[i].sel), s.slab[i].hits)
     }
 
     /// Inserts (or refreshes) the decision for `fp` produced by model
@@ -255,6 +270,7 @@ impl DecisionCache {
             generation,
             inserted_at: now,
             sel,
+            hits: 0,
             prev: NIL,
             next: NIL,
         };
@@ -310,51 +326,100 @@ impl DecisionCache {
 /// pair is hashed when `nnz` is at or below it.
 pub const FINGERPRINT_COORD_SAMPLE: usize = 2048;
 
-/// Structural fingerprint of a sparse matrix: FNV-1a64 over exact
-/// `(nrows, ncols, nnz)`, a log2-bucketed histogram of nonzero-row
-/// lengths (one O(nnz) run-length pass over the canonically row-major
-/// sorted entries), and a strided sample of `(row, col)` coordinates.
-/// Values are deliberately excluded — every representation the CNN
-/// consumes depends only on the sparsity pattern, so two matrices with
-/// equal structure genuinely warrant the same decision.
+/// Every this-many sampled positions, [`matrix_fingerprint`] also folds
+/// in the length of the row the sampled entry sits in.
+const FINGERPRINT_RUN_EVERY: usize = 32;
+
+/// Independent multiply chains the sample is spread over, so the
+/// multiplies of neighbouring samples overlap instead of waiting on
+/// one another.
+const FINGERPRINT_LANES: usize = 4;
+
+/// Odd 64-bit multiplier (the golden-ratio constant): multiplying by it
+/// is a bijection, so a lane step never merges two distinct states.
+const FINGERPRINT_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One lane step: a bijection of the state for a fixed word and of the
+/// word for a fixed state, so one differing word always leaves its lane
+/// different.
+#[inline]
+fn fingerprint_mix(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(FINGERPRINT_MUL).rotate_left(29)
+}
+
+/// The MurmurHash3 64-bit finaliser: a bijective avalanche, so every
+/// key bit depends on every lane bit (shard choice reads low bits).
+#[inline]
+fn fingerprint_finish(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// Length of the run of equal indices through position `p` of the
+/// sorted `rows` — the length of that entry's row. Each end is found by
+/// galloping outward from `p` to bracket it, then one `partition_point`
+/// inside the bracket: O(log run) probes, all near `p`, where two
+/// searches over the whole array would each miss cache O(log nnz) times.
+fn row_run(rows: &[u32], p: usize) -> usize {
+    let r = rows[p];
+    let mut step = 1;
+    while step <= p && rows[p - step] == r {
+        step *= 2;
+    }
+    let lo = p.saturating_sub(step);
+    let start = lo + rows[lo..p].partition_point(|&x| x < r);
+    let mut step = 1;
+    while p + step < rows.len() && rows[p + step] == r {
+        step *= 2;
+    }
+    let end = p + rows[p..(p + step).min(rows.len())].partition_point(|&x| x == r);
+    end - start
+}
+
+/// Structural fingerprint of a sparse matrix, in O(sample) time: exact
+/// `(nrows, ncols, nnz)`, at most [`FINGERPRINT_COORD_SAMPLE`] strided
+/// `(row, col)` pairs (every pair when `nnz` is at or below it), and the
+/// row length at every 32nd sampled position, read off the canonically
+/// row-major sorted row indices with a few probes near the sample. Each
+/// pair is one 64-bit word, mixed into one of four independent
+/// multiply chains. Values are deliberately excluded — every
+/// representation the CNN consumes depends only on the sparsity
+/// pattern, so two matrices with equal structure genuinely warrant the
+/// same decision.
+///
+/// Entries between sampled positions are not read, so two matrices
+/// that agree on everything sampled share a key; the server's hit audit
+/// ([`CACHE_AUDIT_PERIOD`](crate::server::CACHE_AUDIT_PERIOD)) is what
+/// catches such a collision.
 pub fn matrix_fingerprint<S: Scalar>(m: &CooMatrix<S>) -> u64 {
-    let mut h = Fnv1a64::new();
-    h.write_u64(m.nrows() as u64);
-    h.write_u64(m.ncols() as u64);
-    h.write_u64(m.nnz() as u64);
     let rows = m.row_indices();
-    let cols = m.col_indices();
-    // Row-length histogram in 33 log2 buckets (lengths 1..=u32::MAX).
-    // Entries are strictly row-major sorted (the CooMatrix canonical
-    // invariant), so run lengths of equal row indices are row lengths;
-    // empty rows contribute nothing but are captured by nrows + nnz.
-    let mut hist = [0u64; 33];
-    let bucket = |run: u64| (63 - run.leading_zeros()) as usize;
-    if let Some(&first) = rows.first() {
-        let mut prev = first;
-        let mut run = 0u64;
-        for &r in rows {
-            if r == prev {
-                run += 1;
-            } else {
-                hist[bucket(run)] += 1;
-                prev = r;
-                run = 1;
-            }
+    let nnz = rows.len();
+    let cols = &m.col_indices()[..nnz];
+    let stride = nnz.div_ceil(FINGERPRINT_COORD_SAMPLE).max(1);
+    let word = |p: usize| (u64::from(rows[p]) << 32) | u64::from(cols[p]);
+    let mut lane: [u64; FINGERPRINT_LANES] =
+        std::array::from_fn(|i| FINGERPRINT_MUL.wrapping_mul(i as u64 + 1));
+    lane[0] = fingerprint_mix(lane[0], m.nrows() as u64);
+    lane[1] = fingerprint_mix(lane[1], m.ncols() as u64);
+    lane[2] = fingerprint_mix(lane[2], nnz as u64);
+    let mut p = 0;
+    while p + (FINGERPRINT_LANES - 1) * stride < nnz {
+        for (i, h) in lane.iter_mut().enumerate() {
+            *h = fingerprint_mix(*h, word(p + i * stride));
         }
-        hist[bucket(run)] += 1;
+        p += FINGERPRINT_LANES * stride;
     }
-    for b in hist {
-        h.write_u64(b);
+    while p < nnz {
+        lane[0] = fingerprint_mix(lane[0], word(p));
+        p += stride;
     }
-    let stride = rows.len().div_ceil(FINGERPRINT_COORD_SAMPLE).max(1);
-    let mut i = 0;
-    while i < rows.len() {
-        h.write_u32(rows[i]);
-        h.write_u32(cols[i]);
-        i += stride;
+    for p in (0..nnz).step_by(FINGERPRINT_RUN_EVERY * stride) {
+        lane[3] = fingerprint_mix(lane[3], row_run(rows, p) as u64);
     }
-    h.finish()
+    lane.iter().fold(0, |key, &h| fingerprint_finish(key ^ h))
 }
 
 #[cfg(test)]
@@ -395,6 +460,26 @@ mod tests {
         assert_eq!(c.insert(7, 0, 0, s), CacheInsert::Inserted);
         assert_eq!(c.lookup(7, 0, 0), CacheLookup::Hit(s));
         assert_eq!(c.lookup(8, 0, 0), CacheLookup::Miss);
+    }
+
+    /// Hit counts are per entry: a refresh keeps the count, a fresh
+    /// insert after a drop starts it again, and misses count nothing.
+    #[test]
+    fn hit_counts_are_per_entry_and_survive_a_refresh() {
+        let c = small_cache(8, 1, None);
+        let s = sel(SparseFormat::Dia, 0.9);
+        c.insert(1, 0, 0, s);
+        c.insert(2, 0, 0, s);
+        assert_eq!(c.lookup_counted(1, 0, 0), (CacheLookup::Hit(s), 1));
+        assert_eq!(c.lookup_counted(1, 0, 0), (CacheLookup::Hit(s), 2));
+        assert_eq!(c.lookup_counted(2, 0, 0), (CacheLookup::Hit(s), 1));
+        assert_eq!(c.lookup_counted(3, 0, 0), (CacheLookup::Miss, 0));
+        let t = sel(SparseFormat::Csr, 0.8);
+        assert_eq!(c.insert(1, 0, 0, t), CacheInsert::Updated);
+        assert_eq!(c.lookup_counted(1, 0, 0), (CacheLookup::Hit(t), 3));
+        assert_eq!(c.lookup_counted(1, 1, 0), (CacheLookup::Stale, 0));
+        c.insert(1, 1, 0, s);
+        assert_eq!(c.lookup_counted(1, 1, 0), (CacheLookup::Hit(s), 1));
     }
 
     #[test]
@@ -483,14 +568,35 @@ mod tests {
         let t: Vec<_> = (0..64).map(|i| (i, 63 - i, 1.0f32)).collect();
         let e = CooMatrix::from_triplets(64, 64, &t).unwrap();
         assert_ne!(matrix_fingerprint(&a), matrix_fingerprint(&e));
+        // A row-length change at a sampled position: past 2048 nonzeros
+        // only even positions are sampled, and these two agree on every
+        // one of them — only row 0 (a run-sampled position) has a
+        // different length, because the unsampled entry at position 1
+        // moved from row 0 to row 1.
+        let n = 3000;
+        let head = |second: (usize, usize)| {
+            let mut t = vec![(0, 0, 1.0f32), (second.0, second.1, 1.0), (1, 3, 1.0)];
+            t.extend((2..n).map(|i| (i, i, 1.0)));
+            CooMatrix::from_triplets(n, n, &t).unwrap()
+        };
+        let (f, g) = (head((0, 5)), head((1, 1)));
+        assert_eq!(f.nnz().div_ceil(FINGERPRINT_COORD_SAMPLE), 2, "stride 2");
+        for p in (0..f.nnz()).step_by(2) {
+            assert_eq!(f.row_indices()[p], g.row_indices()[p]);
+            assert_eq!(f.col_indices()[p], g.col_indices()[p]);
+        }
+        assert_ne!(matrix_fingerprint(&f), matrix_fingerprint(&g));
     }
 
     /// Digest-stability pin: the fingerprint keys persisted across
     /// serving sessions (and asserted against in benchmarks), so a
-    /// refactor that changes it must be deliberate.
+    /// refactor that changes it must be deliberate. The second matrix
+    /// is past the sample size, so the stride, the lane tail and the
+    /// row-run samples are all pinned too.
     #[test]
     fn fingerprint_digest_is_stable() {
-        assert_eq!(matrix_fingerprint(&diag(8)), 0xecac_26c7_09bd_cde5);
+        assert_eq!(matrix_fingerprint(&diag(8)), 0x3951_5c3a_b0bb_0695);
+        assert_eq!(matrix_fingerprint(&diag(5001)), 0x88de_4628_0f2e_742c);
     }
 
     /// Reference model for one shard's LRU: a Vec in recency order.
@@ -539,6 +645,23 @@ mod tests {
     }
 
     proptest! {
+        /// The galloping run search agrees with a linear scan at every
+        /// position of arbitrary sorted row arrays.
+        #[test]
+        fn row_run_matches_a_linear_scan(
+            lens in proptest::collection::vec(1usize..40, 1..30),
+        ) {
+            let rows: Vec<u32> = lens
+                .iter()
+                .enumerate()
+                .flat_map(|(r, &len)| std::iter::repeat_n(r as u32, len))
+                .collect();
+            for p in 0..rows.len() {
+                let len = rows.iter().filter(|&&r| r == rows[p]).count();
+                prop_assert_eq!(row_run(&rows, p), len);
+            }
+        }
+
         /// A single-shard cache behaves exactly like the obvious
         /// Vec-based LRU model under arbitrary interleavings of
         /// lookups, inserts, generation bumps and clock advances.

@@ -49,7 +49,7 @@ pub use selector::{FormatSelector, SelectorConfig};
 pub use server::{
     load_selector_with_retry, system_clock, BreakerConfig, BreakerSnapshot, BreakerState, ClockFn,
     PendingSelection, SelectorServer, ServeCacheReport, ServeError, ServeHooks, ServeTap,
-    ServerConfig, ServerReport,
+    ServerConfig, ServerReport, CACHE_AUDIT_PERIOD,
 };
 pub use service::{
     CnnFault, CnnRungOutcome, GuardedSelection, SelectGuard, Selection, SelectionSource,

@@ -58,6 +58,17 @@ use std::time::Duration;
 
 pub use dnnspmv_obs::{system_clock, ClockFn};
 
+/// Every this-many hits on one cache entry, the hit is re-served through
+/// the miss path instead: a worker recomputes the decision, counts
+/// whether it matches the cached one (`serve_cache_audit_total`) and
+/// refreshes the entry. The fingerprint reads only a sample of the
+/// matrix, so this audit is what catches a key collision serving a
+/// look-alike's decision. The count is per entry, so skewed traffic
+/// cannot starve an entry of audits, and the period is prime, so look-
+/// alikes that arrive in a fixed cycle do not leave the audit on one of
+/// them unless the cycle length is a multiple of the period.
+pub const CACHE_AUDIT_PERIOD: u64 = 31;
+
 /// Circuit-breaker tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct BreakerConfig {
@@ -420,6 +431,9 @@ struct ServerMetrics {
     cache_miss: Counter,
     cache_stale: Counter,
     cache_expired: Counter,
+    cache_audit: Counter,
+    audit_match: Counter,
+    audit_mismatch: Counter,
     cache_inserted: Counter,
     cache_updated: Counter,
     cache_evicted: Counter,
@@ -445,6 +459,7 @@ impl ServerMetrics {
         let path = |p: &str| registry.counter("serve_path_total", &[("path", p)]);
         let lookup = |r: &str| registry.counter("serve_cache_lookup_total", &[("result", r)]);
         let store = |r: &str| registry.counter("serve_cache_store_total", &[("result", r)]);
+        let audit = |r: &str| registry.counter("serve_cache_audit_total", &[("result", r)]);
         Self {
             submitted: registry.counter("serve_submitted_total", &[]),
             shed: outcome("shed"),
@@ -459,6 +474,9 @@ impl ServerMetrics {
             cache_miss: lookup("miss"),
             cache_stale: lookup("stale"),
             cache_expired: lookup("expired"),
+            cache_audit: lookup("audit"),
+            audit_match: audit("match"),
+            audit_mismatch: audit("mismatch"),
             cache_inserted: store("inserted"),
             cache_updated: store("updated"),
             cache_evicted: store("evicted"),
@@ -495,6 +513,13 @@ pub struct ServeCacheReport {
     pub stale: u64,
     /// Lookups that found an entry past its TTL (dropped on sight).
     pub expired: u64,
+    /// Hits demoted to the miss path as an audit (an entry's every
+    /// [`CACHE_AUDIT_PERIOD`]th hit) and queued; not counted in `hits`.
+    /// An audit that finds the queue full is served as a hit instead.
+    pub audited: u64,
+    /// Audits whose fresh CNN decision chose a different format than
+    /// the cached one under the same model generation.
+    pub audit_mismatches: u64,
     /// Entries inserted (fresh key).
     pub inserted: u64,
     /// Entries refreshed in place (key already present).
@@ -513,6 +538,13 @@ pub struct ServeCacheReport {
 /// bucket, none lost, none double-counted. A second, path-level
 /// invariant refines `served`: `served == cache.hits + batched_served +
 /// single_served` — every answer travelled exactly one hot-path route.
+/// With the cache on, every admitted submission looks it up exactly
+/// once: `cache.hits + misses + stale + expired + audited == submitted
+/// − rejected_shutdown` (an injected admission failure also skips it).
+/// An audit never fails or degrades: when it misses its deadline or the
+/// CNN does not answer it, the worker replies with the cached CNN
+/// answer, counted in `served_cnn` although its own ladder pass (if any)
+/// counted a degraded rung in `ladder`.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServerReport {
     /// Requests that entered `submit` at all.
@@ -601,6 +633,10 @@ struct Job<S: Scalar> {
     /// Structural fingerprint computed at admission (only when the
     /// cache is enabled); the worker stores CNN answers under it.
     fp: Option<u64>,
+    /// For a hit demoted to an audit: the model generation it was
+    /// cached under and the cached selection the worker's fresh answer
+    /// is checked against.
+    audit: Option<(u64, Selection)>,
     reply: mpsc::Sender<Result<Selection, ServeError>>,
 }
 
@@ -710,8 +746,13 @@ impl<S: Scalar> Inner<S> {
                 .queue_wait_ns
                 .record(now.saturating_sub(job.enqueued_at));
             if job.deadline.is_some_and(|d| now >= d) {
-                self.metrics.deadline_in_queue.inc();
-                results[i] = Some(Err(ServeError::DeadlineExceeded));
+                results[i] = Some(match job.audit {
+                    Some((cached_in, cached)) => Ok(self.answer(job, cached, cached_in, path)),
+                    None => {
+                        self.metrics.deadline_in_queue.inc();
+                        Err(ServeError::DeadlineExceeded)
+                    }
+                });
                 continue;
             }
             let gate = if has_cnn {
@@ -773,20 +814,28 @@ impl<S: Scalar> Inner<S> {
             self.metrics
                 .handle_ns
                 .record((self.clock)().saturating_sub(now));
-            results[i] = Some(match out.selection {
-                Some(sel) => {
-                    let c = match sel.source {
-                        SelectionSource::Cnn => &self.metrics.served_cnn,
-                        SelectionSource::Tree => &self.metrics.served_tree,
-                        SelectionSource::Default => &self.metrics.served_default,
-                    };
-                    c.inc();
-                    path.inc();
-                    self.cache_store(jobs[i].fp, generation.number, out.cnn, &sel);
-                    self.tap_observe(&jobs[i].matrix, &sel, generation.number);
-                    Ok(sel)
+            let job = &jobs[i];
+            results[i] = Some(match (out.selection, job.audit) {
+                // An audit the CNN did not answer ends as the hit it was.
+                (_, Some((cached_in, cached))) if out.cnn != CnnRungOutcome::Answered => {
+                    Ok(self.answer(job, cached, cached_in, path))
                 }
-                None => {
+                (Some(sel), audit) => {
+                    // Only a fresh CNN answer from the model that made
+                    // the cached one can confirm or refute it.
+                    if let Some((cached_in, cached)) = audit {
+                        if cached_in == generation.number {
+                            if sel.format == cached.format {
+                                self.metrics.audit_match.inc();
+                            } else {
+                                self.metrics.audit_mismatch.inc();
+                            }
+                        }
+                    }
+                    self.cache_store(job.fp, generation.number, out.cnn, &sel);
+                    Ok(self.answer(job, sel, generation.number, path))
+                }
+                (None, _) => {
                     self.metrics.deadline_in_flight.inc();
                     Err(ServeError::DeadlineExceeded)
                 }
@@ -796,6 +845,20 @@ impl<S: Scalar> Inner<S> {
             .zip(results)
             .map(|(j, r)| (j.reply, r.expect("every batch member resolved")))
             .collect()
+    }
+
+    /// Counts a worker's answer to `job` under its rung and `path`, and
+    /// shows it to the tap.
+    fn answer(&self, job: &Job<S>, sel: Selection, generation: u64, path: &Counter) -> Selection {
+        let c = match sel.source {
+            SelectionSource::Cnn => &self.metrics.served_cnn,
+            SelectionSource::Tree => &self.metrics.served_tree,
+            SelectionSource::Default => &self.metrics.served_default,
+        };
+        c.inc();
+        path.inc();
+        self.tap_observe(&job.matrix, &sel, generation);
+        sel
     }
 
     /// Stores a CNN-answered selection in the decision cache. Tree and
@@ -992,7 +1055,10 @@ impl<S: Scalar> SelectorServer<S> {
     /// when the queue is full. When the decision cache holds a
     /// same-generation answer for the matrix's structural fingerprint,
     /// the request is answered synchronously without queueing at all —
-    /// the hit path is a fingerprint, a sharded lookup, and a clone.
+    /// the hit path is a fingerprint, a sharded lookup, and a clone —
+    /// except an entry's every [`CACHE_AUDIT_PERIOD`]th hit, which is
+    /// queued like a miss so a worker can check the cached answer. An
+    /// audit is never shed: on a full queue it is served as a hit.
     pub fn submit(
         &self,
         matrix: Arc<CooMatrix<S>>,
@@ -1015,6 +1081,7 @@ impl<S: Scalar> SelectorServer<S> {
         }
         let now = (self.inner.clock)();
         let mut fp = None;
+        let mut audit = None;
         if let Some(cache) = &self.inner.cache {
             let key = matrix_fingerprint(matrix.as_ref());
             let generation = self.inner.generation_no.load(Ordering::Acquire);
@@ -1023,29 +1090,25 @@ impl<S: Scalar> SelectorServer<S> {
             #[cfg(feature = "chaos")]
             let looked_up = if dnnspmv_chaos::should_fail(dnnspmv_chaos::sites::SERVE_CACHE_LOOKUP)
             {
-                CacheLookup::Miss
+                (CacheLookup::Miss, 0)
             } else {
-                cache.lookup(key, generation, now)
+                cache.lookup_counted(key, generation, now)
             };
             #[cfg(not(feature = "chaos"))]
-            let looked_up = cache.lookup(key, generation, now);
+            let looked_up = cache.lookup_counted(key, generation, now);
             match looked_up {
-                CacheLookup::Hit(sel) => {
-                    m.served_cache.inc();
-                    m.path_cache.inc();
-                    m.cache_hit_ns
-                        .record((self.inner.clock)().saturating_sub(now));
-                    self.inner.tap_observe(&matrix, &sel, generation);
-                    return Ok(PendingSelection {
-                        state: PendingState::Ready(Box::new(Ok(sel))),
-                    });
+                (CacheLookup::Hit(sel), hits) if !hits.is_multiple_of(CACHE_AUDIT_PERIOD) => {
+                    return Ok(self.serve_hit(&matrix, sel, generation, now));
                 }
-                CacheLookup::Miss => m.cache_miss.inc(),
-                CacheLookup::Stale => {
+                // Audit: queued like a miss (and counted once it is), checked
+                // by the worker.
+                (CacheLookup::Hit(sel), _) => audit = Some((generation, sel)),
+                (CacheLookup::Miss, _) => m.cache_miss.inc(),
+                (CacheLookup::Stale, _) => {
                     m.cache_stale.inc();
                     m.cache_entries.dec();
                 }
-                CacheLookup::Expired => {
+                (CacheLookup::Expired, _) => {
                     m.cache_expired.inc();
                     m.cache_entries.dec();
                 }
@@ -1060,15 +1123,23 @@ impl<S: Scalar> SelectorServer<S> {
             seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
             enqueued_at: now,
             fp,
+            audit,
             reply: tx,
         };
         {
             let mut q = self.inner.queue.lock().expect("queue lock");
             if q.len() >= self.inner.cfg.queue_capacity {
+                drop(q);
+                if let Some((generation, sel)) = job.audit {
+                    return Ok(self.serve_hit(&job.matrix, sel, generation, now));
+                }
                 m.shed.inc();
                 return Err(ServeError::Overloaded {
                     capacity: self.inner.cfg.queue_capacity,
                 });
+            }
+            if job.audit.is_some() {
+                m.cache_audit.inc();
             }
             q.push_back(job);
             m.queue_depth.inc();
@@ -1077,6 +1148,25 @@ impl<S: Scalar> SelectorServer<S> {
         Ok(PendingSelection {
             state: PendingState::Waiting(rx),
         })
+    }
+
+    /// Answers a cache hit at admission, without queueing.
+    fn serve_hit(
+        &self,
+        matrix: &Arc<CooMatrix<S>>,
+        sel: Selection,
+        generation: u64,
+        now: u64,
+    ) -> PendingSelection {
+        let m = &self.inner.metrics;
+        m.served_cache.inc();
+        m.path_cache.inc();
+        m.cache_hit_ns
+            .record((self.inner.clock)().saturating_sub(now));
+        self.inner.tap_observe(matrix, &sel, generation);
+        PendingSelection {
+            state: PendingState::Ready(Box::new(Ok(sel))),
+        }
     }
 
     /// Synchronous convenience: submit with the configured default
@@ -1186,6 +1276,8 @@ impl<S: Scalar> SelectorServer<S> {
                 misses: m.cache_miss.get(),
                 stale: m.cache_stale.get(),
                 expired: m.cache_expired.get(),
+                audited: m.cache_audit.get(),
+                audit_mismatches: m.audit_mismatch.get(),
                 inserted: m.cache_inserted.get(),
                 updated: m.cache_updated.get(),
                 evicted: m.cache_evicted.get(),

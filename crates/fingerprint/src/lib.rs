@@ -1,10 +1,10 @@
-//! FNV-1a 64-bit hashing, shared by the artefact envelopes
-//! (`dnnspmv-nn`) and the serving layer's decision-cache keys
-//! (`dnnspmv-core`).
+//! FNV-1a 64-bit hashing, shared by the artefact envelopes and
+//! checkpoints (`dnnspmv-nn`) and the feedback journal's record frames
+//! (`dnnspmv-feedback`).
 //!
-//! Not cryptographic; catches truncation and bit rot (the envelope
-//! checksum) and disperses structural summaries across cache shards,
-//! which is all its two users need. The digest for a given byte
+//! Not cryptographic; catches truncation and bit rot, which is all its
+//! users need (the decision-cache key in `dnnspmv-core` is a hash of
+//! its own). The digest for a given byte
 //! sequence is **pinned by tests** below: persisted envelopes store
 //! these checksums, so a behavioural change here would invalidate every
 //! artefact ever written.
@@ -23,9 +23,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Streaming FNV-1a64 hasher for callers that fold in several fields
-/// without materialising one contiguous buffer (the decision cache
-/// hashes a matrix's shape, nonzero count, row-length histogram and a
-/// coordinate sample this way).
+/// without materialising one contiguous buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fnv1a64 {
     state: u64,

@@ -9,7 +9,7 @@
 use dnnspmv::core::{
     BreakerConfig, BreakerState, CacheConfig, CnnFault, DtSelector, FormatSelector,
     SelectionSource, SelectorConfig, SelectorServer, SelectorService, ServeError, ServeHooks,
-    ServerConfig,
+    ServerConfig, CACHE_AUDIT_PERIOD,
 };
 use dnnspmv::gen::{Dataset, DatasetSpec};
 use dnnspmv::nn::TrainConfig;
@@ -703,6 +703,230 @@ fn cache_hits_repeat_worker_answers_and_reload_invalidates() {
     );
 }
 
+/// Each entry's every CACHE_AUDIT_PERIOD-th hit is re-served through
+/// the miss path as an audit: repeat submissions of two matrices give
+/// exactly the audits the period predicts, every audit agrees with the
+/// cached answer and refreshes it, and every answer — hit or audit —
+/// equals the uncached one.
+#[test]
+fn periodic_hit_audit_counts_exactly_and_answers_like_a_miss() {
+    let (_, _, data) = fixture();
+    let (_, clock) = fake_clock();
+    let cfg = ServerConfig {
+        workers: 1,
+        cache: CacheConfig::enabled(64),
+        ..ServerConfig::default()
+    };
+    let server = SelectorServer::with_parts(full_service(), cfg, ServeHooks::default(), clock);
+    let uncached = full_service();
+    let repeats = 3 * CACHE_AUDIT_PERIOD + 5;
+    for i in [3, 7] {
+        let m = Arc::new(data.matrices[i].clone());
+        let fresh = uncached.select(m.as_ref());
+        for _ in 0..repeats {
+            let got = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
+            assert_eq!(got, fresh, "matrix {i}");
+        }
+    }
+    let r = server.report();
+    // One miss per matrix, then repeats − 1 hits on its entry.
+    let found = 2 * (repeats - 1);
+    assert_eq!(r.cache.misses, 2);
+    assert_eq!(
+        r.cache.audited,
+        2 * ((repeats - 1) / CACHE_AUDIT_PERIOD),
+        "{r:?}"
+    );
+    assert_eq!(r.cache.audited, 6);
+    assert_eq!(r.cache.hits, found - r.cache.audited);
+    assert_eq!(r.cache.audit_mismatches, 0);
+    let matched = server
+        .metrics_snapshot()
+        .counter("serve_cache_audit_total", &[("result", "match")]);
+    assert_eq!(matched, Some(r.cache.audited));
+    assert_eq!(r.cache.updated, r.cache.audited, "each audit refreshed");
+    // Audits ran the ladder on a worker, like the misses.
+    assert_eq!(r.single_served, r.cache.misses + r.cache.audited);
+    assert_eq!(r.ladder.answered(), r.served - r.served_cache);
+    assert_eq!(r.accounted(), r.submitted);
+    assert!(r.path_accounted(), "{r:?}");
+}
+
+/// Submits `m` `hits` times, each answered from the cache at admission.
+fn hit_times(server: &SelectorServer<f32>, m: &Arc<dnnspmv::sparse::CooMatrix<f32>>, hits: u64) {
+    let before = server.report().served_cache;
+    for _ in 0..hits {
+        server.submit(Arc::clone(m), None).unwrap().wait().unwrap();
+    }
+    assert_eq!(server.report().served_cache, before + hits, "all hits");
+}
+
+/// An audit the CNN cannot answer ends as the hit it was: with the
+/// breaker open it is demoted to the tree, and as a half-open probe the
+/// CNN panics, yet both times the client gets the cached CNN answer —
+/// never a degraded one — and nothing is judged or refreshed.
+#[test]
+fn audit_on_open_breaker_or_cnn_fault_returns_the_cached_answer() {
+    let (_, _, data) = fixture();
+    let (clock_raw, clock) = fake_clock();
+    let panicking = Arc::new(AtomicBool::new(false));
+    let p_h = Arc::clone(&panicking);
+    let hooks = ServeHooks {
+        cnn_fault: Some(Arc::new(move |_seq| {
+            if p_h.load(Ordering::SeqCst) {
+                CnnFault::Panic
+            } else {
+                CnnFault::None
+            }
+        })),
+    };
+    let cfg = ServerConfig {
+        workers: 1,
+        breaker: tight_breaker(),
+        cache: CacheConfig::enabled(64),
+        ..ServerConfig::default()
+    };
+    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
+    let m = Arc::new(data.matrices[0].clone());
+    let cached = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
+    assert_eq!(cached.source, SelectionSource::Cnn);
+    hit_times(&server, &m, CACHE_AUDIT_PERIOD - 1);
+
+    // A panic storm on three misses opens the breaker.
+    panicking.store(true, Ordering::SeqCst);
+    for i in 1..4 {
+        let sel = server.select(&data.matrices[i]).unwrap();
+        assert_eq!(sel.source, SelectionSource::Tree);
+    }
+    assert_eq!(server.report().breaker.state, BreakerState::Open);
+
+    // The audit is demoted past the CNN; the cached answer serves.
+    assert_eq!(server.select(&m).unwrap(), cached);
+    let r = server.report();
+    assert_eq!((r.cache.audited, r.breaker_demoted), (1, 1), "{r:?}");
+
+    // After the backoff the next audit is the half-open probe, and the
+    // CNN still panics: the probe fails, the cached answer serves.
+    hit_times(&server, &m, CACHE_AUDIT_PERIOD - 1);
+    clock_raw.fetch_add(2_000, Ordering::SeqCst);
+    assert_eq!(server.select(&m).unwrap(), cached);
+    let r = server.report();
+    assert_eq!(r.probes_failed, 1, "{r:?}");
+    assert_eq!(r.breaker.state, BreakerState::Open);
+    assert_eq!((r.cache.audited, r.cache.audit_mismatches), (2, 0));
+    let judged = server
+        .metrics_snapshot()
+        .counter("serve_cache_audit_total", &[("result", "match")])
+        .unwrap_or(0);
+    assert_eq!(judged, 0, "no fresh CNN answer, nothing judged");
+    assert_eq!(r.cache.updated, 0, "a degraded answer is never stored");
+    // The client saw CNN answers; the ladder ran the tree for both.
+    assert_eq!((r.served_cnn, r.served_tree), (3, 3), "{r:?}");
+    assert_eq!(r.ladder.tree_ok, 5, "{r:?}");
+    assert_eq!(r.cache.hits, 2 * (CACHE_AUDIT_PERIOD - 1));
+    assert_eq!(r.accounted(), r.submitted);
+    assert!(r.path_accounted(), "{r:?}");
+}
+
+/// An audit that cannot reach a worker in time still returns the cached
+/// answer: on a full queue it is served as a plain hit at admission
+/// (not shed, not counted as an audit), and when its deadline passes
+/// while queued the worker replies with the cached answer instead of
+/// `DeadlineExceeded`.
+#[test]
+fn audit_on_full_queue_or_past_deadline_returns_the_cached_answer() {
+    let (_, _, data) = fixture();
+    let (clock_raw, clock) = fake_clock();
+    // The worker parks inside the CNN-fault hook while `blocking` is set.
+    let blocking = Arc::new(AtomicBool::new(false));
+    let b_h = Arc::clone(&blocking);
+    let (gate_tx, gate_rx) = mpsc::channel::<()>();
+    let (entered_tx, entered_rx) = mpsc::channel::<()>();
+    let gate_rx = Mutex::new(gate_rx);
+    let hooks = ServeHooks {
+        cnn_fault: Some(Arc::new(move |_seq| {
+            if b_h.load(Ordering::SeqCst) {
+                entered_tx.send(()).ok();
+                // Bounded, so a failing assertion cannot leave the worker
+                // parked while the server's drop joins it.
+                let gate = gate_rx.lock().unwrap();
+                gate.recv_timeout(Duration::from_secs(30)).ok();
+            }
+            CnnFault::None
+        })),
+    };
+    let cfg = ServerConfig {
+        workers: 1,
+        queue_capacity: 2,
+        max_batch: 1,
+        cache: CacheConfig::enabled(64),
+        ..ServerConfig::default()
+    };
+    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
+    let m = Arc::new(data.matrices[0].clone());
+    let cached = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
+    // Parks the worker on a miss of matrix `i`, not cached before.
+    let park_worker = |i: usize| {
+        blocking.store(true, Ordering::SeqCst);
+        let p = server
+            .submit(Arc::new(data.matrices[i].clone()), None)
+            .unwrap();
+        entered_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("worker never dequeued");
+        p
+    };
+    let release_worker = || {
+        blocking.store(false, Ordering::SeqCst);
+        gate_tx.send(()).unwrap();
+    };
+
+    // Queue full: the audit is answered at admission.
+    hit_times(&server, &m, CACHE_AUDIT_PERIOD - 1);
+    let mut pending = vec![park_worker(1)];
+    for i in 2..4 {
+        pending.push(
+            server
+                .submit(Arc::new(data.matrices[i].clone()), None)
+                .unwrap(),
+        );
+    }
+    let p = server
+        .submit(Arc::clone(&m), None)
+        .expect("an audit is never shed");
+    let r = server.report();
+    assert_eq!((r.shed, r.cache.audited), (0, 0), "{r:?}");
+    assert_eq!(r.cache.hits, CACHE_AUDIT_PERIOD, "served as a hit");
+    assert_eq!(p.wait().unwrap(), cached);
+    release_worker();
+    for p in pending.drain(..) {
+        p.wait().unwrap();
+    }
+
+    // Past its deadline in the queue: the worker replies with the
+    // cached answer.
+    hit_times(&server, &m, CACHE_AUDIT_PERIOD - 1);
+    let parked = park_worker(4);
+    let p = server
+        .submit(Arc::clone(&m), Some(Duration::from_nanos(10)))
+        .unwrap();
+    assert_eq!(server.report().cache.audited, 1, "the audit is queued");
+    clock_raw.fetch_add(1_000, Ordering::SeqCst);
+    release_worker();
+    parked.wait().unwrap();
+    assert_eq!(p.wait().unwrap(), cached);
+    let r = server.report();
+    assert_eq!(r.deadline_in_queue, 0, "{r:?}");
+    assert_eq!((r.cache.audited, r.cache.audit_mismatches), (1, 0));
+    assert_eq!(
+        r.cache.hits + r.cache.misses + r.cache.audited,
+        r.submitted,
+        "{r:?}"
+    );
+    assert_eq!(r.accounted(), r.submitted);
+    assert!(r.path_accounted(), "{r:?}");
+}
+
 /// Tentpole stage B: a partial micro-batch is held open for exactly
 /// `max_batch_wait` of *injected* time (the worker polls the fake
 /// clock, so a frozen clock holds the gather window open indefinitely),
@@ -987,11 +1211,19 @@ fn rayon_stress_with_cache_and_batching_accounts_exactly() {
     assert_eq!(r.served_cnn, r.ladder.cnn_ok);
     assert_eq!(r.served_tree, r.ladder.tree_ok);
     // Lookup accounting: every submission consulted the cache exactly
-    // once (shed requests look up before hitting the full queue).
+    // once (shed requests look up before hitting the full queue), even
+    // with eight clients racing for the entries' hit counts. An entry
+    // audits one hit in CACHE_AUDIT_PERIOD, and an audit that finds the
+    // queue full is served as a hit, so the audits are at most that.
     assert_eq!(
-        r.cache.hits + r.cache.misses + r.cache.stale + r.cache.expired,
+        r.cache.hits + r.cache.misses + r.cache.stale + r.cache.expired + r.cache.audited,
         r.submitted
     );
+    assert!(
+        r.cache.audited <= (r.cache.hits + r.cache.audited) / CACHE_AUDIT_PERIOD,
+        "{r:?}"
+    );
+    assert_eq!(r.cache.audit_mismatches, 0, "{r:?}");
     let snap = server.metrics_snapshot();
     assert_eq!(snap.gauge("serve_queue_depth", &[]), Some(0));
     assert_eq!(snap.gauge("serve_in_flight", &[]), Some(0));
