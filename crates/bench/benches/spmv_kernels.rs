@@ -6,6 +6,12 @@
 //! the host too (banded -> DIA, uniform-row -> ELL, scattered -> CSR,
 //! hypersparse -> COO). Criterion prints per-format times; compare
 //! with `repro table1`'s model rankings.
+//!
+//! Each family runs at edge 1024 (L1/L2-resident), and four run again
+//! past L2 at about a million nonzeros, the size of perfbench's
+//! `solver_large` matrices: banded, scattered, power-law, and a
+//! hypersparse matrix of a million rows, nearly all of them empty
+//! (~67 k nonzeros: the row scan, not the nonzeros, is its cost).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dnnspmv_gen::{generate, MatrixClass};
@@ -14,15 +20,20 @@ use std::hint::black_box;
 
 fn bench_formats(c: &mut Criterion) {
     let cases = [
-        (MatrixClass::Banded, "banded"),
-        (MatrixClass::UniformRows, "uniform_rows"),
-        (MatrixClass::Random, "scattered"),
-        (MatrixClass::PowerLaw, "power_law"),
-        (MatrixClass::Block, "blocked"),
-        (MatrixClass::Hypersparse, "hypersparse"),
+        (MatrixClass::Banded, "banded", 1024),
+        (MatrixClass::Stencil, "stencil", 1024),
+        (MatrixClass::UniformRows, "uniform_rows", 1024),
+        (MatrixClass::Random, "scattered", 1024),
+        (MatrixClass::PowerLaw, "power_law", 1024),
+        (MatrixClass::Block, "blocked", 1024),
+        (MatrixClass::Hypersparse, "hypersparse", 1024),
+        (MatrixClass::Banded, "banded_1m", 200_000),
+        (MatrixClass::Random, "scattered_1m", 120_000),
+        (MatrixClass::PowerLaw, "power_law_1m", 200_000),
+        (MatrixClass::Hypersparse, "hypersparse_1m", 1_000_000),
     ];
-    for (class, name) in cases {
-        let coo = generate(class, 1024, 42);
+    for (class, name, dim) in cases {
+        let coo = generate(class, dim, 42);
         let x: Vec<f32> = (0..coo.ncols())
             .map(|i| 1.0 + (i % 7) as f32 * 0.1)
             .collect();

@@ -205,10 +205,16 @@ fn fixture(tag: &str, cfg: &ClosedLoopConfig) -> Fixture {
 
 /// What the sampling tap costs a served request: `(untapped, tapped)`
 /// sequential p50 in microseconds over `cfg`'s fixture, an identical
-/// model served with and without the tap. Best-of-3 per side so one
-/// scheduler hiccup cannot decide the ratio; the first (untimed) pass
-/// warms the decision caches so both sides measure the steady hot
-/// path. Wall-clock, so only meaningful on an optimised build.
+/// model served with and without the tap. One untimed pass per server
+/// warms the decision caches, so both sides measure the steady hot
+/// path. Each timed pass then serves every matrix on both servers back
+/// to back, alternating which goes first: the sampler's worker
+/// re-times and journals every 8th request in the background, longer
+/// than a whole pass takes, and on a host with two vCPUs it slows
+/// whichever request runs beside it, so both sides must run beside it
+/// equally for the ratio to measure the serve path. Best-of-3 passes
+/// per side so one scheduler hiccup cannot decide the ratio.
+/// Wall-clock, so only meaningful on an optimised build.
 pub fn overhead_probe(cfg: &ClosedLoopConfig) -> (f64, f64) {
     let fx = fixture("tap-overhead", cfg);
     let plain = build_server(&fx.incumbent);
@@ -225,25 +231,33 @@ pub fn overhead_probe(cfg: &ClosedLoopConfig) -> (f64, f64) {
         Arc::new(ModelTimer::new(fx.platform.clone())),
         8,
     );
-    let side = |server: &SelectorServer<f32>| -> f64 {
-        serve_phase(server, &fx.matrices, 1); // warm the cache
-        let mut ns: Vec<u128> = fx
-            .matrices
-            .iter()
-            .map(|m| {
-                let t0 = Instant::now();
-                server.select(m).expect("probe serve");
-                t0.elapsed().as_nanos()
-            })
-            .collect();
+    serve_phase(&plain, &fx.matrices, 1);
+    serve_phase(&tapped, &fx.matrices, 1);
+    let time = |server: &SelectorServer<f32>, m: &CooMatrix<f32>| {
+        let t0 = Instant::now();
+        server.select(m).expect("probe serve");
+        t0.elapsed().as_nanos()
+    };
+    let p50_us = |mut ns: Vec<u128>| {
         ns.sort_unstable();
         ns[ns.len() / 2] as f64 / 1e3
     };
     let mut plain_p50 = f64::MAX;
     let mut tapped_p50 = f64::MAX;
     for _ in 0..3 {
-        plain_p50 = plain_p50.min(side(&plain));
-        tapped_p50 = tapped_p50.min(side(&tapped));
+        let n = fx.matrices.len();
+        let (mut plain_ns, mut tapped_ns) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (i, m) in fx.matrices.iter().enumerate() {
+            if i % 2 == 0 {
+                plain_ns.push(time(&plain, m));
+                tapped_ns.push(time(&tapped, m));
+            } else {
+                tapped_ns.push(time(&tapped, m));
+                plain_ns.push(time(&plain, m));
+            }
+        }
+        plain_p50 = plain_p50.min(p50_us(plain_ns));
+        tapped_p50 = tapped_p50.min(p50_us(tapped_ns));
     }
     (plain_p50, tapped_p50)
 }

@@ -85,16 +85,6 @@ impl<S: Scalar> CsrMatrix<S> {
             + self.cols.len() * 4
             + self.vals.len() * S::BYTES
     }
-
-    #[inline]
-    fn row_dot(&self, r: usize, x: &[S]) -> S {
-        let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-        let mut acc = S::ZERO;
-        for i in lo..hi {
-            acc += self.vals[i] * x[self.cols[i] as usize];
-        }
-        acc
-    }
 }
 
 impl<S: Scalar> Spmv<S> for CsrMatrix<S> {
@@ -109,8 +99,25 @@ impl<S: Scalar> Spmv<S> for CsrMatrix<S> {
     fn spmv(&self, x: &[S], y: &mut [S]) {
         assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        for (r, out) in y.iter_mut().enumerate() {
-            *out = self.row_dot(r, x);
+        assert_eq!(
+            self.row_ptr.len(),
+            self.nrows + 1,
+            "row_ptr must cover every row"
+        );
+        // Each row is sliced once and its (col, val) pairs zipped, so
+        // the `x` gather is the only per-nonzero bounds check. An empty
+        // row skips the loop: a hypersparse matrix is mostly those.
+        for (out, w) in y.iter_mut().zip(self.row_ptr.windows(2)) {
+            let (lo, hi) = (w[0], w[1]);
+            if lo == hi {
+                *out = S::ZERO;
+                continue;
+            }
+            let mut acc = S::ZERO;
+            for (v, c) in self.vals[lo..hi].iter().zip(&self.cols[lo..hi]) {
+                acc += *v * x[*c as usize];
+            }
+            *out = acc;
         }
     }
 }

@@ -112,16 +112,6 @@ impl<S: Scalar> EllMatrix<S> {
     pub fn storage_bytes(&self) -> usize {
         self.cols.len() * 4 + self.vals.len() * S::BYTES
     }
-
-    #[inline]
-    fn row_dot(&self, r: usize, x: &[S]) -> S {
-        let base = r * self.width;
-        let mut acc = S::ZERO;
-        for k in 0..self.width {
-            acc += self.vals[base + k] * x[self.cols[base + k] as usize];
-        }
-        acc
-    }
 }
 
 impl<S: Scalar> Spmv<S> for EllMatrix<S> {
@@ -136,9 +126,37 @@ impl<S: Scalar> Spmv<S> for EllMatrix<S> {
     fn spmv(&self, x: &[S], y: &mut [S]) {
         assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        for (r, out) in y.iter_mut().enumerate() {
-            *out = self.row_dot(r, x);
+        padded_rows_spmv(self.width, &self.cols, &self.vals, x, y);
+    }
+}
+
+/// `y = A x` over row-major padded rows of `width` slots (ELL, and
+/// HYB's ELL section). Each row is one `chunks_exact` slice of (col,
+/// val) pairs zipped, padding included, so the `x` gather is the only
+/// per-slot bounds check. At width 0 every row is empty (and a zero
+/// chunk size would panic).
+pub(crate) fn padded_rows_spmv<S: Scalar>(
+    width: usize,
+    cols: &[u32],
+    vals: &[S],
+    x: &[S],
+    y: &mut [S],
+) {
+    if width == 0 {
+        y.fill(S::ZERO);
+        return;
+    }
+    assert!(
+        cols.len() == y.len() * width && vals.len() == y.len() * width,
+        "padded storage must cover every row"
+    );
+    let rows = cols.chunks_exact(width).zip(vals.chunks_exact(width));
+    for (out, (row_cols, row_vals)) in y.iter_mut().zip(rows) {
+        let mut acc = S::ZERO;
+        for (v, c) in row_vals.iter().zip(row_cols) {
+            acc += *v * x[*c as usize];
         }
+        *out = acc;
     }
 }
 

@@ -7,6 +7,7 @@
 //! a mostly-uniform row-length distribution plus a few heavy rows.
 
 use crate::coo::{CooBuilder, CooMatrix};
+use crate::ell::padded_rows_spmv;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
 use crate::spmv::Spmv;
@@ -163,16 +164,13 @@ impl<S: Scalar> Spmv<S> for HybMatrix<S> {
     fn spmv(&self, x: &[S], y: &mut [S]) {
         assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        for (r, out) in y.iter_mut().enumerate() {
-            let base = r * self.ell_width;
-            let mut acc = S::ZERO;
-            for k in 0..self.ell_width {
-                acc += self.ell_vals[base + k] * x[self.ell_cols[base + k] as usize];
-            }
-            *out = acc;
-        }
-        for i in 0..self.coo_vals.len() {
-            y[self.coo_rows[i] as usize] += self.coo_vals[i] * x[self.coo_cols[i] as usize];
+        padded_rows_spmv(self.ell_width, &self.ell_cols, &self.ell_vals, x, y);
+        // One length check for the whole tail: both index arrays must
+        // hold an entry per value.
+        let n = self.coo_vals.len();
+        let (rows, cols) = (&self.coo_rows[..n], &self.coo_cols[..n]);
+        for ((r, c), v) in rows.iter().zip(cols).zip(&self.coo_vals) {
+            y[*r as usize] += *v * x[*c as usize];
         }
     }
 }

@@ -7,6 +7,10 @@ use crate::scalar::Scalar;
 /// `x.len()` must equal [`Spmv::ncols`] and `y.len()` must equal
 /// [`Spmv::nrows`]; kernels panic otherwise (these are programmer errors,
 /// not data errors). `y` is overwritten, not accumulated into.
+///
+/// Every kernel sums each row from zero in storage order, so its `y` is
+/// bit-for-bit reproducible, and a parallel span driver behind
+/// [`Spmv::spmv_par`] must keep exactly that order (one task per row).
 pub trait Spmv<S: Scalar>: Send + Sync {
     /// Number of rows of the operator.
     fn nrows(&self) -> usize;
