@@ -62,7 +62,7 @@ fn bench_conversions(c: &mut Criterion) {
     // paper discusses in §7.6) relative to one SpMV.
     let coo = generate(MatrixClass::Random, 1024, 11);
     let mut group = c.benchmark_group("convert/scattered_1024");
-    for format in [SparseFormat::Csr, SparseFormat::Hyb, SparseFormat::Bsr] {
+    for format in [SparseFormat::Csr, SparseFormat::Hyb, SparseFormat::Sell] {
         group.bench_with_input(
             BenchmarkId::from_parameter(format.name()),
             &format,

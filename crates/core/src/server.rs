@@ -377,15 +377,6 @@ pub struct ServerConfig {
     /// whatever is already queued is taken, but the worker never idles
     /// waiting for a fuller batch, so low-load latency is unaffected.
     pub max_batch_wait: Duration,
-    /// GEMM threading policy installed around each worker's drain
-    /// loop. Defaults to [`GemmThreading::Serial`]: the worker pool is
-    /// already the server's parallelism, so letting every worker also
-    /// fan its CNN GEMMs across the shared rayon pool would only add
-    /// queueing contention between workers (and between serving and
-    /// any concurrent evolve pass) without adding cores. Threading
-    /// policy never changes results — GEMM output is bit-identical at
-    /// any setting — so this is purely a scheduling knob.
-    pub gemm_threading: GemmThreading,
 }
 
 impl Default for ServerConfig {
@@ -400,7 +391,6 @@ impl Default for ServerConfig {
             cache: CacheConfig::default(),
             max_batch: 8,
             max_batch_wait: Duration::ZERO,
-            gemm_threading: GemmThreading::Serial,
         }
     }
 }
@@ -1034,13 +1024,17 @@ impl<S: Scalar> SelectorServer<S> {
         let handles = (0..workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
-                // Each worker drains under the configured GEMM policy
-                // (default `Serial` — see `ServerConfig::gemm_threading`),
-                // installed once for the thread's whole life.
-                let gemm_policy = inner.cfg.gemm_threading;
+                // Each worker drains with serial GEMM, installed once for
+                // the thread's whole life: the worker pool is already the
+                // server's parallelism, so fanning every worker's CNN
+                // GEMMs across the shared rayon pool would only add
+                // contention without adding cores. GEMM output is
+                // bit-identical at any threading, so results never move.
                 thread::Builder::new()
                     .name(format!("dnnspmv-serve-{i}"))
-                    .spawn(move || with_gemm_threading(gemm_policy, || inner.worker_loop()))
+                    .spawn(move || {
+                        with_gemm_threading(GemmThreading::Serial, || inner.worker_loop())
+                    })
                     .expect("spawn worker thread")
             })
             .collect();

@@ -7,8 +7,8 @@
 //! host — at the cost of being machine-dependent and slow, which is why
 //! the deterministic model drives the main experiments.
 //!
-//! Only formats with a kernel can be timed. CSR5 and merge-path CSR are
-//! names the cost models price; asking this labeller to time one is a
+//! Only formats with a kernel can be timed. BSR, CSR5 and merge-path CSR
+//! are names the cost models price; asking this labeller to time one is a
 //! caller bug, so it panics naming the format rather than reporting a
 //! time it never measured.
 
@@ -177,10 +177,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "MCSR")]
     fn timing_a_name_only_format_panics_naming_it() {
-        // Merge-path CSR is priced by the cost model only: there is no
-        // kernel to time, and a made-up time would be a wrong label.
-        labeller_for(&SparseFormat::MANYCORE_SET).time_formats(&jittered_rows());
+        // BSR, CSR5 and merge-path CSR are priced by the cost models
+        // only: there is no kernel to time, and a made-up time would be
+        // a wrong label. In the GPU set BSR is the first name-only class.
+        for (formats, name) in [
+            (&SparseFormat::MANYCORE_SET[..], "MCSR"),
+            (&SparseFormat::GPU_SET[..], "BSR"),
+            (&[SparseFormat::Csr, SparseFormat::Csr5][..], "CSR5"),
+        ] {
+            let payload = std::panic::catch_unwind(|| {
+                labeller_for(formats).time_formats(&jittered_rows());
+            })
+            .expect_err(name);
+            let msg = payload.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(&format!("cannot time {name}:")), "{msg}");
+        }
     }
 }

@@ -19,11 +19,8 @@ pub enum SparseError {
     TooManyDiagonals { ndiags: usize, limit: usize },
     /// Converting to ELL would materialise a row width above the limit.
     RowTooWide { width: usize, limit: usize },
-    /// Converting to BSR would materialise more dense blocks than the
-    /// fill-ratio cap allows (hostile scatter patterns would OOM).
-    TooManyBlocks { nblocks: usize, limit: usize },
     /// The format is a name the cost models price, with no storage
-    /// type or kernel to convert to (CSR5, merge-path CSR).
+    /// type or kernel to convert to (BSR, CSR5, merge-path CSR).
     NoKernel { format: SparseFormat },
     /// Structural invariant violated (sortedness, duplicate entry, ...).
     InvalidStructure(String),
@@ -61,10 +58,6 @@ impl fmt::Display for SparseError {
             SparseError::RowTooWide { width, limit } => write!(
                 f,
                 "ELL conversion needs row width {width}, above the limit of {limit}"
-            ),
-            SparseError::TooManyBlocks { nblocks, limit } => write!(
-                f,
-                "BSR conversion would materialise {nblocks} blocks, above the limit of {limit}"
             ),
             SparseError::NoKernel { format } => write!(
                 f,

@@ -4,9 +4,10 @@
 //! module provides the enum, the per-platform candidate sets matching
 //! the paper's evaluation (SMATLib on CPU, cuSPARSE + CSR5 on GPU), and
 //! a dispatcher that converts a canonical COO matrix into any format
-//! with a kernel and runs SpMV on it.
+//! with a kernel and runs SpMV on it. BSR, CSR5 and merge-path CSR are
+//! names only: the cost models price them, and [`AnyMatrix::convert`]
+//! refuses them with [`SparseError::NoKernel`].
 
-use crate::bsr::BsrMatrix;
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dia::DiaMatrix;
@@ -33,7 +34,10 @@ pub enum SparseFormat {
     Ell,
     /// Hybrid ELL + COO.
     Hyb,
-    /// Block sparse row (4x4 blocks by default).
+    /// Block sparse row (4x4 blocks). A name only: the GPU cost model
+    /// prices it from [`crate::MatrixStats::nblocks`], but it has no
+    /// storage type or kernel here (HYB outran it on every matrix it
+    /// converted).
     Bsr,
     /// CSR5 tiled segmented-sum. A name only: the GPU cost model prices
     /// it, but it has no storage type or kernel here (sequentially it is
@@ -58,8 +62,8 @@ impl SparseFormat {
     ];
 
     /// The GPU candidate set used by the paper's cuSPARSE(+CSR5)
-    /// experiments (Table 3): CSR, ELL, HYB, BSR, CSR5, COO. CSR5 is
-    /// priced by the cost model only; it has no kernel.
+    /// experiments (Table 3): CSR, ELL, HYB, BSR, CSR5, COO. BSR and
+    /// CSR5 are priced by the cost model only; they have no kernel.
     pub const GPU_SET: [SparseFormat; 6] = [
         SparseFormat::Csr,
         SparseFormat::Ell,
@@ -82,10 +86,10 @@ impl SparseFormat {
         SparseFormat::MergeCsr,
     ];
 
-    /// Every format name, including the two without a kernel (CSR5,
-    /// merge-path CSR). New formats are appended so existing positional
-    /// tables (per-format bias, timer slots) keep their indices across
-    /// versions.
+    /// Every format name, including the three without a kernel (BSR,
+    /// CSR5, merge-path CSR). New formats are appended so existing
+    /// positional tables (per-format bias, timer slots) keep their
+    /// indices across versions.
     pub const ALL: [SparseFormat; 9] = [
         SparseFormat::Coo,
         SparseFormat::Csr,
@@ -161,8 +165,6 @@ pub enum AnyMatrix<S: Scalar> {
     Ell(EllMatrix<S>),
     /// Hybrid ELL + COO.
     Hyb(HybMatrix<S>),
-    /// Block sparse row.
-    Bsr(BsrMatrix<S>),
     /// SELL-C-σ sliced ELLPACK.
     Sell(SellMatrix<S>),
 }
@@ -170,11 +172,11 @@ pub enum AnyMatrix<S: Scalar> {
 impl<S: Scalar> AnyMatrix<S> {
     /// Converts a canonical COO matrix into the requested format.
     ///
-    /// DIA, ELL, and BSR conversions can fail when the matrix would blow
+    /// DIA and ELL conversions can fail when the matrix would blow
     /// their padding limits — the same reason a real autotuner excludes
-    /// those formats for such matrices. CSR5 and merge-path CSR always
-    /// fail with [`SparseError::NoKernel`]: the cost models price them,
-    /// but there is nothing to convert to.
+    /// those formats for such matrices. BSR, CSR5 and merge-path CSR
+    /// always fail with [`SparseError::NoKernel`]: the cost models price
+    /// them, but there is nothing to convert to.
     pub fn convert(coo: &CooMatrix<S>, format: SparseFormat) -> Result<Self, SparseError> {
         Ok(match format {
             SparseFormat::Coo => AnyMatrix::Coo(coo.clone()),
@@ -182,9 +184,8 @@ impl<S: Scalar> AnyMatrix<S> {
             SparseFormat::Dia => AnyMatrix::Dia(DiaMatrix::from_coo(coo)?),
             SparseFormat::Ell => AnyMatrix::Ell(EllMatrix::from_coo(coo)?),
             SparseFormat::Hyb => AnyMatrix::Hyb(HybMatrix::from_coo(coo)),
-            SparseFormat::Bsr => AnyMatrix::Bsr(BsrMatrix::from_coo(coo)?),
             SparseFormat::Sell => AnyMatrix::Sell(SellMatrix::from_coo(coo)),
-            SparseFormat::Csr5 | SparseFormat::MergeCsr => {
+            SparseFormat::Bsr | SparseFormat::Csr5 | SparseFormat::MergeCsr => {
                 return Err(SparseError::NoKernel { format })
             }
         })
@@ -198,7 +199,6 @@ impl<S: Scalar> AnyMatrix<S> {
             AnyMatrix::Dia(_) => SparseFormat::Dia,
             AnyMatrix::Ell(_) => SparseFormat::Ell,
             AnyMatrix::Hyb(_) => SparseFormat::Hyb,
-            AnyMatrix::Bsr(_) => SparseFormat::Bsr,
             AnyMatrix::Sell(_) => SparseFormat::Sell,
         }
     }
@@ -207,7 +207,7 @@ impl<S: Scalar> AnyMatrix<S> {
     ///
     /// Fallible because an `AnyMatrix` can arrive through
     /// deserialization: a hostile payload may violate the structural
-    /// invariants `convert` would have established, and HYB/BSR report
+    /// invariants `convert` would have established, and HYB/SELL report
     /// that as a typed error instead of panicking.
     pub fn to_coo(&self) -> Result<CooMatrix<S>, SparseError> {
         Ok(match self {
@@ -216,7 +216,6 @@ impl<S: Scalar> AnyMatrix<S> {
             AnyMatrix::Dia(m) => m.to_coo(),
             AnyMatrix::Ell(m) => m.to_coo(),
             AnyMatrix::Hyb(m) => m.to_coo()?,
-            AnyMatrix::Bsr(m) => m.to_coo()?,
             AnyMatrix::Sell(m) => m.to_coo()?,
         })
     }
@@ -228,7 +227,6 @@ impl<S: Scalar> AnyMatrix<S> {
             AnyMatrix::Dia(m) => m,
             AnyMatrix::Ell(m) => m,
             AnyMatrix::Hyb(m) => m,
-            AnyMatrix::Bsr(m) => m,
             AnyMatrix::Sell(m) => m,
         }
     }
@@ -292,6 +290,9 @@ mod tests {
         assert_eq!(SparseFormat::Dia.label_in(&SparseFormat::CPU_SET), Some(2));
         assert_eq!(SparseFormat::Hyb.label_in(&SparseFormat::CPU_SET), None);
         assert_eq!(SparseFormat::Csr5.label_in(&SparseFormat::GPU_SET), Some(4));
+        // BSR lost its kernel but keeps its class index in both sets.
+        assert_eq!(SparseFormat::Bsr.label_in(&SparseFormat::ALL), Some(5));
+        assert_eq!(SparseFormat::Bsr.label_in(&SparseFormat::GPU_SET), Some(3));
     }
 
     #[test]
@@ -313,7 +314,10 @@ mod tests {
     /// cost models price by name only have no kernel.
     fn convert_unless_name_only(coo: &CooMatrix<f64>, f: SparseFormat) -> Option<AnyMatrix<f64>> {
         let got = AnyMatrix::convert(coo, f);
-        if matches!(f, SparseFormat::Csr5 | SparseFormat::MergeCsr) {
+        if matches!(
+            f,
+            SparseFormat::Bsr | SparseFormat::Csr5 | SparseFormat::MergeCsr
+        ) {
             assert_eq!(got, Err(SparseError::NoKernel { format: f }));
             return None;
         }

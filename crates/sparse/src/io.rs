@@ -174,16 +174,19 @@ pub fn read_matrix_market<S: Scalar, R: Read>(reader: R) -> Result<CooMatrix<S>,
                     message: format!("bad value '{vs}'"),
                 })?;
                 // `parse::<f64>` happily accepts "NaN"/"inf" (and
-                // overflows out-of-range literals to infinity); a
-                // non-finite entry would silently poison every SpMV
-                // and representation built from this matrix.
-                if !parsed.is_finite() {
+                // overflows out-of-range literals to infinity), and
+                // narrowing can overflow too (`1e39` is a finite f64
+                // but an f32 infinity); a non-finite entry would
+                // silently poison every SpMV and representation built
+                // from this matrix. So the check is on the narrowed value.
+                let v = S::from_f64(parsed);
+                if !v.to_f64().is_finite() {
                     return Err(SparseError::Parse {
                         line: lineno,
                         message: format!("non-finite value '{vs}'"),
                     });
                 }
-                S::from_f64(parsed)
+                v
             }
         };
         b.push(r - 1, c - 1, v)?;
@@ -208,7 +211,20 @@ pub fn read_matrix_market<S: Scalar, R: Read>(reader: R) -> Result<CooMatrix<S>,
             message: format!("declared {nnz} entries but found {seen}"),
         });
     }
-    Ok(b.build())
+    // Duplicate entries are summed, and a sum of finite values can
+    // still overflow the scalar type.
+    let m = b.build();
+    if let Some((r, c, _)) = m.iter().find(|&(_, _, v)| !v.to_f64().is_finite()) {
+        return Err(SparseError::Parse {
+            line: lineno,
+            message: format!(
+                "entries at ({}, {}) sum to a non-finite value",
+                r + 1,
+                c + 1
+            ),
+        });
+    }
+    Ok(m)
 }
 
 /// Reads a MatrixMarket file from disk.
@@ -353,6 +369,28 @@ mod tests {
             let e = read_matrix_market::<f64, _>(src.as_bytes()).unwrap_err();
             assert!(e.to_string().contains("non-finite"), "{v}: {e}");
         }
+    }
+
+    #[test]
+    fn rejects_values_that_overflow_the_target_scalar() {
+        // Finite as f64, infinite once narrowed to f32.
+        let src = "%%MatrixMarket matrix coordinate real general\n2 2 1\n\n1 1 1e39\n";
+        let e = read_matrix_market::<f32, _>(src.as_bytes()).unwrap_err();
+        assert!(matches!(e, SparseError::Parse { line: 4, .. }), "{e}");
+        assert!(e.to_string().contains("non-finite value '1e39'"), "{e}");
+        // The same literal is fine in f64.
+        assert!(read_matrix_market::<f64, _>(src.as_bytes()).is_ok());
+    }
+
+    #[test]
+    fn rejects_duplicate_entries_whose_sum_overflows() {
+        // Each entry fits in f32; their sum does not.
+        let src = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 3e38\n1 1 3e38\n";
+        let e = read_matrix_market::<f32, _>(src.as_bytes()).unwrap_err();
+        assert!(matches!(e, SparseError::Parse { .. }), "{e}");
+        assert!(e.to_string().contains("(1, 1) sum to a non-finite"), "{e}");
+        let m = read_matrix_market::<f64, _>(src.as_bytes()).unwrap();
+        assert_eq!(m.get(0, 0), 2.0 * 3e38);
     }
 
     #[test]

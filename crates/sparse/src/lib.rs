@@ -3,17 +3,19 @@
 //! This crate is the kernel substrate of the `dnnspmv` workspace: it
 //! implements, from scratch, the storage formats the paper's evaluation
 //! runs — COO, CSR, DIA and ELL on the CPU side (the SMATLib set), HYB
-//! and BSR from the GPU side (the cuSPARSE set), and SELL-C-σ from the
+//! from the GPU side (the cuSPARSE set), and SELL-C-σ from the
 //! follow-on many-core literature (arXiv:1805.11938) — together with one
 //! sparse matrix–vector multiplication (SpMV) kernel per format, format
 //! conversions, single-pass structural statistics, and MatrixMarket I/O.
 //!
-//! CSR5 (GPU set) and merge-path CSR (many-core set) are names only:
-//! they stay [`SparseFormat`] variants so the cost models can price them
-//! and label indices stay stable, but they have no storage type and no
-//! kernel. Sequentially both are CSR's row scan, and their parallel
-//! difference (splitting a row across tasks) is exactly what a
-//! bit-identical parallel SpMV forbids. [`AnyMatrix::convert`] returns
+//! BSR and CSR5 (GPU set) and merge-path CSR (many-core set) are names
+//! only: they stay [`SparseFormat`] variants so the cost models can
+//! price them and label indices stay stable, but they have no storage
+//! type and no kernel. Sequentially CSR5 and merge-path CSR are CSR's
+//! row scan, and their parallel difference (splitting a row across
+//! tasks) is exactly what a bit-identical parallel SpMV forbids; BSR's
+//! GPU wins come from hardware a scalar kernel lacks, and HYB outran it
+//! on every matrix it converted. [`AnyMatrix::convert`] returns
 //! [`SparseError::NoKernel`] for them.
 //!
 //! # Canonical representation
@@ -43,7 +45,6 @@
 //! assert_eq!(y, vec![2.0, 3.0]);
 //! ```
 
-pub mod bsr;
 pub mod coo;
 pub mod csr;
 pub mod dense;
@@ -58,7 +59,6 @@ pub mod sell;
 pub mod spmv;
 pub mod stats;
 
-pub use bsr::BsrMatrix;
 pub use coo::{CooBuilder, CooMatrix};
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;

@@ -1,9 +1,9 @@
 //! Property tests over random sparse matrices: every format with a
 //! kernel round-trips through COO exactly and every kernel computes the
-//! same product. A deterministic table of hostile shapes checks all seven
-//! kernels, in f32 and f64, against a dense oracle. The two name-only
-//! formats (CSR5, merge-path CSR) are skipped on `NoKernel` and nothing
-//! else.
+//! same product. A deterministic table of hostile shapes checks all six
+//! kernels, in f32 and f64, against a dense oracle. The three name-only
+//! formats (BSR, CSR5, merge-path CSR) are skipped on `NoKernel` and
+//! nothing else.
 
 use dnnspmv_sparse::{
     AnyMatrix, CooMatrix, CsrMatrix, MatrixStats, Scalar, SparseError, SparseFormat, Spmv,

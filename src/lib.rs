@@ -5,8 +5,8 @@
 //! PPoPP 2018). This facade crate re-exports the workspace's public
 //! API; see the individual crates for details:
 //!
-//! * [`sparse`] — storage formats (COO/CSR/DIA/ELL/HYB/BSR/SELL-C-σ),
-//!   one SpMV kernel each; CSR5 and merge-path CSR are names only.
+//! * [`sparse`] — storage formats (COO/CSR/DIA/ELL/HYB/SELL-C-σ), one
+//!   SpMV kernel each; BSR, CSR5 and merge-path CSR are names only.
 //! * [`gen`] — synthetic matrix families, augmentation, datasets.
 //! * [`repr`] — fixed-size CNN input representations (binary, density,
 //!   distance histogram).

@@ -1,6 +1,6 @@
 //! End-to-end pins for the GEMM threading policy: server workers run
-//! GEMM single-threaded by default (the workers themselves are the
-//! server's parallelism), while training threads GEMM at the width its
+//! GEMM single-threaded (the workers themselves are the server's
+//! parallelism), while training threads GEMM at the width its
 //! `TrainConfig` asks for. Both tests observe the process-global slots
 //! probe, so they serialise on a shared mutex.
 
@@ -22,7 +22,7 @@ use dnnspmv::repr::ReprConfig;
 /// The slots probe is process-global: one test at a time.
 static PROBE: Mutex<()> = Mutex::new(());
 
-/// The default server policy is `GemmThreading::Serial`: a worker's
+/// Server workers always run `GemmThreading::Serial`: a worker's
 /// whole select pipeline — representation extraction and every GEMM in
 /// the CNN forward — must resolve to exactly one slot, so concurrent
 /// workers never contend on the rayon pool.
@@ -63,11 +63,6 @@ fn server_gemm_stays_serial_by_default() {
     let service = SelectorService::new(Some(cnn), None)
         .unwrap()
         .with_confidence_threshold(0.0);
-    assert_eq!(
-        ServerConfig::default().gemm_threading,
-        GemmThreading::Serial,
-        "serving defaults to serial GEMM"
-    );
     let server = SelectorServer::new(service, ServerConfig::default());
 
     slots_probe_reset();

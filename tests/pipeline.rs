@@ -486,16 +486,16 @@ fn any_matrix_conversion_round_trips_on_generated_data() {
             match AnyMatrix::convert(m, f) {
                 Ok(stored) => assert_eq!(stored.to_coo().unwrap(), *m, "format {f}"),
                 Err(SparseError::NoKernel { format }) => {
-                    // The two names the cost models price have no kernel.
+                    // The three names the cost models price have no kernel.
                     assert_eq!(format, f);
-                    assert!(matches!(f, SparseFormat::Csr5 | SparseFormat::MergeCsr));
+                    assert!(matches!(
+                        f,
+                        SparseFormat::Bsr | SparseFormat::Csr5 | SparseFormat::MergeCsr
+                    ));
                 }
                 Err(_) => {
                     // Only the padded formats may refuse.
-                    assert!(matches!(
-                        f,
-                        SparseFormat::Dia | SparseFormat::Ell | SparseFormat::Bsr
-                    ));
+                    assert!(matches!(f, SparseFormat::Dia | SparseFormat::Ell));
                 }
             }
         }
