@@ -25,17 +25,22 @@
 //! element's accumulation order — see [`threading`] for the
 //! bit-determinism contract.
 //!
-//! Scratch buffers (im2col matrices, packing panels) are reused across
-//! calls through a thread-local [`Scratch`] pool. [`with_scratch`]
-//! *moves* the buffers out for the duration of the closure instead of
-//! holding a `RefCell` borrow — re-entrant calls (e.g. under a
-//! work-stealing scheduler) simply see an empty pool and allocate.
+//! Scratch buffers are reused across calls through thread-local pools:
+//! the layers' im2col matrices and activations through [`Scratch`], the
+//! packed path's panels through two slots of their own (B on the calling
+//! thread, A on whichever thread runs a span), because `sgemm` itself
+//! runs inside the layers' [`with_scratch`] closures. Both *move* the
+//! buffers out for the duration of the closure instead of holding a
+//! borrow — re-entrant calls (e.g. under a work-stealing scheduler)
+//! simply see an empty pool and allocate.
 
 pub mod simd;
 pub mod threading;
 
 pub use simd::{with_forced_kernel, KernelVariant};
 use simd::{MicroKernel, MR, NR};
+use std::cell::Cell;
+use std::thread::LocalKey;
 pub use threading::{
     current_gemm_threading, slots_probe_max, slots_probe_reset, with_gemm_threading, GemmThreading,
 };
@@ -55,11 +60,25 @@ const MC: usize = 64;
 const KC: usize = 256;
 /// Column-panel width (columns of the packed B panel).
 const NC: usize = 1024;
-/// Below this inner dimension the packed/blocked machinery costs more
-/// than it saves; a direct axpy sweep wins (covers every im2col
-/// convolution in the Figure 10 schedule, where `k = in_ch * ksize^2`
-/// tops out at 288).
+/// Deepest inner dimension the axpy sweep takes. Every im2col
+/// convolution of the Figure 10 schedule (`k = in_ch * ksize^2`, at most
+/// 288) and every batch-summed dense gradient of a training batch is
+/// below it; whether such a product runs as an axpy sweep is then
+/// decided by C's shape (see [`AXPY_MIN_N`]).
 const SMALL_K: usize = 384;
+/// Narrowest C (columns) the axpy sweep takes when C is at least one
+/// micro-tile (`MR` rows) tall. Narrower C goes to the packed path: the
+/// sweep's inner loop runs along one row of C, so at conv3's
+/// batch-of-one `n = 4` it cannot vectorise, while the 8x8 micro-kernel
+/// keeps 64 accumulators busy whatever `n` is. C shorter than a tile
+/// stays on the sweep at any width: a packed tile would be mostly empty.
+/// From the single-thread crossover sweep in DESIGN §4.1 (`n` x `k` in
+/// {9, 72, 144, 288} x `m` in {1..64}, plus the served models' Figure 10
+/// shapes at batch 1, 8 and 32): 512 is the narrowest width at which the
+/// sweep beats the micro-kernel for every `k = 9` row (conv1's planes,
+/// all at least 1024 wide), and it keeps every batch-32 conv2 on the
+/// sweep, which wins there once training's pool threads split the rows.
+const AXPY_MIN_N: usize = 512;
 
 /// `C = alpha * op(A) . op(B) + beta * C` in single precision.
 ///
@@ -105,11 +124,9 @@ pub fn sgemm(
         // contiguous n-vector under either transpose flag.
         for i in 0..m {
             let av = alpha * a[i];
-            if av != 0.0 {
-                let row = &mut c[i * n..(i + 1) * n];
-                for (cv, &bv) in row.iter_mut().zip(b) {
-                    *cv += av * bv;
-                }
+            let row = &mut c[i * n..(i + 1) * n];
+            for (cv, &bv) in row.iter_mut().zip(b) {
+                *cv += av * bv;
             }
         }
         return;
@@ -150,9 +167,11 @@ pub fn sgemm(
         });
         return;
     }
-    if k <= SMALL_K && tb == Trans::No {
-        // Short-inner-dimension regime (im2col convolutions: k is
-        // in_ch * ksize^2, n is the whole output plane). Packing into
+    if k <= SMALL_K && tb == Trans::No && (n >= AXPY_MIN_N || m < MR) {
+        // Short-inner-dimension regime for wide or short C (im2col
+        // convolutions over whole output planes: k is in_ch * ksize^2,
+        // n is the plane; and C shorter than one micro-tile, which would
+        // leave most of every packed tile empty). Packing into
         // micro-panels costs more than it saves here; a row-per-output
         // sweep of contiguous axpy updates streams B at full width.
         // Four rank-1 updates are fused per sweep so each C row is
@@ -199,11 +218,9 @@ pub fn sgemm(
                     }
                     while p < k {
                         let av = at(p);
-                        if av != 0.0 {
-                            let brow = &b[p * n + j0..][..nb];
-                            for (t, cv) in crow.iter_mut().enumerate() {
-                                *cv = brow[t].mul_add(av, *cv);
-                            }
+                        let brow = &b[p * n + j0..][..nb];
+                        for (t, cv) in crow.iter_mut().enumerate() {
+                            *cv = brow[t].mul_add(av, *cv);
                         }
                         p += 1;
                     }
@@ -217,42 +234,45 @@ pub fn sgemm(
     // partition are both resolved here on the calling thread (the
     // thread-local kernel override and threading policy must not be
     // re-read inside pool workers); the kernel crosses into the spans
-    // as a plain fn pointer. Each span packs its own A micro-panels —
-    // per-task buffers, so packed panels are never falsely shared —
-    // while the B panel is packed once per (jc, pc) and read by every
-    // span. Per-element accumulation order is one KC panel at a time,
-    // `p` ascending inside the micro-kernel tile: a function of the
-    // blocking constants only, identical at every slot count.
+    // as a plain fn pointer. Each span packs its own A micro-panels
+    // into its thread's A panel, so packed panels are never falsely
+    // shared, while the B panel is packed once per (jc, pc) into the
+    // calling thread's B panel and read by every span. Per-element
+    // accumulation order is one KC panel at a time, `p` ascending
+    // inside the micro-kernel tile: a function of the blocking
+    // constants only, identical at every slot count.
     let kernel: MicroKernel = simd::active_kernel();
     let spans = threading::partition_rows(m, threading::effective_slots(m));
-    let mut bpack = Vec::new();
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            pack_b(b, tb, k, n, pc, kc, jc, nc, &mut bpack);
-            let bpack = &bpack;
-            threading::for_each_row_span(c, n, &spans, |r0, cblk| {
-                let rows = cblk.len() / n;
-                let mut apack = Vec::new();
-                for ic in (0..rows).step_by(MC) {
-                    let mc = MC.min(rows - ic);
-                    pack_a(a, ta, m, k, r0 + ic, mc, pc, kc, &mut apack);
-                    for sj in 0..nc.div_ceil(NR) {
-                        let j0 = jc + sj * NR;
-                        let nj = NR.min(jc + nc - j0);
-                        let bp = &bpack[sj * kc * NR..][..kc * NR];
-                        for si in 0..mc.div_ceil(MR) {
-                            let i0 = ic + si * MR;
-                            let ni = MR.min(mc - si * MR);
-                            let ap = &apack[si * kc * MR..][..kc * MR];
-                            kernel(kc, ap, bp, alpha, cblk, n, i0, j0, ni, nj);
+    with_panel(&B_PANEL, |bpack| {
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                pack_b(b, tb, k, n, pc, kc, jc, nc, bpack);
+                let bpack = &*bpack;
+                threading::for_each_row_span(c, n, &spans, |r0, cblk| {
+                    let rows = cblk.len() / n;
+                    with_panel(&A_PANEL, |apack| {
+                        for ic in (0..rows).step_by(MC) {
+                            let mc = MC.min(rows - ic);
+                            pack_a(a, ta, m, k, r0 + ic, mc, pc, kc, apack);
+                            for sj in 0..nc.div_ceil(NR) {
+                                let j0 = jc + sj * NR;
+                                let nj = NR.min(jc + nc - j0);
+                                let bp = &bpack[sj * kc * NR..][..kc * NR];
+                                for si in 0..mc.div_ceil(MR) {
+                                    let i0 = ic + si * MR;
+                                    let ni = MR.min(mc - si * MR);
+                                    let ap = &apack[si * kc * MR..][..kc * MR];
+                                    kernel(kc, ap, bp, alpha, cblk, n, i0, j0, ni, nj);
+                                }
+                            }
                         }
-                    }
-                }
-            });
+                    });
+                });
+            }
         }
-    }
+    });
 }
 
 /// `c += alpha * op(A) . x` for a single output column.
@@ -273,11 +293,9 @@ fn matvec(m: usize, k: usize, alpha: f32, a: &[f32], ta: Trans, x: &[f32], c: &m
             // the inner loop stays contiguous.
             for (p, &xv) in x.iter().enumerate() {
                 let s = alpha * xv;
-                if s != 0.0 {
-                    let row = &a[p * m..(p + 1) * m];
-                    for (cv, &av) in c.iter_mut().zip(row) {
-                        *cv = av.mul_add(s, *cv);
-                    }
+                let row = &a[p * m..(p + 1) * m];
+                for (cv, &av) in c.iter_mut().zip(row) {
+                    *cv = av.mul_add(s, *cv);
                 }
             }
         }
@@ -306,6 +324,17 @@ fn pack_a(
         let ni = MR.min(ic + mc - i0);
         let dst = &mut out[s * kc * MR..][..kc * MR];
         match ta {
+            Trans::No if ni == MR => {
+                // A full strip: read its MR rows side by side and write
+                // each packed `p` column in one contiguous run, rather
+                // than scattering one row at a time at stride MR.
+                let rows: [&[f32]; MR] = std::array::from_fn(|ii| &a[(i0 + ii) * k + pc..][..kc]);
+                for (p, col) in dst.chunks_exact_mut(MR).enumerate() {
+                    for (d, row) in col.iter_mut().zip(&rows) {
+                        *d = row[p];
+                    }
+                }
+            }
             Trans::No => {
                 for ii in 0..ni {
                     let row = &a[(i0 + ii) * k + pc..][..kc];
@@ -315,9 +344,8 @@ fn pack_a(
                 }
             }
             Trans::Yes => {
-                for p in 0..kc {
-                    let row = &a[(pc + p) * m + i0..][..ni];
-                    dst[p * MR..p * MR + ni].copy_from_slice(row);
+                for (p, d) in dst.chunks_exact_mut(MR).enumerate() {
+                    copy_strip_row::<MR>(d, &a[(pc + p) * m + i0..], ni);
                 }
             }
         }
@@ -347,9 +375,8 @@ fn pack_b(
         let dst = &mut out[s * kc * NR..][..kc * NR];
         match tb {
             Trans::No => {
-                for p in 0..kc {
-                    let row = &b[(pc + p) * n + j0..][..nj];
-                    dst[p * NR..p * NR + nj].copy_from_slice(row);
+                for (p, d) in dst.chunks_exact_mut(NR).enumerate() {
+                    copy_strip_row::<NR>(d, &b[(pc + p) * n + j0..], nj);
                 }
             }
             Trans::Yes => {
@@ -361,6 +388,18 @@ fn pack_b(
                 }
             }
         }
+    }
+}
+
+/// Copies the `live` leading elements of `src` into one `W`-wide
+/// packed row `dst`. A full row is a fixed-size copy, which compiles to
+/// a couple of vector moves where a variable-length one calls `memcpy`
+/// per row.
+fn copy_strip_row<const W: usize>(dst: &mut [f32], src: &[f32], live: usize) {
+    if live == W {
+        dst[..W].copy_from_slice(&src[..W]);
+    } else {
+        dst[..live].copy_from_slice(&src[..live]);
     }
 }
 
@@ -443,9 +482,24 @@ pub fn im2col_into(
     assert_eq!(x.len(), c * h * w, "input buffer shape mismatch");
     let (oh, ow) = conv_out_hw(h, w, ksize, stride, pad);
     assert!(col_off + oh * ow <= ld, "column block exceeds row stride");
+    let mut padded = Vec::new();
     for ic in 0..c {
         let xc = &x[ic * h * w..(ic + 1) * h * w];
-        im2col_channel(xc, ic, h, w, ksize, stride, pad, oh, ow, col, ld, col_off);
+        im2col_channel(
+            xc,
+            ic,
+            h,
+            w,
+            ksize,
+            stride,
+            pad,
+            oh,
+            ow,
+            col,
+            ld,
+            col_off,
+            &mut padded,
+        );
     }
 }
 
@@ -469,6 +523,7 @@ pub fn im2col_packed_into(
     assert_eq!(x.len(), c * n * h * w, "input buffer shape mismatch");
     let (oh, ow) = conv_out_hw(h, w, ksize, stride, pad);
     let ld = n * oh * ow;
+    let mut padded = Vec::new();
     for si in 0..n {
         for ic in 0..c {
             let xc = &x[(ic * n + si) * h * w..][..h * w];
@@ -485,6 +540,7 @@ pub fn im2col_packed_into(
                 col,
                 ld,
                 si * oh * ow,
+                &mut padded,
             );
         }
     }
@@ -492,7 +548,8 @@ pub fn im2col_packed_into(
 
 /// Writes channel `ic`'s `ksize*ksize` im2col rows for one `[h, w]`
 /// plane `xc`. Shared body of [`im2col_into`] and
-/// [`im2col_packed_into`].
+/// [`im2col_packed_into`]; `padded` is the caller's border buffer, kept
+/// across the channels of one call.
 #[allow(clippy::too_many_arguments)]
 fn im2col_channel(
     xc: &[f32],
@@ -507,12 +564,13 @@ fn im2col_channel(
     col: &mut [f32],
     ld: usize,
     col_off: usize,
+    padded: &mut Vec<f32>,
 ) {
-    for ky in 0..ksize {
-        for kx in 0..ksize {
-            let r = (ic * ksize + ky) * ksize + kx;
-            let row = &mut col[r * ld + col_off..][..oh * ow];
-            if stride == 1 && ow == w {
+    if stride == 1 && ow == w {
+        for ky in 0..ksize {
+            for kx in 0..ksize {
+                let r = (ic * ksize + ky) * ksize + kx;
+                let row = &mut col[r * ld + col_off..][..oh * ow];
                 // "Same" convolution: every output row is exactly one
                 // input row shifted by `kx - pad`, and consecutive rows
                 // advance by `w` on both sides — so the whole vertical
@@ -537,36 +595,34 @@ fn im2col_channel(
                     row[oy * ow..oy * ow + lo].fill(0.0);
                     row[oy * ow + hi..(oy + 1) * ow].fill(0.0);
                 }
-                continue;
             }
-            for oy in 0..oh {
-                let iy = (oy * stride + ky) as isize - pad as isize;
-                let dst = &mut row[oy * ow..(oy + 1) * ow];
-                if iy < 0 || iy >= h as isize {
-                    dst.fill(0.0);
-                    continue;
-                }
-                let src = &xc[iy as usize * w..(iy as usize + 1) * w];
-                let (lo, hi) = valid_ox_range(w, ow, kx, stride, pad);
-                dst[..lo].fill(0.0);
-                dst[hi..].fill(0.0);
-                if stride == 1 {
-                    let sx = lo + kx - pad;
-                    dst[lo..hi].copy_from_slice(&src[sx..sx + (hi - lo)]);
-                } else if stride == 2 && hi > lo {
-                    // Strided gather as a pair-wise deinterleave so the
-                    // copy vectorises (shuffles instead of scalar loads).
-                    let sx = 2 * lo + kx - pad;
-                    let s = &src[sx..sx + 2 * (hi - lo) - 1];
-                    let d = &mut dst[lo..hi];
-                    for (dv, sp) in d.iter_mut().zip(s.chunks_exact(2)) {
-                        *dv = sp[0];
-                    }
-                    d[hi - lo - 1] = s[2 * (hi - lo - 1)];
-                } else {
-                    for (ox, d) in dst.iter_mut().enumerate().take(hi).skip(lo) {
-                        *d = src[ox * stride + kx - pad];
-                    }
+        }
+        return;
+    }
+    // Every other geometry (the strided convolutions, unpadded ones):
+    // copy the plane once into a zero-bordered `(h + 2*pad) x (w +
+    // 2*pad)` buffer, so each im2col row segment is a branch-free
+    // strided gather. Clipping the receptive field per output row
+    // instead costs several short fills and copies per segment, which
+    // at a batch-of-one conv3's two-wide rows is most of the layer's
+    // lowering. The border is zeroed once per call and never written.
+    let pw = w + 2 * pad;
+    if padded.len() != (h + 2 * pad) * pw {
+        padded.clear();
+        padded.resize((h + 2 * pad) * pw, 0.0);
+    }
+    for (y, src) in xc.chunks_exact(w).enumerate() {
+        padded[(y + pad) * pw + pad..][..w].copy_from_slice(src);
+    }
+    for ky in 0..ksize {
+        for kx in 0..ksize {
+            let r = (ic * ksize + ky) * ksize + kx;
+            let row = &mut col[r * ld + col_off..][..oh * ow];
+            for (oy, dst) in row.chunks_exact_mut(ow).enumerate() {
+                let base = (oy * stride + ky) * pw + kx;
+                let src = &padded[base..base + (ow - 1) * stride + 1];
+                for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                    *d = v;
                 }
             }
         }
@@ -705,6 +761,22 @@ pub struct Scratch {
 thread_local! {
     static SCRATCH: std::cell::RefCell<Option<Scratch>> =
         const { std::cell::RefCell::new(None) };
+    /// The packed path's B panel, filled on the thread that calls
+    /// `sgemm`.
+    static B_PANEL: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// The packed path's A micro-panels, filled on whichever thread runs
+    /// a row span.
+    static A_PANEL: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` with one of this thread's packing panels, moved out of
+/// `slot` for the duration (a nested call sees an empty panel and
+/// allocates, like [`with_scratch`]) and put back afterwards.
+fn with_panel<R>(slot: &'static LocalKey<Cell<Vec<f32>>>, f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+    let mut panel = slot.take();
+    let r = f(&mut panel);
+    slot.set(panel);
+    r
 }
 
 /// Runs `f` with this thread's scratch workspace, returning the
@@ -921,6 +993,61 @@ mod tests {
                 (lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()),
                 "packed adjoint mismatch ({c},{n},{h},{w},k{ksize},s{stride},p{pad}): {lhs} vs {rhs}"
             );
+        }
+    }
+
+    #[test]
+    fn packed_im2col_equals_its_definition_bitwise() {
+        // Every cell against the doc formula: x[ic, oy*stride + ky - pad,
+        // ox*stride + kx - pad], or 0.0 off the image. Covers the
+        // same-convolution copy and the bordered gather (strides 1-3,
+        // pads 0-2, kernels 1-5, odd and degenerate planes).
+        let mut rng = StdRng::seed_from_u64(31);
+        for &(c, n, h, w, ksize, stride, pad) in &[
+            (1usize, 1usize, 32usize, 32usize, 3usize, 1usize, 1usize),
+            (8, 1, 16, 16, 3, 2, 1),
+            (16, 1, 4, 4, 3, 2, 1),
+            (2, 3, 7, 5, 3, 2, 1),
+            (2, 2, 6, 9, 3, 1, 0),
+            (1, 2, 7, 7, 5, 2, 2),
+            (3, 1, 8, 6, 3, 3, 1),
+            (2, 1, 5, 5, 1, 2, 0),
+            (1, 1, 2, 2, 3, 2, 1),
+        ] {
+            let (oh, ow) = conv_out_hw(h, w, ksize, stride, pad);
+            let x = rand_vec(&mut rng, c * n * h * w);
+            let ld = n * oh * ow;
+            let mut col = vec![f32::NAN; c * ksize * ksize * ld];
+            im2col_packed_into(&x, c, n, h, w, ksize, stride, pad, &mut col);
+            for si in 0..n {
+                for ic in 0..c {
+                    for ky in 0..ksize {
+                        for kx in 0..ksize {
+                            let r = (ic * ksize + ky) * ksize + kx;
+                            for oy in 0..oh {
+                                for ox in 0..ow {
+                                    let iy = (oy * stride + ky) as isize - pad as isize;
+                                    let ix = (ox * stride + kx) as isize - pad as isize;
+                                    let inside = (0..h as isize).contains(&iy)
+                                        && (0..w as isize).contains(&ix);
+                                    let want = if inside {
+                                        x[((ic * n + si) * h + iy as usize) * w + ix as usize]
+                                    } else {
+                                        0.0
+                                    };
+                                    let got = col[r * ld + si * oh * ow + oy * ow + ox];
+                                    assert_eq!(
+                                        got.to_bits(),
+                                        want.to_bits(),
+                                        "({c},{n},{h},{w},k{ksize},s{stride},p{pad}) \
+                                         sample {si} row {r} at ({oy},{ox})"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -1373,6 +1373,59 @@ mod tests {
     }
 
     #[test]
+    fn served_geometries_infer_training_logits_and_batch_argmax() {
+        use crate::structures::{build_cnn, CnnConfig, Merging};
+        use rand::RngExt;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The two models perfbench serves: batch-of-one conv2 and conv3
+        // run on narrow GEMMs here, which `tiny_cnn` never produces.
+        for (shape, conv_channels, hidden) in [
+            ((32usize, 32usize), [8usize, 16, 32], 48usize),
+            ((64, 32), [16, 32, 64], 64),
+        ] {
+            let cfg = CnnConfig {
+                conv_channels,
+                hidden,
+                seed: 51,
+            };
+            let net = build_cnn(Merging::Late, 2, shape, 4, &cfg);
+            let mut rng = StdRng::seed_from_u64(52);
+            let samples: Vec<Vec<Tensor>> = (0..8)
+                .map(|_| {
+                    (0..2)
+                        .map(|_| {
+                            let vol = shape.0 * shape.1;
+                            let v = (0..vol).map(|_| rng.random::<f32>()).collect();
+                            Tensor::from_vec(&[shape.0, shape.1], v)
+                        })
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[Tensor]> = samples.iter().map(|s| s.as_slice()).collect();
+            for n in [1usize, 3, 8] {
+                let mut cache = CnnBatchCache::default();
+                net.forward_batch_cached(&refs[..n], &mut cache);
+                let (logits, classes) = cache.logits_rows();
+                for (si, got) in net.forward_batch(&refs[..n]).iter().enumerate() {
+                    assert_eq!(
+                        bits(got.data()),
+                        bits(&logits[si * classes..][..classes]),
+                        "{shape:?} n={n} sample {si}: inference and training logits differ"
+                    );
+                }
+            }
+            let eight = net.predict_batch(&refs);
+            for (si, s) in samples.iter().enumerate() {
+                assert_eq!(
+                    net.predict(s),
+                    eight[si],
+                    "{shape:?} sample {si}: batch-of-one argmax differs from its row at n = 8"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn whole_network_gradcheck() {
         // Finite-difference check through towers, merge and head.
         let mut net = tiny_cnn(2, 2, 4);

@@ -7,7 +7,7 @@
 //! compiled on this host passes the same battery through the
 //! test-only force hook, so no fallback path is dead untested code).
 
-use dnnspmv_nn::gemm::{sgemm, Trans};
+use dnnspmv_nn::gemm::{conv_out_hw, sgemm, Trans};
 use dnnspmv_nn::{with_forced_kernel, with_gemm_threading, GemmThreading, KernelVariant};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -84,13 +84,57 @@ fn check_case(
     let c0 = rand_vec(rng, m * n);
     let mut want = c0.clone();
     naive_gemm(m, n, k, alpha, &a, ta, &b, tb, beta, &mut want);
+    let case = Case {
+        m,
+        n,
+        k,
+        alpha,
+        beta,
+        a: &a,
+        ta,
+        b: &b,
+        tb,
+        c0: &c0,
+    };
+    check_threads(&case, &want, &THREADS).map(drop)
+}
+
+/// One `sgemm` problem: `C = alpha * op(A) . op(B) + beta * C0`.
+struct Case<'a> {
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    beta: f32,
+    a: &'a [f32],
+    ta: Trans,
+    b: &'a [f32],
+    tb: Trans,
+    c0: &'a [f32],
+}
+
+/// Runs `case` at each thread count: every output within 1e-4 of
+/// `want`, all bit-identical. Returns the output they agreed on.
+fn check_threads(case: &Case, want: &[f32], threads: &[usize]) -> Result<Vec<f32>, String> {
+    let Case {
+        m,
+        n,
+        k,
+        alpha,
+        beta,
+        a,
+        ta,
+        b,
+        tb,
+        c0,
+    } = *case;
     let mut baseline: Option<Vec<f32>> = None;
-    for t in THREADS {
-        let mut c = c0.clone();
+    for &t in threads {
+        let mut c = c0.to_vec();
         with_gemm_threading(GemmThreading::Fixed(t), || {
-            sgemm(m, n, k, alpha, &a, ta, &b, tb, beta, &mut c)
+            sgemm(m, n, k, alpha, a, ta, b, tb, beta, &mut c)
         });
-        for (i, (g, w)) in c.iter().zip(&want).enumerate() {
+        for (i, (g, w)) in c.iter().zip(want).enumerate() {
             if (g - w).abs() > 1e-4 * (1.0 + w.abs()) {
                 return Err(format!(
                     "C({m}x{n}x{k},{ta:?},{tb:?},t{t})[{i}]: {g} vs {w}"
@@ -103,14 +147,14 @@ fn check_case(
                 if let Some(i) = (0..c.len()).find(|&i| c[i].to_bits() != base[i].to_bits()) {
                     return Err(format!(
                         "C({m}x{n}x{k},{ta:?},{tb:?}) differs bitwise between \
-                         1 and {t} threads at [{i}]: {} vs {}",
-                        base[i], c[i]
+                         {} and {t} threads at [{i}]: {} vs {}",
+                        threads[0], base[i], c[i]
                     ));
                 }
             }
         }
     }
-    Ok(())
+    Ok(baseline.unwrap_or_default())
 }
 
 proptest! {
@@ -317,6 +361,178 @@ fn kernel_variants_agree_within_tolerance() {
                 v.name(),
                 base_v.name()
             );
+        }
+    }
+}
+
+/// Thread counts the served-shape battery runs at: span partitions from
+/// serial to 16 slots.
+const SERVED_THREADS: [usize; 6] = [1, 2, 3, 4, 8, 16];
+
+/// Width at which `sgemm` hands a short-`k` product whose C is at least
+/// one micro-tile tall from the packed micro-kernel to the axpy sweep.
+const AXPY_MIN_N: usize = 512;
+
+/// Every GEMM the served models issue at batch `nb`: each tower
+/// convolution's forward, weight-gradient and (past the first layer)
+/// input-gradient product, and each head dense layer's forward,
+/// weight-gradient and input-gradient product. Geometries are the two
+/// perfbench models: 32x32 inputs with conv 8-16-32 and hidden 48, and
+/// 64x32 inputs with conv 16-32-64 and hidden 64, two towers, 4 classes.
+fn served_shapes(nb: usize) -> Vec<(String, usize, usize, usize, Trans, Trans)> {
+    let mut out = Vec::new();
+    for (name, (h0, w0), conv, hidden) in [
+        ("32x32", (32usize, 32usize), [8usize, 16, 32], 48usize),
+        ("64x32", (64, 32), [16, 32, 64], 64),
+    ] {
+        let (mut c, mut h, mut w) = (1, h0, w0);
+        for (li, (&oc, stride)) in conv.iter().zip([1, 2, 2]).enumerate() {
+            let (oh, ow) = conv_out_hw(h, w, 3, stride, 1);
+            let (l, k2c) = (nb * oh * ow, c * 9);
+            let tag = |what: &str| format!("{name} b{nb} conv{} {what}", li + 1);
+            out.push((tag("fwd"), oc, l, k2c, Trans::No, Trans::No));
+            out.push((tag("gw"), oc, k2c, l, Trans::No, Trans::Yes));
+            if li > 0 {
+                out.push((tag("gin"), k2c, l, oc, Trans::Yes, Trans::No));
+            }
+            (c, h, w) = (oc, oh / 2, ow / 2);
+        }
+        let feat = 2 * c * h.max(1) * w.max(1);
+        for (li, (din, dout)) in [(feat, hidden), (hidden, 4)].into_iter().enumerate() {
+            let tag = |what: &str| format!("{name} b{nb} dense{} {what}", li + 1);
+            out.push((tag("fwd"), nb, dout, din, Trans::No, Trans::Yes));
+            out.push((tag("gw"), dout, din, nb, Trans::Yes, Trans::No));
+            out.push((tag("gin"), nb, din, dout, Trans::No, Trans::No));
+        }
+    }
+    out
+}
+
+/// The served models' GEMMs at batch 1, 8 and 32, plus C widths just
+/// below, at and above the axpy boundary (and C heights either side of
+/// one micro-tile): within 1e-4 of the f64 reference, bit-identical
+/// across 1–16 threads and across repeated runs, under every compiled
+/// micro-kernel variant. The batch-of-one conv3 products are the
+/// narrowest the packed path serves, so its ragged-tile spill runs here
+/// on the shapes production runs.
+#[test]
+fn served_gemm_shapes_hold_in_every_kernel_variant() {
+    let mut shapes: Vec<_> = [1, 8, 32].into_iter().flat_map(served_shapes).collect();
+    for n in [AXPY_MIN_N - 1, AXPY_MIN_N, AXPY_MIN_N + 1] {
+        for m in [7, 8, 32] {
+            for ta in [Trans::No, Trans::Yes] {
+                shapes.push((format!("boundary m{m} n{n}"), m, n, 72, ta, Trans::No));
+            }
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(0x5E7);
+    for (what, m, n, k, ta, tb) in shapes {
+        let a = rand_vec(&mut rng, m * k);
+        let b = rand_vec(&mut rng, k * n);
+        let c0 = rand_vec(&mut rng, m * n);
+        let mut want = c0.clone();
+        naive_gemm(m, n, k, 1.0, &a, ta, &b, tb, 1.0, &mut want);
+        let case = Case {
+            m,
+            n,
+            k,
+            alpha: 1.0,
+            beta: 1.0,
+            a: &a,
+            ta,
+            b: &b,
+            tb,
+            c0: &c0,
+        };
+        for &variant in KernelVariant::compiled() {
+            if !variant.available() {
+                continue;
+            }
+            with_forced_kernel(variant, || {
+                let first = check_threads(&case, &want, &SERVED_THREADS)
+                    .unwrap_or_else(|e| panic!("[{}] {what}: {e}", variant.name()));
+                // A repeated run, at the widest partition.
+                let again = check_threads(&case, &want, &SERVED_THREADS[5..])
+                    .unwrap_or_else(|e| panic!("[{}] {what}: {e}", variant.name()));
+                assert!(
+                    first
+                        .iter()
+                        .zip(&again)
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "[{}] {what}: repeated run differs bitwise",
+                    variant.name()
+                );
+            });
+        }
+    }
+}
+
+/// IEEE semantics in every regime: `0 * NaN` is NaN, so a NaN in one
+/// operand opposite a zero in the other must reach every element of C
+/// — whichever regime `sgemm` picks, wherever the poisoned index falls
+/// in the 4-wide fused body or its tail, at every thread count.
+#[test]
+fn nan_opposite_a_zero_reaches_c_in_every_regime() {
+    // (m, n, k, ta, tb): matvec (n = 1), rank-1 (k = 1), dot (No/Yes),
+    // axpy (wide C, and C shorter than one tile), packed (narrow C, and
+    // k past the short-k bound).
+    let mut shapes = Vec::new();
+    for (m, n, k) in [
+        (9, 1, 6),
+        (9, 7, 1),
+        (9, 7, 5),
+        (1, 8, 5),
+        (9, 600, 7),
+        (3, 40, 6),
+        (12, 4, 7),
+        (12, 20, 390),
+    ] {
+        for ta in [Trans::No, Trans::Yes] {
+            for tb in [Trans::No, Trans::Yes] {
+                shapes.push((m, n, k, ta, tb));
+            }
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(0x0A7);
+    for (m, n, k, ta, tb) in shapes {
+        // Both directions: NaN in B opposite zero in A, and NaN in A
+        // opposite zero in B.
+        for nan_in_b in [true, false] {
+            for p0 in [0, k / 2, k - 1] {
+                let mut a = rand_vec(&mut rng, m * k);
+                let mut b = rand_vec(&mut rng, k * n);
+                let (zero, nan) = if nan_in_b {
+                    (0.0, f32::NAN)
+                } else {
+                    (f32::NAN, 0.0)
+                };
+                for i in 0..m {
+                    a[match ta {
+                        Trans::No => i * k + p0,
+                        Trans::Yes => p0 * m + i,
+                    }] = zero;
+                }
+                for j in 0..n {
+                    b[match tb {
+                        Trans::No => p0 * n + j,
+                        Trans::Yes => j * k + p0,
+                    }] = nan;
+                }
+                for t in THREADS {
+                    let mut c = vec![0.0f32; m * n];
+                    with_gemm_threading(GemmThreading::Fixed(t), || {
+                        sgemm(m, n, k, 1.0, &a, ta, &b, tb, 0.0, &mut c)
+                    });
+                    if let Some(i) = c.iter().position(|v| !v.is_nan()) {
+                        panic!(
+                            "C({m}x{n}x{k},{ta:?},{tb:?},t{t}) NaN in {} at p={p0} \
+                             dropped at [{i}]: {}",
+                            if nan_in_b { "B" } else { "A" },
+                            c[i]
+                        );
+                    }
+                }
+            }
         }
     }
 }
