@@ -1,9 +1,12 @@
 //! Criterion benches for the §7.6 overhead story: representation
 //! extraction, CNN inference, and DT feature extraction + prediction,
-//! each relative to one CSR SpMV iteration (benched alongside).
+//! each relative to one CSR SpMV iteration (benched alongside), and the
+//! decision-cache key a repeated matrix pays instead of all of them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dnnspmv_core::{samples::make_channels, DtSelector, FormatSelector, SelectorConfig};
+use dnnspmv_core::{
+    matrix_fingerprint, samples::make_channels, DtSelector, FormatSelector, SelectorConfig,
+};
 use dnnspmv_gen::{generate, Dataset, DatasetSpec, MatrixClass};
 use dnnspmv_nn::TrainConfig;
 use dnnspmv_platform::{label_dataset, PlatformModel};
@@ -94,9 +97,26 @@ fn bench_prediction_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// The decision-cache key on a matrix of `service_repeat`'s 60 k
+/// nonzeros, warm: what a cache hit costs before its lookup.
+fn bench_fingerprint(c: &mut Criterion) {
+    let preview = generate(MatrixClass::Random, 4096, 3);
+    let matrix = generate(MatrixClass::Random, 60_000 * 4096 / preview.nnz(), 3);
+    assert!(
+        (50_000..70_000).contains(&matrix.nnz()),
+        "{} nonzeros",
+        matrix.nnz()
+    );
+    let mut group = c.benchmark_group("decision_cache");
+    group.bench_function("fingerprint_60k", |b| {
+        b.iter(|| black_box(matrix_fingerprint(black_box(&matrix))))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_prediction_overhead
+    targets = bench_prediction_overhead, bench_fingerprint
 }
 criterion_main!(benches);

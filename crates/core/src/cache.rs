@@ -27,9 +27,14 @@
 //!   given.
 //!
 //! The fingerprint reads O(sample) entries, never every nonzero: exact
-//! shape and nonzero count, a strided sample of at most
-//! [`FINGERPRINT_COORD_SAMPLE`] coordinates (exhaustive for
-//! `nnz ≤ 2048`), and the row length at every 32nd sampled position.
+//! shape and nonzero count, at most [`FINGERPRINT_COORD_SAMPLE`]
+//! coordinates taken from a few evenly spread windows of consecutive
+//! entries (every entry for `nnz ≤ 2048`; [`fingerprint_windows`] says
+//! which), and the row length at every 32nd windowed position. Windows,
+//! not a stride: at 60 k nonzeros a stride of 30 lands the sample on
+//! about 2 000 distinct cache lines of each index array, where the
+//! windows cover about 135, so a key over a matrix that has left the
+//! cache costs a few lines' fetches, not thousands.
 //! Two structurally different matrices that agree on everything sampled
 //! share a key, in which case the cache returns a format decision
 //! computed for a look-alike — a performance approximation, never a
@@ -43,6 +48,7 @@
 use crate::service::Selection;
 use dnnspmv_sparse::{CooMatrix, Scalar};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -321,23 +327,58 @@ impl DecisionCache {
     }
 }
 
-/// How many coordinates [`matrix_fingerprint`] samples: the stride is
-/// chosen so at most this many `(row, col)` pairs are hashed, and every
-/// pair is hashed when `nnz` is at or below it.
+/// How many coordinates [`matrix_fingerprint`] samples: at most this
+/// many `(row, col)` pairs are hashed, and every pair is hashed when
+/// `nnz` is at or below it.
 pub const FINGERPRINT_COORD_SAMPLE: usize = 2048;
 
-/// Every this-many sampled positions, [`matrix_fingerprint`] also folds
-/// in the length of the row the sampled entry sits in.
+/// How many evenly spread windows of consecutive entries the sample is
+/// read from past [`FINGERPRINT_COORD_SAMPLE`] nonzeros. Fewer, longer
+/// windows fetch fewer cache lines; more windows spread the sample over
+/// more of the matrix. DESIGN §4.6 has the sweep this was chosen from.
+const FINGERPRINT_WINDOWS: usize = 8;
+
+/// Entries per window: the windows together hold the whole sample.
+const FINGERPRINT_WINDOW_LEN: usize = FINGERPRINT_COORD_SAMPLE / FINGERPRINT_WINDOWS;
+
+/// Every this-many windowed positions, starting at each window's first,
+/// [`matrix_fingerprint`] also folds in the length of the row the entry
+/// sits in.
 const FINGERPRINT_RUN_EVERY: usize = 32;
 
-/// Independent multiply chains the sample is spread over, so the
-/// multiplies of neighbouring samples overlap instead of waiting on
-/// one another.
-const FINGERPRINT_LANES: usize = 4;
+/// Independent multiply chains a window's coordinates are dealt over,
+/// so the multiplies of neighbouring entries overlap instead of waiting
+/// on one another.
+const FINGERPRINT_LANES: usize = 8;
 
 /// Odd 64-bit multiplier (the golden-ratio constant): multiplying by it
 /// is a bijection, so a lane step never merges two distinct states.
 const FINGERPRINT_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The entry positions [`matrix_fingerprint`] reads of a matrix with
+/// `nnz` nonzeros, as ascending, disjoint windows: the single window
+/// `0..nnz` at or below [`FINGERPRINT_COORD_SAMPLE`], and past it 8
+/// windows of 256 entries, window `w` starting at `w·(nnz − 256)/7`, so
+/// the first starts at entry 0 and the last ends at `nnz`. Past the
+/// sample size the starts are at least 256 apart, so the windows never
+/// overlap and hold exactly [`FINGERPRINT_COORD_SAMPLE`] positions. The
+/// key also reads the row length at every 32nd position of each window,
+/// its first included.
+pub fn fingerprint_windows(nnz: usize) -> impl Iterator<Item = Range<usize>> {
+    let (count, len) = if nnz <= FINGERPRINT_COORD_SAMPLE {
+        (1, nnz)
+    } else {
+        (FINGERPRINT_WINDOWS, FINGERPRINT_WINDOW_LEN)
+    };
+    (0..count).map(move |w| {
+        let start = if count == 1 {
+            0
+        } else {
+            w * (nnz - len) / (count - 1)
+        };
+        start..start + len
+    })
+}
 
 /// One lane step: a bijection of the state for a fixed word and of the
 /// word for a fixed state, so one differing word always leaves its lane
@@ -380,46 +421,57 @@ fn row_run(rows: &[u32], p: usize) -> usize {
 }
 
 /// Structural fingerprint of a sparse matrix, in O(sample) time: exact
-/// `(nrows, ncols, nnz)`, at most [`FINGERPRINT_COORD_SAMPLE`] strided
-/// `(row, col)` pairs (every pair when `nnz` is at or below it), and the
-/// row length at every 32nd sampled position, read off the canonically
-/// row-major sorted row indices with a few probes near the sample. Each
-/// pair is one 64-bit word, mixed into one of four independent
-/// multiply chains. Values are deliberately excluded — every
-/// representation the CNN consumes depends only on the sparsity
+/// `(nrows, ncols, nnz)`, at most [`FINGERPRINT_COORD_SAMPLE`]
+/// `(row, col)` pairs read from the windows of consecutive entries that
+/// [`fingerprint_windows`] names (every pair when `nnz` is at or below
+/// the sample size), and the row length at every 32nd windowed position,
+/// read off the canonically row-major sorted row indices with a few
+/// probes near the sample. Each pair is one 64-bit word; a window's
+/// words are dealt in turn over eight independent multiply chains, and
+/// the row lengths go into a ninth. Values are deliberately excluded —
+/// every representation the CNN consumes depends only on the sparsity
 /// pattern, so two matrices with equal structure genuinely warrant the
 /// same decision.
 ///
-/// Entries between sampled positions are not read, so two matrices
-/// that agree on everything sampled share a key; the server's hit audit
+/// The sample sits in 8 runs of consecutive entries rather than on a
+/// stride because a key is mostly memory traffic: at 60 k nonzeros the
+/// windows span about 270 cache lines of the two index arrays, where a
+/// stride of 30 entries spans about 4 000.
+///
+/// Entries outside the windows are not read, so two matrices that agree
+/// on everything sampled share a key; the server's hit audit
 /// ([`CACHE_AUDIT_PERIOD`](crate::server::CACHE_AUDIT_PERIOD)) is what
 /// catches such a collision.
 pub fn matrix_fingerprint<S: Scalar>(m: &CooMatrix<S>) -> u64 {
     let rows = m.row_indices();
     let nnz = rows.len();
     let cols = &m.col_indices()[..nnz];
-    let stride = nnz.div_ceil(FINGERPRINT_COORD_SAMPLE).max(1);
-    let word = |p: usize| (u64::from(rows[p]) << 32) | u64::from(cols[p]);
+    let word = |r: u32, c: u32| (u64::from(r) << 32) | u64::from(c);
     let mut lane: [u64; FINGERPRINT_LANES] =
         std::array::from_fn(|i| FINGERPRINT_MUL.wrapping_mul(i as u64 + 1));
     lane[0] = fingerprint_mix(lane[0], m.nrows() as u64);
     lane[1] = fingerprint_mix(lane[1], m.ncols() as u64);
     lane[2] = fingerprint_mix(lane[2], nnz as u64);
-    let mut p = 0;
-    while p + (FINGERPRINT_LANES - 1) * stride < nnz {
-        for (i, h) in lane.iter_mut().enumerate() {
-            *h = fingerprint_mix(*h, word(p + i * stride));
+    let mut runs = FINGERPRINT_MUL.wrapping_mul(FINGERPRINT_LANES as u64 + 1);
+    for window in fingerprint_windows(nnz) {
+        let mut window_rows = rows[window.clone()].chunks_exact(FINGERPRINT_LANES);
+        let mut window_cols = cols[window.clone()].chunks_exact(FINGERPRINT_LANES);
+        for (r, c) in (&mut window_rows).zip(&mut window_cols) {
+            for (i, h) in lane.iter_mut().enumerate() {
+                *h = fingerprint_mix(*h, word(r[i], c[i]));
+            }
         }
-        p += FINGERPRINT_LANES * stride;
+        let tail = window_rows.remainder().iter().zip(window_cols.remainder());
+        for (&r, &c) in tail {
+            lane[0] = fingerprint_mix(lane[0], word(r, c));
+        }
+        for p in window.step_by(FINGERPRINT_RUN_EVERY) {
+            runs = fingerprint_mix(runs, row_run(rows, p) as u64);
+        }
     }
-    while p < nnz {
-        lane[0] = fingerprint_mix(lane[0], word(p));
-        p += stride;
-    }
-    for p in (0..nnz).step_by(FINGERPRINT_RUN_EVERY * stride) {
-        lane[3] = fingerprint_mix(lane[3], row_run(rows, p) as u64);
-    }
-    lane.iter().fold(0, |key, &h| fingerprint_finish(key ^ h))
+    lane.iter()
+        .chain([&runs])
+        .fold(0, |key, &h| fingerprint_finish(key ^ h))
 }
 
 #[cfg(test)]
@@ -568,35 +620,58 @@ mod tests {
         let t: Vec<_> = (0..64).map(|i| (i, 63 - i, 1.0f32)).collect();
         let e = CooMatrix::from_triplets(64, 64, &t).unwrap();
         assert_ne!(matrix_fingerprint(&a), matrix_fingerprint(&e));
-        // A row-length change at a sampled position: past 2048 nonzeros
-        // only even positions are sampled, and these two agree on every
-        // one of them — only row 0 (a run-sampled position) has a
-        // different length, because the unsampled entry at position 1
-        // moved from row 0 to row 1.
-        let n = 3000;
-        let head = |second: (usize, usize)| {
-            let mut t = vec![(0, 0, 1.0f32), (second.0, second.1, 1.0), (1, 3, 1.0)];
-            t.extend((2..n).map(|i| (i, i, 1.0)));
+        // A row-length change at a sampled position. Past the sample size
+        // `f` and `g` agree on every windowed entry; they differ only in
+        // the first entry after window 0, which the key does not read.
+        // In `f` it ends the row through window 0's last row-length
+        // sample, in `g` it opens the next row, so that sample alone
+        // tells them apart.
+        let nnz = 3000;
+        let gap = fingerprint_windows(nnz).next().unwrap().end;
+        let probe = gap - FINGERPRINT_RUN_EVERY;
+        assert!(fingerprint_windows(nnz).all(|w| !w.contains(&gap)));
+        let n = nnz - FINGERPRINT_RUN_EVERY;
+        let head = |ends_the_row: bool| {
+            let long = probe + FINGERPRINT_RUN_EVERY + usize::from(ends_the_row);
+            let mut t: Vec<_> = (0..probe).map(|i| (i, i, 1.0f32)).collect();
+            t.extend((probe..long).map(|c| (probe, c, 1.0)));
+            if !ends_the_row {
+                t.push((probe + 1, 0, 1.0));
+            }
+            t.extend((probe + 1..n).map(|i| (i, i, 1.0)));
             CooMatrix::from_triplets(n, n, &t).unwrap()
         };
-        let (f, g) = (head((0, 5)), head((1, 1)));
-        assert_eq!(f.nnz().div_ceil(FINGERPRINT_COORD_SAMPLE), 2, "stride 2");
-        for p in (0..f.nnz()).step_by(2) {
+        let (f, g) = (head(true), head(false));
+        assert_eq!((f.nnz(), g.nnz()), (nnz, nnz));
+        for p in fingerprint_windows(nnz).flatten() {
             assert_eq!(f.row_indices()[p], g.row_indices()[p]);
             assert_eq!(f.col_indices()[p], g.col_indices()[p]);
         }
+        assert_ne!(f.row_indices()[gap], g.row_indices()[gap]);
+        assert_ne!(
+            row_run(f.row_indices(), probe),
+            row_run(g.row_indices(), probe)
+        );
         assert_ne!(matrix_fingerprint(&f), matrix_fingerprint(&g));
     }
 
     /// Digest-stability pin: the fingerprint keys persisted across
     /// serving sessions (and asserted against in benchmarks), so a
-    /// refactor that changes it must be deliberate. The second matrix
-    /// is past the sample size, so the stride, the lane tail and the
-    /// row-run samples are all pinned too.
+    /// refactor that changes it must be deliberate. The first matrix
+    /// is read whole and its 8 entries fill one round of the lanes; the
+    /// second is past the sample size, so the window starts and the
+    /// row-run samples are pinned too.
     #[test]
     fn fingerprint_digest_is_stable() {
-        assert_eq!(matrix_fingerprint(&diag(8)), 0x3951_5c3a_b0bb_0695);
-        assert_eq!(matrix_fingerprint(&diag(5001)), 0x88de_4628_0f2e_742c);
+        let got = (
+            matrix_fingerprint(&diag(8)),
+            matrix_fingerprint(&diag(5001)),
+        );
+        assert_eq!(
+            got,
+            (0xc534_3ea8_2094_55ba, 0xd0a7_26eb_589c_f1e5),
+            "{got:#x?}"
+        );
     }
 
     /// Reference model for one shard's LRU: a Vec in recency order.
@@ -645,6 +720,32 @@ mod tests {
     }
 
     proptest! {
+        /// Every matrix size gets the whole sample from ascending, disjoint
+        /// windows that start at entry 0 and end at `nnz`, with the row
+        /// length read 64 times past the sample size.
+        #[test]
+        fn fingerprint_windows_hold_the_whole_sample(nnz in 0usize..2_000_000) {
+            let windows: Vec<_> = fingerprint_windows(nnz).collect();
+            let read: usize = windows.iter().map(|w| w.len()).sum();
+            prop_assert_eq!(read, nnz.min(FINGERPRINT_COORD_SAMPLE));
+            prop_assert_eq!(windows[0].start, 0);
+            prop_assert_eq!(windows.last().unwrap().end, nnz);
+            for pair in windows.windows(2) {
+                prop_assert!(pair[0].end <= pair[1].start, "{:?}", pair);
+            }
+            let runs: usize = windows
+                .iter()
+                .map(|w| w.clone().step_by(FINGERPRINT_RUN_EVERY).count())
+                .sum();
+            if nnz > FINGERPRINT_COORD_SAMPLE {
+                prop_assert_eq!(windows.len(), FINGERPRINT_WINDOWS);
+                prop_assert!(windows.iter().all(|w| w.len() == FINGERPRINT_WINDOW_LEN));
+                prop_assert_eq!(runs, FINGERPRINT_COORD_SAMPLE / FINGERPRINT_RUN_EVERY);
+            } else {
+                prop_assert_eq!(runs, nnz.div_ceil(FINGERPRINT_RUN_EVERY));
+            }
+        }
+
         /// The galloping run search agrees with a linear scan at every
         /// position of arbitrary sorted row arrays.
         #[test]

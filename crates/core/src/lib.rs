@@ -40,7 +40,7 @@ pub mod service;
 
 pub use baseline::DtSelector;
 pub use cache::{
-    matrix_fingerprint, CacheConfig, CacheInsert, CacheLookup, DecisionCache,
+    fingerprint_windows, matrix_fingerprint, CacheConfig, CacheInsert, CacheLookup, DecisionCache,
     FINGERPRINT_COORD_SAMPLE,
 };
 pub use error::SelectorError;

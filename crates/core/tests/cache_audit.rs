@@ -1,17 +1,19 @@
 //! The decision-cache key against near-twin matrices, and the hit
 //! audit that catches what the key cannot tell apart.
 //!
-//! The key reads a strided sample of about 2048 entries, so at the
-//! 60 k-nonzero size of perfbench's `service_repeat` workload about one
-//! entry in thirty is read. These tests build every structural family
-//! at that size plus the derivations the training corpus uses (crop,
-//! transpose, block-diagonal combination) and one-entry moves, and pin
-//! which of them share a key. CI runs this file optimised
+//! The key reads about 2048 entries in a few windows of consecutive
+//! entries ([`fingerprint_windows`]), so at the 60 k-nonzero size of
+//! perfbench's `service_repeat` workload about one entry in thirty is
+//! read. These tests build every structural family at that size plus
+//! the derivations the training corpus uses (crop, transpose,
+//! block-diagonal combination) and one-entry moves, and pin which of
+//! them share a key. CI runs this file optimised
 //! (`cargo test --release -p dnnspmv-core`).
 
 use dnnspmv_core::{
-    matrix_fingerprint, CacheConfig, FormatSelector, PendingSelection, Selection, SelectorConfig,
-    SelectorServer, SelectorService, ServerConfig, CACHE_AUDIT_PERIOD, FINGERPRINT_COORD_SAMPLE,
+    fingerprint_windows, matrix_fingerprint, CacheConfig, FormatSelector, PendingSelection,
+    Selection, SelectorConfig, SelectorServer, SelectorService, ServerConfig, CACHE_AUDIT_PERIOD,
+    FINGERPRINT_COORD_SAMPLE,
 };
 use dnnspmv_gen::{augment, generate, Augmentation, Dataset, DatasetSpec, MatrixClass};
 use dnnspmv_nn::{CnnConfig, TrainConfig};
@@ -40,16 +42,17 @@ fn triplets(m: &CooMatrix<f32>) -> Vec<(usize, usize, f32)> {
     m.iter().collect()
 }
 
-/// Whether the key skips position `q` (no position is skipped at or
-/// below the sample size).
+/// Whether position `q` may be the one entry a derivation changes: one
+/// the key skips, or any entry at or below the sample size, where the
+/// key reads every entry.
 fn unsampled(m: &CooMatrix<f32>, q: usize) -> bool {
-    let s = m.nnz().div_ceil(FINGERPRINT_COORD_SAMPLE).max(1);
-    s == 1 || !q.is_multiple_of(s)
+    m.nnz() <= FINGERPRINT_COORD_SAMPLE || !fingerprint_windows(m.nnz()).any(|w| w.contains(&q))
 }
 
-/// Moves one entry the key never reads (an unsampled position in the
-/// first quarter) to a free column of the last row: dims and nnz stay,
-/// and every sampled position between the two shifts by one entry.
+/// Moves one entry the key never reads (the first unsampled position
+/// past the first quarter) to a free column of the last row: dims and
+/// nnz stay, and every sampled position between the two shifts by one
+/// entry.
 fn move_to_last_row(m: &CooMatrix<f32>) -> CooMatrix<f32> {
     let mut t = triplets(m);
     let q = (m.nnz() / 4..m.nnz())
@@ -149,6 +152,34 @@ fn twin_corpus_keys_differ_wherever_structures_differ() {
         "all but Hypersparse"
     );
     assert_eq!(collisions, named);
+}
+
+/// The key's cost is the cache lines it fetches: at `service_repeat` size
+/// its sample spans at most 256 distinct 64-byte lines of each index
+/// array (a stride of one entry in thirty would span about 2 000), and it
+/// is still the whole sample.
+#[test]
+fn fingerprint_sample_spans_few_cache_lines() {
+    let lines = |index: &[u32], positions: &[usize]| {
+        let mut l: Vec<usize> = positions
+            .iter()
+            .map(|&p| (index.as_ptr() as usize + 4 * p) / 64)
+            .collect();
+        l.dedup();
+        l.len()
+    };
+    for (name, m) in corpus().iter().filter(|(_, m)| m.nnz() > 40_000) {
+        let positions: Vec<usize> = fingerprint_windows(m.nnz()).flatten().collect();
+        assert_eq!(positions.len(), FINGERPRINT_COORD_SAMPLE, "{name}");
+        let (rows, cols) = (
+            lines(m.row_indices(), &positions),
+            lines(m.col_indices(), &positions),
+        );
+        assert!(
+            rows <= 256 && cols <= 256,
+            "{name}: {rows} and {cols} lines"
+        );
+    }
 }
 
 /// A small trained selector (the CNN rung only, every answer cached).
@@ -251,29 +282,30 @@ fn twin_corpus_server_run_audits_without_mismatch() {
 }
 
 /// Two matrices of 8 000 rows × 8 entries that agree on everything
-/// the key reads — past the sample size it reads one entry in 32, here
-/// the first entry of every 4th row, plus the length of every 128th
-/// row: an 8-diagonal band, and a scatter that keeps the band's first
-/// entry in every 4th row and draws every other entry at random
-/// (`seed`), to the right of that entry where one is read.
+/// the key reads — past the sample size it reads the entries inside
+/// [`fingerprint_windows`], about one row in thirty, plus row lengths,
+/// which are all 8 here: an 8-diagonal band, and a scatter that copies
+/// the band's rows the windows touch and draws every other row's
+/// entries at random (`seed`).
 fn forced_twins(seed: u64) -> (CooMatrix<f32>, CooMatrix<f32>) {
     let (n, per_row) = (8_000, 8);
     let ncols = n + per_row - 1;
     let band: Vec<_> = (0..n)
         .flat_map(|i| (i..i + per_row).map(move |c| (i, c, 1.0f32)))
         .collect();
+    let mut read = vec![false; n];
+    for p in fingerprint_windows(n * per_row).flatten() {
+        read[p / per_row] = true;
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut scattered = Vec::with_capacity(n * per_row);
-    for i in 0..n {
+    for (i, &read) in read.iter().enumerate() {
         let mut cols: Vec<usize> = Vec::with_capacity(per_row);
-        let lo = if i % 4 == 0 {
-            cols.push(i);
-            i + 1
-        } else {
-            0
-        };
+        if read {
+            cols.extend(i..i + per_row);
+        }
         while cols.len() < per_row {
-            let c = rng.random_range(lo..ncols);
+            let c = rng.random_range(0..ncols);
             if !cols.contains(&c) {
                 cols.push(c);
             }

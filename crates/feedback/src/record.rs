@@ -14,6 +14,10 @@ pub struct FeedbackRecord {
     /// Sampler-assigned sequence number (monotone per process).
     pub seq: u64,
     /// Structural fingerprint of the matrix (the decision-cache key).
+    /// Informational only: nothing joins records on it. Records written
+    /// before the key read windows of consecutive entries carry keys of
+    /// the older strided sample, which differ from today's for the same
+    /// matrix.
     pub fingerprint: u64,
     /// Model generation that served the request.
     pub generation: u64,

@@ -219,9 +219,14 @@ impl<S: Scalar> CooMatrix<S> {
         for (i, &r) in self.rows.iter().enumerate() {
             ptr[r as usize + 1] = i + 1;
         }
-        // An empty row ends where the row before it did.
-        for r in 0..self.nrows {
-            ptr[r + 1] = ptr[r + 1].max(ptr[r]);
+        // An empty row ends where the row before it did. A written slot
+        // is at least 1, so 0 marks an empty row; the running end is
+        // carried in a register and picked by a mask, not a branch (a
+        // `max` here compiles to one that mispredicts on scattered rows).
+        let mut end = 0;
+        for p in &mut ptr[1..] {
+            end = *p | (end & usize::from(*p == 0).wrapping_neg());
+            *p = end;
         }
         ptr
     }

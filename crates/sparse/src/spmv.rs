@@ -24,7 +24,9 @@ pub trait Spmv<S: Scalar>: Send + Sync {
 
     /// Entry point for thread-parallel SpMV. No format overrides it: it
     /// runs [`Spmv::spmv`], so callers of either time the same kernel. A
-    /// real span driver goes here (ROADMAP item 1).
+    /// row-span driver would go here; it is parked (ROADMAP, "Parked"),
+    /// because a two-span prototype ran at 0.67–0.99× of `spmv` on a
+    /// host whose second vCPU comes and goes.
     fn spmv_par(&self, x: &[S], y: &mut [S]) {
         self.spmv(x, y);
     }
