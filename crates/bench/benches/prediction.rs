@@ -1,11 +1,17 @@
 //! Criterion benches for the §7.6 overhead story: representation
 //! extraction, CNN inference, and DT feature extraction + prediction,
-//! each relative to one CSR SpMV iteration (benched alongside), and the
+//! each relative to one CSR SpMV iteration (benched alongside), a
+//! small matrix's select through the cost-ordered cascade, and the
 //! decision-cache key a repeated matrix pays instead of all of them.
+//!
+//! `dt_features` per unit of `nnz + nrows + ncols` against
+//! `cnn_inference` per multiply-accumulate is the ratio behind
+//! `TREE_UNIT_MACS` (DESIGN §4.4).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnnspmv_core::{
     matrix_fingerprint, samples::make_channels, DtSelector, FormatSelector, SelectorConfig,
+    SelectorService,
 };
 use dnnspmv_gen::{generate, Dataset, DatasetSpec, MatrixClass};
 use dnnspmv_nn::TrainConfig;
@@ -93,6 +99,18 @@ fn bench_prediction_overhead(c: &mut Criterion) {
     });
     group.bench_function("dt_end_to_end_predict", |b| {
         b.iter(|| black_box(dt.predict_label(black_box(&matrix))))
+    });
+    // A training-size matrix the tree answers first from a pure leaf:
+    // the whole service select, no CNN forward.
+    let service = SelectorService::new(Some(cnn.clone()), Some(dt.clone()))
+        .expect("trained predictors validate");
+    let small = data
+        .matrices
+        .iter()
+        .find(|m| service.tree_first(*m).is_some())
+        .expect("a matrix the tree answers first");
+    group.bench_function("service_select_small", |b| {
+        b.iter(|| black_box(service.select(black_box(small))))
     });
     group.finish();
 }

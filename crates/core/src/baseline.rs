@@ -38,6 +38,13 @@ impl DtSelector {
         self.formats[self.predict_label(matrix)]
     }
 
+    /// The tree's format for `matrix` when the leaf it lands in was pure
+    /// in training, `None` when that leaf held more than one label.
+    pub fn predict_if_pure<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Option<SparseFormat> {
+        let (label, pure) = self.tree.predict_with_purity(&features(matrix));
+        pure.then(|| self.formats[label])
+    }
+
     /// Predicts the class label.
     pub fn predict_label<S: Scalar>(&self, matrix: &CooMatrix<S>) -> usize {
         self.tree.predict(&features(matrix))

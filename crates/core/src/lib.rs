@@ -18,7 +18,9 @@
 //!
 //! For deployment, [`SelectorService`] wraps the CNN in a
 //! graceful-degradation ladder (CNN → decision tree → CSR) with
-//! observable fallback counters, and all persistence goes through
+//! observable fallback counters, ordered by cost while it is healthy: a
+//! small matrix whose tree leaf was pure in training is answered by
+//! the tree before any CNN forward runs. All persistence goes through
 //! validated, checksummed envelopes surfacing [`SelectorError`].
 
 //! [`SelectorServer`] adds the serving layer on top: bounded-queue
@@ -53,5 +55,5 @@ pub use server::{
 };
 pub use service::{
     CnnFault, CnnRungOutcome, GuardedSelection, SelectGuard, Selection, SelectionSource,
-    SelectorService, ServiceReport,
+    SelectorService, ServiceReport, TREE_UNIT_MACS,
 };

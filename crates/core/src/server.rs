@@ -329,11 +329,12 @@ pub trait ServeTap<S: Scalar>: Send + Sync {
 /// production).
 #[derive(Clone, Default)]
 pub struct ServeHooks {
-    /// Consulted once per request that reaches the CNN rung, with the
-    /// request's sequence number; the returned fault is injected into
-    /// the rung. Side effects (advancing a fake clock to simulate a
-    /// latency spike or a hang, parking the worker to hold the queue
-    /// full) are the test harness's levers.
+    /// Consulted once per request the breaker lets reach the CNN rung,
+    /// with the request's sequence number; the returned fault is
+    /// injected into the rung. A request with a fault is never answered
+    /// tree-first; one without may still be. Side effects (advancing a
+    /// fake clock to simulate a latency spike or a hang, parking the
+    /// worker to hold the queue full) are the test harness's levers.
     pub cnn_fault: Option<Arc<dyn Fn(u64) -> CnnFault + Send + Sync>>,
 }
 
@@ -548,7 +549,8 @@ pub struct ServerReport {
     pub served: u64,
     /// Answered by the CNN rung.
     pub served_cnn: u64,
-    /// Answered by the tree rung.
+    /// Answered by the tree, first or as a fallback
+    /// (`ladder.cnn_bypassed` counts the first).
     pub served_tree: u64,
     /// Answered by the static default.
     pub served_default: u64,
@@ -775,6 +777,7 @@ impl<S: Scalar> Inner<S> {
                 skip_cnn,
                 cancel: &cancels[i],
                 inject,
+                require_cnn: probe || job.audit.is_some(),
             };
             members.push((job.matrix.as_ref(), guard));
         }
@@ -795,7 +798,7 @@ impl<S: Scalar> Inner<S> {
                     }
                     self.breaker.on_failure(probe, (self.clock)());
                 }
-                CnnRungOutcome::Skipped | CnnRungOutcome::Absent => {
+                CnnRungOutcome::Skipped | CnnRungOutcome::Absent | CnnRungOutcome::Bypassed => {
                     if probe {
                         self.breaker.abandon_probe();
                     }
@@ -852,9 +855,10 @@ impl<S: Scalar> Inner<S> {
     }
 
     /// Stores a CNN-answered selection in the decision cache. Tree and
-    /// default answers are never cached: they are the *degraded* rungs,
-    /// and caching them would keep serving degraded answers after the
-    /// CNN recovered.
+    /// default answers are never cached. A fallback answer is degraded,
+    /// and caching it would keep serving degraded answers after the CNN
+    /// recovered; a tree-first answer costs about what the cache key
+    /// does, so caching it would save nothing.
     fn cache_store(&self, fp: Option<u64>, generation: u64, cnn: CnnRungOutcome, sel: &Selection) {
         let (Some(cache), Some(fp)) = (&self.cache, fp) else {
             return;
@@ -1175,7 +1179,9 @@ impl<S: Scalar> SelectorServer<S> {
     /// construction), then atomically swaps the new generation in.
     /// On any failure the old model keeps serving and a typed
     /// [`ServeError::Reload`] is returned. Transient read errors are
-    /// retried `reload_attempts` times with doubling backoff.
+    /// retried `reload_attempts` times with doubling backoff. The old
+    /// tree stays on as a fallback rung only: it was trained beside the
+    /// first CNN, so it never answers ahead of a reloaded one.
     pub fn reload_model<P: AsRef<Path>>(&self, path: P) -> Result<u64, ServeError> {
         self.reload_model_with_sleep(path, &|d| thread::sleep(d))
     }
@@ -1205,11 +1211,12 @@ impl<S: Scalar> SelectorServer<S> {
         // carry straight across the swap.
         {
             let mut slot = self.inner.slot.write().expect("slot lock");
-            let service = SelectorService::new(Some(sel), slot.service.tree().cloned())
-                .map_err(reject)?
-                .with_confidence_threshold(slot.service.confidence_threshold())
-                .with_default_format(slot.service.default_format())
-                .with_registry(self.inner.metrics.registry.clone());
+            let service =
+                SelectorService::with_fallback_tree(Some(sel), slot.service.tree().cloned())
+                    .map_err(reject)?
+                    .with_confidence_threshold(slot.service.confidence_threshold())
+                    .with_default_format(slot.service.default_format())
+                    .with_registry(self.inner.metrics.registry.clone());
             let number = slot.number + 1;
             *slot = Arc::new(Generation { service, number });
             // Publish the new generation number for lock-free cache

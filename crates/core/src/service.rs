@@ -1,11 +1,25 @@
-//! Graceful-degradation inference: CNN → decision tree → static CSR.
+//! Cost-ordered, gracefully degrading inference: a cheap tree answer
+//! first where it is cheap and certain, then CNN → decision tree →
+//! static CSR.
 //!
 //! A deployed selector sits on the hot path of someone else's solver,
 //! so a bad model file or a pathological input must never take the
 //! host down — at worst the caller gets CSR, the format every library
-//! supports. [`SelectorService`] wraps the CNN selector with a
-//! fallback ladder:
+//! supports. And a selection is charged against the SpMV iterations it
+//! serves (§7.6), so the cheapest predictor that can answer with
+//! certainty should answer. [`SelectorService`] wraps the CNN selector
+//! with a ladder ordered by cost, then by fallback:
 //!
+//! 0. **Tree first** — when the service holds the tree trained beside
+//!    its CNN and the tree's feature pass is estimated to cost less
+//!    than one CNN forward ([`TREE_UNIT_MACS`]), the tree is asked
+//!    first; if the leaf the matrix lands in was pure in training, the
+//!    tree's format is the answer and no CNN forward runs
+//!    ([`CnnRungOutcome::Bypassed`]). Every other member — impure leaf,
+//!    matrix above the gate, breaker probe, injected fault — goes on
+//!    down the ladder unchanged. This is a cost gate, not a confidence
+//!    gate: outside its training range a pure leaf is no sign of a
+//!    right answer, so large matrices always reach the CNN.
 //! 1. **CNN** — used when its probabilities are finite and the top
 //!    class clears the confidence threshold. Panics inside the network
 //!    (defence in depth; load-time validation should make them
@@ -17,7 +31,8 @@
 //! Every decision increments an observable counter
 //! ([`SelectorService::report`]), so a deployment that silently
 //! degrades to CSR shows up in monitoring instead of in a performance
-//! regression hunt.
+//! regression hunt, and a tree answer chosen for its cost
+//! (`cnn/bypassed`) stays apart from one the CNN degraded to.
 
 use crate::baseline::DtSelector;
 use crate::error::SelectorError;
@@ -26,6 +41,16 @@ use dnnspmv_obs::{Counter, Registry};
 use dnnspmv_sparse::{CooMatrix, Scalar, SparseFormat};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// CNN multiply-accumulates (MACs) that cost as much as one unit of the
+/// tree's feature pass, a unit being one of `nnz + nrows + ncols`. The
+/// tree is asked first only when `(nnz + nrows + ncols) ·
+/// TREE_UNIT_MACS ≤ Cnn::macs(1)`, i.e. when its feature pass is
+/// estimated to be cheaper than one forward. Measured on a 2-core x86
+/// host (DESIGN §4.4): the feature pass (`MatrixStats::compute`) costs
+/// about 1.8 ns per unit and a batch-of-one forward 0.08–0.10 ns per
+/// MAC, so one unit is worth about 20 MACs.
+pub const TREE_UNIT_MACS: u64 = 20;
 
 /// Which rung of the ladder produced a [`Selection`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -80,6 +105,9 @@ pub enum CnnRungOutcome {
     Cancelled,
     /// The caller asked to skip the CNN (breaker open).
     Skipped,
+    /// The tree answered first from a pure leaf, so the CNN never ran
+    /// (a cost decision: no signal about the CNN's health).
+    Bypassed,
     /// The service holds no CNN.
     Absent,
 }
@@ -96,8 +124,13 @@ pub struct SelectGuard<'a> {
     /// A member without a deadline keeps the default `&|| false`.
     pub cancel: &'a dyn Fn() -> bool,
     /// Injected CNN fault for deterministic failure testing; a faulted
-    /// member is pulled out of the shared forward pass.
+    /// member is pulled out of the shared forward pass and never
+    /// answered tree-first.
     pub inject: CnnFault,
+    /// The member must reach the CNN rung (a circuit breaker's
+    /// half-open probe, or a cache audit re-checking a CNN answer), so
+    /// the tree is not asked first.
+    pub require_cnn: bool,
 }
 
 impl Default for SelectGuard<'_> {
@@ -106,6 +139,7 @@ impl Default for SelectGuard<'_> {
             skip_cnn: false,
             cancel: &|| false,
             inject: CnnFault::None,
+            require_cnn: false,
         }
     }
 }
@@ -135,7 +169,11 @@ pub struct ServiceReport {
     pub cnn_cancelled: u64,
     /// CNN rung skipped on request (circuit breaker open).
     pub cnn_skipped: u64,
-    /// Decision tree answered.
+    /// CNN rung bypassed: the tree answered first from a pure leaf.
+    /// Each is also a `tree_ok`, so `tree_ok - cnn_bypassed` counts the
+    /// tree answers the ladder degraded to.
+    pub cnn_bypassed: u64,
+    /// Decision tree answered (first, or as a fallback).
     pub tree_ok: u64,
     /// Decision tree panicked and was demoted.
     pub tree_panic: u64,
@@ -165,6 +203,7 @@ struct Counters {
     cnn_low_confidence: Counter,
     cnn_cancelled: Counter,
     cnn_skipped: Counter,
+    cnn_bypassed: Counter,
     tree_ok: Counter,
     tree_panic: Counter,
     default_used: Counter,
@@ -185,6 +224,7 @@ impl Counters {
             cnn_low_confidence: rung("cnn", "low_confidence"),
             cnn_cancelled: rung("cnn", "cancelled"),
             cnn_skipped: rung("cnn", "skipped"),
+            cnn_bypassed: rung("cnn", "bypassed"),
             tree_ok: rung("tree", "ok"),
             tree_panic: rung("tree", "panic"),
             default_used: rung("default", "ok"),
@@ -197,6 +237,9 @@ impl Counters {
 pub struct SelectorService {
     cnn: Option<FormatSelector>,
     tree: Option<DtSelector>,
+    /// Largest `nnz + nrows + ncols` the tree is asked first for; `None`
+    /// when the tree is a fallback rung only.
+    tree_first_units: Option<u64>,
     default_format: SparseFormat,
     confidence_threshold: f32,
     registry: Registry,
@@ -206,7 +249,10 @@ pub struct SelectorService {
 impl SelectorService {
     /// Builds a service over an optional CNN selector and an optional
     /// tree baseline. Both are validated up front — a service never
-    /// holds a predictor that load-time checks would reject.
+    /// holds a predictor that load-time checks would reject. The two
+    /// are taken to be trained on the same labels: with both present,
+    /// the tree answers first where that is cheaper than a CNN forward
+    /// and its leaf was pure (see the module docs).
     pub fn new(
         cnn: Option<FormatSelector>,
         tree: Option<DtSelector>,
@@ -217,15 +263,34 @@ impl SelectorService {
         if let Some(t) = &tree {
             t.validate()?;
         }
+        let tree_first_units = match (&cnn, &tree) {
+            (Some(c), Some(_)) => Some(c.net.macs(1) / TREE_UNIT_MACS),
+            _ => None,
+        };
         let registry = Registry::new();
         let counters = Counters::bind(&registry);
         Ok(Self {
             cnn,
             tree,
+            tree_first_units,
             default_format: SparseFormat::Csr,
             confidence_threshold: 0.0,
             registry,
             counters,
+        })
+    }
+
+    /// A service whose tree is a fallback rung only, never asked first:
+    /// for a CNN the tree was not trained beside (a hot-reloaded or
+    /// rolled-back artefact), whose answers a tree trained on other
+    /// labels must not shadow.
+    pub(crate) fn with_fallback_tree(
+        cnn: Option<FormatSelector>,
+        tree: Option<DtSelector>,
+    ) -> Result<Self, SelectorError> {
+        Ok(Self {
+            tree_first_units: None,
+            ..Self::new(cnn, tree)?
         })
     }
 
@@ -279,6 +344,24 @@ impl SelectorService {
         self.cnn.is_some()
     }
 
+    /// The tree-first answer for `matrix`: `Some(format)` when this
+    /// service asks its tree first, the matrix's feature pass is
+    /// estimated to cost no more than one CNN forward
+    /// (`(nnz + nrows + ncols) · TREE_UNIT_MACS ≤ Cnn::macs(1)`) and
+    /// the leaf it lands in was pure in training; `None` sends the
+    /// matrix down the CNN path. A matrix above the gate is decided
+    /// without running the tree. This is the predicate
+    /// [`Self::select_batch`] applies to every member that may bypass
+    /// the CNN (no injected fault, no [`SelectGuard::require_cnn`]).
+    pub fn tree_first<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Option<SparseFormat> {
+        let limit = self.tree_first_units?;
+        let units = (matrix.nnz() + matrix.nrows() + matrix.ncols()) as u64;
+        if units > limit {
+            return None;
+        }
+        self.tree.as_ref()?.predict_if_pure(matrix)
+    }
+
     /// Picks a storage format for `matrix`, degrading down the ladder
     /// as needed. Total: never panics, always returns a format.
     pub fn select<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Selection {
@@ -303,6 +386,11 @@ impl SelectorService {
     ///   that skips the CNN or carries a fault is classified on its own
     ///   and never joins the shared pass, so one poisoned request
     ///   cannot sink its batch mates.
+    /// * **Tree first**: a member that may bypass the CNN (no injected
+    ///   fault, no `require_cnn`, deadline not yet passed) and for which
+    ///   [`Self::tree_first`] answers is answered by the tree alone,
+    ///   counted `cnn/bypassed` plus `tree/ok`. A tree panic there
+    ///   counts `tree/panic` and the member takes the CNN path.
     /// * **Extraction** runs per member under that member's `cancel`
     ///   and behind its own unwind boundary; a deadline expiring (or a
     ///   panic) there costs only that member its CNN answer.
@@ -341,6 +429,12 @@ impl SelectorService {
                 self.counters.cnn_skipped.inc();
                 out[i] = Some(self.fallback_rungs(matrix, CnnRungOutcome::Skipped, guard.cancel));
                 continue;
+            }
+            if guard.inject == CnnFault::None && !guard.require_cnn && !(guard.cancel)() {
+                if let Some(answer) = self.answer_tree_first(matrix) {
+                    out[i] = Some(answer);
+                    continue;
+                }
             }
             if guard.inject == CnnFault::NonFinite {
                 let probs = vec![f32::NAN; cnn.formats.len()];
@@ -417,6 +511,30 @@ impl SelectorService {
         out.into_iter()
             .map(|g| g.expect("every batch member classified"))
             .collect()
+    }
+
+    /// [`Self::tree_first`] behind an unwind boundary, counted: a tree
+    /// answer bypasses the CNN, a tree panic costs only the shortcut.
+    fn answer_tree_first<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Option<GuardedSelection> {
+        match catch_unwind(AssertUnwindSafe(|| self.tree_first(matrix))) {
+            Ok(Some(format)) => {
+                self.counters.cnn_bypassed.inc();
+                self.counters.tree_ok.inc();
+                Some(GuardedSelection {
+                    selection: Some(Selection {
+                        format,
+                        source: SelectionSource::Tree,
+                        confidence: None,
+                    }),
+                    cnn: CnnRungOutcome::Bypassed,
+                })
+            }
+            Ok(None) => None,
+            Err(_) => {
+                self.counters.tree_panic.inc();
+                None
+            }
+        }
     }
 
     /// Classifies one member's CNN probabilities, counting the rung
@@ -506,6 +624,7 @@ impl SelectorService {
             cnn_low_confidence: self.counters.cnn_low_confidence.get(),
             cnn_cancelled: self.counters.cnn_cancelled.get(),
             cnn_skipped: self.counters.cnn_skipped.get(),
+            cnn_bypassed: self.counters.cnn_bypassed.get(),
             tree_ok: self.counters.tree_ok.get(),
             tree_panic: self.counters.tree_panic.get(),
             default_used: self.counters.default_used.get(),
@@ -570,11 +689,34 @@ mod tests {
         (cnn, dt, data)
     }
 
+    /// Matrices `svc` sends down the CNN path, by the predicate
+    /// `select_batch` applies: the dataset's own (impure leaf) and
+    /// larger fresh ones (above the gate). These are the healthy members
+    /// the CNN-rung tests below need.
+    fn cnn_bound(svc: &SelectorService, data: &Dataset) -> Vec<CooMatrix<f32>> {
+        let larger = Dataset::generate(&DatasetSpec {
+            n_base: 8,
+            n_augmented: 0,
+            dim_min: 384,
+            dim_max: 768,
+            ..DatasetSpec::tiny(32)
+        });
+        let bound: Vec<_> = data
+            .matrices
+            .iter()
+            .chain(&larger.matrices)
+            .filter(|m| svc.tree_first(*m).is_none())
+            .cloned()
+            .collect();
+        assert!(bound.len() >= 6, "only {} CNN-bound matrices", bound.len());
+        bound
+    }
+
     #[test]
     fn healthy_service_answers_from_the_cnn() {
         let (cnn, dt, data) = trained_pair();
         let svc = SelectorService::new(Some(cnn), Some(dt)).unwrap();
-        for m in data.matrices.iter().take(8) {
+        for m in cnn_bound(&svc, &data).iter().cycle().take(8) {
             let sel = svc.select(m);
             assert_eq!(sel.source, SelectionSource::Cnn);
             assert!(sel.confidence.unwrap() > 0.0);
@@ -599,7 +741,7 @@ mod tests {
             }
         }
         let svc = SelectorService::new(Some(cnn), Some(dt)).unwrap();
-        let sel = svc.select(&data.matrices[0]);
+        let sel = svc.select(&cnn_bound(&svc, &data)[0]);
         assert_eq!(sel.source, SelectionSource::Tree);
         let r = svc.report();
         assert_eq!(r.cnn_nonfinite, 1);
@@ -623,7 +765,7 @@ mod tests {
         let svc = SelectorService::new(Some(cnn), Some(dt))
             .unwrap()
             .with_confidence_threshold(1.1);
-        let sel = svc.select(&data.matrices[0]);
+        let sel = svc.select(&cnn_bound(&svc, &data)[0]);
         assert_eq!(sel.source, SelectionSource::Tree);
         let r = svc.report();
         assert_eq!(r.cnn_low_confidence, 1);
@@ -634,7 +776,8 @@ mod tests {
     fn guarded_select_classifies_injected_faults() {
         let (cnn, dt, data) = trained_pair();
         let svc = SelectorService::new(Some(cnn), Some(dt)).unwrap();
-        let m = &data.matrices[0];
+        let bound = cnn_bound(&svc, &data);
+        let m = &bound[0];
         let one = |guard: SelectGuard| svc.select_batch(&[(m, guard)])[0];
         // Injected panic: demoted to the tree, outcome recorded.
         let g = one(SelectGuard {
@@ -685,8 +828,8 @@ mod tests {
     fn batched_guarded_select_matches_single_path() {
         let (cnn, dt, data) = trained_pair();
         let svc = SelectorService::new(Some(cnn), Some(dt)).unwrap();
-        let members: Vec<(&CooMatrix<f32>, SelectGuard)> = data
-            .matrices
+        let bound = cnn_bound(&svc, &data);
+        let members: Vec<(&CooMatrix<f32>, SelectGuard)> = bound
             .iter()
             .take(6)
             .map(|m| (m, SelectGuard::default()))
@@ -730,8 +873,8 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let members: Vec<(&CooMatrix<f32>, SelectGuard)> =
-            data.matrices.iter().zip(guards).collect();
+        let bound = cnn_bound(&svc, &data);
+        let members: Vec<(&CooMatrix<f32>, SelectGuard)> = bound.iter().zip(guards).collect();
         let got = svc.select_batch(&members);
         // Healthy member: answered by the CNN despite its batch mates.
         assert_eq!(got[0].cnn, CnnRungOutcome::Answered);

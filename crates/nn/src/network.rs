@@ -1035,6 +1035,44 @@ impl Cnn {
             + self.head.num_params()
     }
 
+    /// Multiply-accumulates of a batch-`n` forward: each convolution
+    /// contributes `oh·ow·out_ch·in_ch·k²` per sample and each dense
+    /// layer `in·out`. Pooling, ReLU and bias adds are not counted.
+    ///
+    /// # Panics
+    /// Panics on a layer chain that [`Self::validate`] rejects.
+    pub fn macs(&self, n: usize) -> u64 {
+        fn stack(layers: &[Layer], mut shape: Vec<usize>) -> (u64, Vec<usize>) {
+            let mut macs = 0u64;
+            for layer in layers {
+                let out = layer.out_shape(&shape);
+                macs += match layer {
+                    Layer::Conv2d(c) => {
+                        (out.iter().product::<usize>() * c.in_ch * c.ksize * c.ksize) as u64
+                    }
+                    Layer::Dense(d) => (d.in_dim * d.out_dim) as u64,
+                    _ => 0,
+                };
+                shape = out;
+            }
+            (macs, shape)
+        }
+        let (h, w) = self.channel_shape;
+        let per_tower_c = if self.towers.len() == 1 {
+            self.num_channels
+        } else {
+            1
+        };
+        let (mut macs, mut feat) = (0u64, 0usize);
+        for tower in &self.towers {
+            let (m, shape) = stack(&tower.layers, vec![per_tower_c, h, w]);
+            macs += m;
+            feat += shape.iter().product::<usize>();
+        }
+        macs += stack(&self.head.layers, vec![feat]).0;
+        macs * n as u64
+    }
+
     /// Predicted class (argmax of the logits).
     pub fn predict(&self, channels: &[Tensor]) -> usize {
         let logits = self.forward(channels);

@@ -182,6 +182,44 @@ mod tests {
     }
 
     #[test]
+    fn standard_model_macs_match_the_closed_form() {
+        // Served standard model: two late-merged 64x32 histogram towers.
+        let net = build_cnn(Merging::Late, 2, (64, 32), 4, &CnnConfig::default());
+        // conv1 s1 keeps 64x32, pool → 32x16; conv2 s2 → 16x8, pool →
+        // 8x4; conv3 s2 → 4x2, pool → 2x1x64 = 128 features per tower.
+        let tower = 64 * 32 * 16 * 9 + 16 * 8 * 32 * 16 * 9 + 4 * 2 * 64 * 32 * 9;
+        let head = 2 * 128 * 64 + 64 * 4;
+        assert_eq!(net.macs(1), (2 * tower + head) as u64);
+        assert_eq!(net.macs(1), 2_081_024);
+        assert_eq!(net.macs(8), 8 * net.macs(1));
+        assert_eq!(net.macs(0), 0);
+    }
+
+    #[test]
+    fn small_model_macs_match_the_closed_form() {
+        // The small served model: 32x32 histograms, conv 8-16-32, 48 hidden.
+        let cfg = CnnConfig {
+            conv_channels: [8, 16, 32],
+            hidden: 48,
+            ..CnnConfig::default()
+        };
+        let net = build_cnn(Merging::Late, 2, (32, 32), 4, &cfg);
+        // conv1 → 32x32, pool 16x16; conv2 → 8x8, pool 4x4; conv3 → 2x2,
+        // pool → 1x1x32 = 32 features per tower.
+        let tower = 32 * 32 * 8 * 9 + 8 * 8 * 16 * 8 * 9 + 2 * 2 * 32 * 16 * 9;
+        let head = 2 * 32 * 48 + 48 * 4;
+        assert_eq!(net.macs(1), (2 * tower + head) as u64);
+        assert_eq!(net.macs(1), 335_040);
+        // Early merging: one tower whose first convolution reads both
+        // channels, so only conv1 doubles.
+        let early = build_cnn(Merging::Early, 2, (32, 32), 4, &cfg);
+        assert_eq!(
+            early.macs(1),
+            (tower + 32 * 32 * 8 * 9 + 32 * 48 + 48 * 4) as u64
+        );
+    }
+
+    #[test]
     fn figure_10_shapes_on_128x128() {
         let net = build_cnn(Merging::Late, 2, (128, 128), 4, &CnnConfig::default());
         let t = &net.towers[0];

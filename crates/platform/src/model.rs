@@ -422,33 +422,6 @@ impl PlatformModel {
         (read + written) / self.bw_gbps + nnz * per_entry_ns / self.cores.min(8.0)
     }
 
-    /// Estimate including conversion amortised over `iterations` SpMV
-    /// calls — the on-the-fly usage mode of Section 7.6, where the
-    /// label should minimise conversion + iterations * SpMV.
-    pub fn estimate_amortized(
-        &self,
-        p: &WorkloadProfile,
-        format: SparseFormat,
-        iterations: usize,
-    ) -> f64 {
-        let conv = self.conversion_estimate(p, format);
-        self.estimate(p, format) + conv / iterations.max(1) as f64
-    }
-
-    /// The fastest candidate when conversion is amortised over
-    /// `iterations` SpMV calls.
-    pub fn best_format_amortized(&self, p: &WorkloadProfile, iterations: usize) -> SparseFormat {
-        self.formats
-            .iter()
-            .copied()
-            .min_by(|&a, &b| {
-                self.estimate_amortized(p, a, iterations)
-                    .partial_cmp(&self.estimate_amortized(p, b, iterations))
-                    .expect("estimates are not NaN")
-            })
-            .expect("format set is non-empty")
-    }
-
     /// All candidate formats with their estimates, best first.
     pub fn ranking(&self, p: &WorkloadProfile) -> Vec<(SparseFormat, f64)> {
         let mut v: Vec<(SparseFormat, f64)> = self
@@ -806,30 +779,6 @@ mod amortized_tests {
                 "{f} conversion implausibly cheap"
             );
         }
-    }
-
-    #[test]
-    fn few_iterations_favour_cheap_conversions() {
-        // At 1 iteration COO (no conversion) is never beaten by much;
-        // with many iterations the steady-state winner takes over.
-        let p = banded(512);
-        let plat = PlatformModel::intel_cpu();
-        let one = plat.best_format_amortized(&p, 1);
-        let many = plat.best_format_amortized(&p, 100_000);
-        assert_eq!(many, plat.best_format(&p));
-        let t_one = plat.estimate_amortized(&p, one, 1);
-        let t_coo = plat.estimate_amortized(&p, SparseFormat::Coo, 1);
-        assert!(t_one <= t_coo + 1e-9);
-    }
-
-    #[test]
-    fn amortized_estimate_decreases_with_iterations() {
-        let p = banded(256);
-        let plat = PlatformModel::intel_cpu();
-        let e1 = plat.estimate_amortized(&p, SparseFormat::Dia, 1);
-        let e10 = plat.estimate_amortized(&p, SparseFormat::Dia, 10);
-        let e_inf = plat.estimate(&p, SparseFormat::Dia);
-        assert!(e1 > e10 && e10 > e_inf);
     }
 
     #[test]

@@ -181,11 +181,24 @@ impl DecisionTree {
     /// # Panics
     /// Panics if the row width differs from the training data.
     pub fn predict(&self, x: &[f64]) -> usize {
+        self.predict_with_purity(x).0
+    }
+
+    /// Predicts the class of one feature row, and whether the leaf it
+    /// lands in was pure in training: every training row that reached
+    /// that leaf carried the predicted class.
+    ///
+    /// # Panics
+    /// Panics if the row width differs from the training data.
+    pub fn predict_with_purity(&self, x: &[f64]) -> (usize, bool) {
         assert_eq!(x.len(), self.n_features, "feature width mismatch");
         let mut node = &self.root;
         loop {
             match node {
-                Node::Leaf { class, .. } => return *class,
+                Node::Leaf { class, counts } => {
+                    let pure = counts.iter().filter(|&&c| c > 0).count() == 1;
+                    return (*class, pure);
+                }
                 Node::Split {
                     feature,
                     threshold,
@@ -381,6 +394,24 @@ mod tests {
         let t = DecisionTree::train(&x, &y, TreeConfig::new(2));
         assert_eq!(t.node_count(), 1);
         assert_eq!(t.predict(&[5.0]), 0);
+        assert_eq!(t.predict_with_purity(&[5.0]), (0, false));
+    }
+
+    #[test]
+    fn purity_follows_the_training_histogram_of_the_leaf() {
+        // Rows 0..10 are all class 0; rows 10..20 mix both classes on one
+        // feature value, so no split can separate them.
+        let mut x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
+        x.extend((0..10).map(|_| vec![50.0]));
+        let y: Vec<usize> = (0..20)
+            .map(|i| usize::from(i >= 10 && i % 2 == 0))
+            .collect();
+        let t = DecisionTree::train(&x, &y, TreeConfig::new(2));
+        assert_eq!(t.predict_with_purity(&[3.0]), (0, true));
+        assert!(!t.predict_with_purity(&[50.0]).1);
+        for row in &x {
+            assert_eq!(t.predict_with_purity(row).0, t.predict(row));
+        }
     }
 
     #[test]

@@ -421,9 +421,15 @@ fn selector_service_degrades_cnn_to_tree_to_default() {
     );
     let dt = DtSelector::train(&data.matrices, &labels, intel.formats().to_vec());
 
-    // Rung 1: a healthy CNN answers.
+    // Rung 1: a healthy CNN answers a matrix the tree does not answer
+    // first (an impure leaf, or a feature pass dearer than a forward).
     let svc = SelectorService::new(Some(cnn.clone()), Some(dt.clone())).unwrap();
-    assert_eq!(svc.select(&data.matrices[0]).source, SelectionSource::Cnn);
+    let cnn_bound = data
+        .matrices
+        .iter()
+        .find(|m| svc.tree_first(*m).is_none())
+        .expect("a CNN-bound matrix");
+    assert_eq!(svc.select(cnn_bound).source, SelectionSource::Cnn);
     assert_eq!(svc.report().cnn_ok, 1);
 
     // Rung 2: a CNN with finite but absurd weights passes load-time
@@ -437,7 +443,7 @@ fn selector_service_degrades_cnn_to_tree_to_default() {
         }
     }
     let svc = SelectorService::new(Some(bad), Some(dt)).unwrap();
-    let sel = svc.select(&data.matrices[0]);
+    let sel = svc.select(cnn_bound);
     assert_eq!(sel.source, SelectionSource::Tree);
     assert!(intel.formats().contains(&sel.format));
     let r = svc.report();

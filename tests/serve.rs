@@ -15,6 +15,7 @@ use dnnspmv::gen::{Dataset, DatasetSpec};
 use dnnspmv::nn::TrainConfig;
 use dnnspmv::platform::{label_dataset, PlatformModel};
 use dnnspmv::repr::ReprConfig;
+use dnnspmv::sparse::CooMatrix;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex, OnceLock};
 use std::time::Duration;
@@ -73,6 +74,37 @@ fn full_service() -> SelectorService {
         .with_confidence_threshold(0.0)
 }
 
+/// Matrices [`full_service`] sends down the CNN path, by the predicate
+/// its `select_batch` applies (`SelectorService::tree_first`): the
+/// fixture's impure-leaf matrices, then larger fresh ones above the
+/// gate. A healthy small fixture matrix is answered tree-first, so the
+/// tests whose subject is the CNN rung (its answers, deadlines, breaker
+/// probes, cached answers, shared batches) serve these.
+fn cnn_bound() -> &'static [CooMatrix<f32>] {
+    static BOUND: OnceLock<Vec<CooMatrix<f32>>> = OnceLock::new();
+    BOUND.get_or_init(|| {
+        let (_, _, data) = fixture();
+        let larger = Dataset::generate(&DatasetSpec {
+            n_base: 12,
+            n_augmented: 0,
+            dim_min: 384,
+            dim_max: 768,
+            seed: 43,
+            ..DatasetSpec::default()
+        });
+        let svc = full_service();
+        let bound: Vec<_> = data
+            .matrices
+            .iter()
+            .chain(&larger.matrices)
+            .filter(|m| svc.tree_first(*m).is_none())
+            .cloned()
+            .collect();
+        assert!(bound.len() >= 14, "only {} CNN-bound matrices", bound.len());
+        bound
+    })
+}
+
 fn fake_clock() -> (Arc<AtomicU64>, dnnspmv::core::ClockFn) {
     let t = Arc::new(AtomicU64::new(0));
     let tc = Arc::clone(&t);
@@ -92,7 +124,6 @@ fn tight_breaker() -> BreakerConfig {
 /// the terminal counters account for every single submission.
 #[test]
 fn burst_load_sheds_overloaded_and_admitted_requests_complete() {
-    let (_, _, data) = fixture();
     let (_, clock) = fake_clock();
     // One worker, parked inside the CNN-fault hook until released, so
     // the queue depth is fully under test control. The hook signals
@@ -113,7 +144,7 @@ fn burst_load_sheds_overloaded_and_admitted_requests_complete() {
         ..ServerConfig::default()
     };
     let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
-    let m = Arc::new(data.matrices[0].clone());
+    let m = Arc::new(cnn_bound()[0].clone());
 
     // First request occupies the worker (it blocks in the hook); once
     // `entered` fires the queue is empty and the worker is busy, so
@@ -161,7 +192,6 @@ fn burst_load_sheds_overloaded_and_admitted_requests_complete() {
 /// cancellation checkpoint inside representation extraction fires).
 #[test]
 fn deadlines_expire_in_queue_and_in_flight() {
-    let (_, _, data) = fixture();
     let (clock_raw, clock) = fake_clock();
     let advance = Arc::clone(&clock_raw);
     let hang = Arc::new(AtomicBool::new(false));
@@ -182,7 +212,7 @@ fn deadlines_expire_in_queue_and_in_flight() {
         ..ServerConfig::default()
     };
     let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
-    let m = Arc::new(data.matrices[1].clone());
+    let m = Arc::new(cnn_bound()[1].clone());
 
     // In-flight expiry: the hook simulates the hang.
     hang.store(true, Ordering::SeqCst);
@@ -221,7 +251,6 @@ fn deadlines_expire_in_queue_and_in_flight() {
 /// probe restores the CNN once the fault clears.
 #[test]
 fn hung_cnn_trips_breaker_tree_answers_probe_restores() {
-    let (_, _, data) = fixture();
     let (clock_raw, clock) = fake_clock();
     let advance = Arc::clone(&clock_raw);
     let hang = Arc::new(AtomicBool::new(true));
@@ -241,7 +270,7 @@ fn hung_cnn_trips_breaker_tree_answers_probe_restores() {
         ..ServerConfig::default()
     };
     let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
-    let m = Arc::new(data.matrices[2].clone());
+    let m = Arc::new(cnn_bound()[2].clone());
     let deadline = Some(Duration::from_nanos(1_000));
 
     // Three hung requests (submitted one at a time so each is admitted
@@ -355,7 +384,7 @@ fn panicking_cnn_is_contained_and_failed_probe_doubles_backoff() {
 /// the swap (retired generations still count).
 #[test]
 fn hot_reload_rejects_corrupt_artefact_and_swaps_valid_one() {
-    let (cnn, _, data) = fixture();
+    let (cnn, _, _) = fixture();
     let (_, clock) = fake_clock();
     let server: SelectorServer<f32> = SelectorServer::with_parts(
         full_service(),
@@ -367,7 +396,7 @@ fn hot_reload_rejects_corrupt_artefact_and_swaps_valid_one() {
         ServeHooks::default(),
         clock,
     );
-    let m = Arc::new(data.matrices[4].clone());
+    let m = Arc::new(cnn_bound()[4].clone());
     let sel_before = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
     assert_eq!(sel_before.source, SelectionSource::Cnn);
 
@@ -393,7 +422,7 @@ fn hot_reload_rejects_corrupt_artefact_and_swaps_valid_one() {
     let generation = server.reload_model(&path).unwrap();
     assert_eq!(generation, 1);
     let sel_after = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
-    assert_eq!(sel_after.format, cnn.predict(&data.matrices[4]));
+    assert_eq!(sel_after.format, cnn.predict(&cnn_bound()[4]));
     let r = server.report();
     assert_eq!((r.reloads_ok, r.reloads_rejected), (1, 1));
     assert_eq!(r.model_generation, 1);
@@ -507,7 +536,7 @@ fn rayon_stress_counters_sum_exactly() {
 /// in-queue deadline expiry, and a hot reload.
 #[test]
 fn metrics_snapshot_reproduces_server_report_exactly() {
-    let (cnn, _, data) = fixture();
+    let (cnn, _, _) = fixture();
     let (clock_raw, clock) = fake_clock();
     let panicking = Arc::new(AtomicBool::new(false));
     let p_h = Arc::clone(&panicking);
@@ -531,7 +560,7 @@ fn metrics_snapshot_reproduces_server_report_exactly() {
         hooks,
         clock,
     );
-    let m = Arc::new(data.matrices[5].clone());
+    let m = Arc::new(cnn_bound()[5].clone());
     let serve_one = || server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
 
     // Healthy CNN answers.
@@ -613,6 +642,7 @@ fn metrics_snapshot_reproduces_server_report_exactly() {
     assert_eq!(rung("cnn", "panic"), r.ladder.cnn_panic);
     assert_eq!(rung("cnn", "skipped"), r.ladder.cnn_skipped);
     assert_eq!(rung("cnn", "cancelled"), r.ladder.cnn_cancelled);
+    assert_eq!(rung("cnn", "bypassed"), r.ladder.cnn_bypassed);
     assert_eq!(rung("tree", "ok"), r.ladder.tree_ok);
     assert_eq!(rung("tree", "panic"), r.ladder.tree_panic);
     assert_eq!(rung("default", "ok"), r.ladder.default_used);
@@ -651,7 +681,7 @@ fn metrics_snapshot_reproduces_server_report_exactly() {
 /// repopulates the cache under the new generation.
 #[test]
 fn cache_hits_repeat_worker_answers_and_reload_invalidates() {
-    let (cnn, _, data) = fixture();
+    let (cnn, _, _) = fixture();
     let (_, clock) = fake_clock();
     let cfg = ServerConfig {
         workers: 1,
@@ -660,7 +690,7 @@ fn cache_hits_repeat_worker_answers_and_reload_invalidates() {
         ..ServerConfig::default()
     };
     let server = SelectorServer::with_parts(full_service(), cfg, ServeHooks::default(), clock);
-    let m = Arc::new(data.matrices[6].clone());
+    let m = Arc::new(cnn_bound()[6].clone());
 
     // Miss → worker answers via the CNN and populates the cache.
     let first = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
@@ -710,7 +740,6 @@ fn cache_hits_repeat_worker_answers_and_reload_invalidates() {
 /// equals the uncached one.
 #[test]
 fn periodic_hit_audit_counts_exactly_and_answers_like_a_miss() {
-    let (_, _, data) = fixture();
     let (_, clock) = fake_clock();
     let cfg = ServerConfig {
         workers: 1,
@@ -721,7 +750,7 @@ fn periodic_hit_audit_counts_exactly_and_answers_like_a_miss() {
     let uncached = full_service();
     let repeats = 3 * CACHE_AUDIT_PERIOD + 5;
     for i in [3, 7] {
-        let m = Arc::new(data.matrices[i].clone());
+        let m = Arc::new(cnn_bound()[i].clone());
         let fresh = uncached.select(m.as_ref());
         for _ in 0..repeats {
             let got = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
@@ -787,7 +816,7 @@ fn audit_on_open_breaker_or_cnn_fault_returns_the_cached_answer() {
         ..ServerConfig::default()
     };
     let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
-    let m = Arc::new(data.matrices[0].clone());
+    let m = Arc::new(cnn_bound()[0].clone());
     let cached = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
     assert_eq!(cached.source, SelectionSource::Cnn);
     hit_times(&server, &m, CACHE_AUDIT_PERIOD - 1);
@@ -863,7 +892,7 @@ fn audit_on_full_queue_or_past_deadline_returns_the_cached_answer() {
         ..ServerConfig::default()
     };
     let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
-    let m = Arc::new(data.matrices[0].clone());
+    let m = Arc::new(cnn_bound()[0].clone());
     let cached = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
     // Parks the worker on a miss of matrix `i`, not cached before.
     let park_worker = |i: usize| {
@@ -933,7 +962,6 @@ fn audit_on_full_queue_or_past_deadline_returns_the_cached_answer() {
 /// and a batch that reaches `max_batch` departs with no wait at all.
 #[test]
 fn micro_batch_departs_at_max_batch_wait_or_when_full() {
-    let (_, _, data) = fixture();
     let (clock_raw, clock) = fake_clock();
     let cfg = ServerConfig {
         workers: 1,
@@ -950,7 +978,7 @@ fn micro_batch_departs_at_max_batch_wait_or_when_full() {
     let pending: Vec<_> = (0..3)
         .map(|i| {
             server
-                .submit(Arc::new(data.matrices[i].clone()), None)
+                .submit(Arc::new(cnn_bound()[i].clone()), None)
                 .unwrap()
         })
         .collect();
@@ -974,7 +1002,7 @@ fn micro_batch_departs_at_max_batch_wait_or_when_full() {
     let pending: Vec<_> = (0..4)
         .map(|i| {
             server
-                .submit(Arc::new(data.matrices[10 + i].clone()), None)
+                .submit(Arc::new(cnn_bound()[10 + i].clone()), None)
                 .unwrap()
         })
         .collect();
@@ -995,7 +1023,6 @@ fn micro_batch_departs_at_max_batch_wait_or_when_full() {
 /// mates still get CNN answers from the shared forward pass.
 #[test]
 fn member_deadline_expiring_mid_batch_cancels_only_that_member() {
-    let (_, _, data) = fixture();
     let (clock_raw, clock) = fake_clock();
     let advance = Arc::clone(&clock_raw);
     // Seq 0 parks the worker (priming request); seq 2 simulates a stall
@@ -1026,22 +1053,22 @@ fn member_deadline_expiring_mid_batch_cancels_only_that_member() {
     // Prime: park the worker so the next three submissions queue up and
     // form one batch on release.
     let priming = server
-        .submit(Arc::new(data.matrices[0].clone()), None)
+        .submit(Arc::new(cnn_bound()[0].clone()), None)
         .unwrap();
     entered_rx
         .recv_timeout(Duration::from_secs(30))
         .expect("worker never dequeued the priming job");
     let b = server
-        .submit(Arc::new(data.matrices[1].clone()), None)
+        .submit(Arc::new(cnn_bound()[1].clone()), None)
         .unwrap();
     let c = server
         .submit(
-            Arc::new(data.matrices[2].clone()),
+            Arc::new(cnn_bound()[2].clone()),
             Some(Duration::from_nanos(1_000)),
         )
         .unwrap();
     let d = server
-        .submit(Arc::new(data.matrices[3].clone()), None)
+        .submit(Arc::new(cnn_bound()[3].clone()), None)
         .unwrap();
     gate_tx.send(()).ok();
 
@@ -1069,7 +1096,6 @@ fn member_deadline_expiring_mid_batch_cancels_only_that_member() {
 /// and its success closes the breaker for the three behind it.
 #[test]
 fn gathered_batch_on_open_breaker_takes_exactly_one_probe() {
-    let (_, _, data) = fixture();
     let (clock_raw, clock) = fake_clock();
     let panicking = Arc::new(AtomicBool::new(true));
     let p_h = Arc::clone(&panicking);
@@ -1097,7 +1123,7 @@ fn gathered_batch_on_open_breaker_takes_exactly_one_probe() {
         (0..4)
             .map(|i| {
                 server
-                    .submit(Arc::new(data.matrices[base + i].clone()), None)
+                    .submit(Arc::new(cnn_bound()[base + i].clone()), None)
                     .unwrap()
             })
             .collect()
@@ -1140,7 +1166,6 @@ fn gathered_batch_on_open_breaker_takes_exactly_one_probe() {
 /// there is nothing to coalesce.
 #[test]
 fn sequential_traffic_forms_batches_of_one_on_the_single_path() {
-    let (_, _, data) = fixture();
     let (_, clock) = fake_clock();
     let server = SelectorServer::with_parts(
         full_service(),
@@ -1153,7 +1178,7 @@ fn sequential_traffic_forms_batches_of_one_on_the_single_path() {
     );
     for i in 0..5 {
         let sel = server
-            .submit(Arc::new(data.matrices[i].clone()), None)
+            .submit(Arc::new(cnn_bound()[i].clone()), None)
             .unwrap()
             .wait()
             .unwrap();
@@ -1194,7 +1219,7 @@ fn rayon_stress_with_cache_and_batching_accounts_exactly() {
     assert_eq!(served + shed, total as u64, "unexpected outcome kinds");
 
     // A deterministic hit on top: serve one matrix twice sequentially.
-    let m = Arc::new(data.matrices[0].clone());
+    let m = Arc::new(cnn_bound()[0].clone());
     server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
     server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
 
