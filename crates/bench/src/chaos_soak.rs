@@ -260,8 +260,7 @@ fn counter(server: &SelectorServer<f32>, name: &str) -> u64 {
 /// function does happens *under chaos*; the caller disarms and judges.
 fn run_episode_body(fixture: &Fixture, cfg: &ChaosSoakConfig, dir: &Path) -> EpisodeRun {
     let service = SelectorService::new(Some(fixture.incumbent.clone()), None)
-        .expect("fixture selector validates")
-        .with_confidence_threshold(0.0);
+        .expect("fixture selector validates");
     let server = SelectorServer::new(
         service,
         ServerConfig {
@@ -620,13 +619,12 @@ fn check_invariants(run: &EpisodeRun, admission_sheds: u64) -> Vec<String> {
         ));
     }
     let c = &r.cache;
-    let lookups = c.hits + c.misses + c.stale + c.expired + c.audited;
+    let lookups = c.hits + c.misses + c.stale + c.audited;
     if lookups + r.rejected_shutdown + admission_sheds != r.submitted {
         v.push(format!(
-            "cache lookup accounting broken: hits {} + misses {} + stale {} + expired {} \
-             + audited {} != submitted {} - rejected_shutdown {} - admission sheds \
-             {admission_sheds}",
-            c.hits, c.misses, c.stale, c.expired, c.audited, r.submitted, r.rejected_shutdown
+            "cache lookup accounting broken: hits {} + misses {} + stale {} + audited {} \
+             != submitted {} - rejected_shutdown {} - admission sheds {admission_sheds}",
+            c.hits, c.misses, c.stale, c.audited, r.submitted, r.rejected_shutdown
         ));
     }
     if run.worker_lost > 0 {

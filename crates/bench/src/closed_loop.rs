@@ -157,13 +157,12 @@ fn counter(server: &SelectorServer<f32>, name: &str) -> u64 {
     server.metrics_snapshot().counter(name, &[]).unwrap_or(0)
 }
 
-/// Builds a cache-enabled server over `model` alone (no tree rung, no
-/// confidence gate): every answer is the CNN's, so drift accuracy
-/// measures exactly the model under test.
+/// Builds a cache-enabled server over `model` alone (no tree rung):
+/// every answer is the CNN's, so drift accuracy measures exactly the
+/// model under test.
 fn build_server(model: &FormatSelector) -> SelectorServer<f32> {
-    let service = SelectorService::new(Some(model.clone()), None)
-        .expect("trained selector validates")
-        .with_confidence_threshold(0.0);
+    let service =
+        SelectorService::new(Some(model.clone()), None).expect("trained selector validates");
     SelectorServer::new(
         service,
         ServerConfig {

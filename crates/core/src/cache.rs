@@ -10,16 +10,15 @@
 //!
 //! Design points:
 //!
-//! * **Sharded LRU** — a power-of-two number of shards, each a
-//!   lock-protected constant-time LRU (hash map into an intrusive
-//!   slab list), so concurrent submitters rarely contend on one lock.
+//! * **Sharded LRU** — 8 shards (fewer when the capacity is below 8,
+//!   rounded up to a power of two), each a lock-protected
+//!   constant-time LRU (hash map into an intrusive slab list), so
+//!   concurrent submitters rarely contend on one lock.
 //! * **Generation-keyed** — every entry records the model generation
 //!   that produced it; a lookup under a newer generation reports
 //!   [`CacheLookup::Stale`] and drops the entry, so a hot model reload
-//!   can never serve a decision from a retired model.
-//! * **Injected time** — TTL expiry compares the caller's clock
-//!   reading ([`dnnspmv_obs::ClockFn`] nanoseconds), so tests drive
-//!   expiry with a fake clock and no sleeps.
+//!   can never serve a decision from a retired model. Nothing else
+//!   retires an entry but eviction: there is no expiry by age.
 //! * **Only CNN answers are cached** — the serving layer inserts only
 //!   rung-`Answered` selections; degraded tree/default answers (breaker
 //!   open, CNN fault) stay uncached so recovery is visible immediately.
@@ -50,40 +49,24 @@ use dnnspmv_sparse::{CooMatrix, Scalar};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Mutex;
-use std::time::Duration;
 
-/// Decision-cache tuning (see module docs).
-#[derive(Debug, Clone, Copy)]
+/// Shards a cache spreads its entries over, clamped to its capacity and
+/// rounded up to a power of two.
+const SHARDS: usize = 8;
+
+/// Decision-cache tuning (see module docs). The default is disabled:
+/// the serving hot path is opt-in, so a deployment that wants cached
+/// decisions sets a capacity explicitly (see [`CacheConfig::enabled`]).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CacheConfig {
     /// Total entries across all shards; 0 disables the cache.
     pub capacity: usize,
-    /// Shard count (rounded up to a power of two, min 1).
-    pub shards: usize,
-    /// Entry time-to-live; `None` caches until evicted or invalidated.
-    pub ttl: Option<Duration>,
-}
-
-impl Default for CacheConfig {
-    /// Disabled. The serving hot path is opt-in: a deployment that
-    /// wants cached decisions sets a capacity explicitly (see
-    /// [`CacheConfig::enabled`]).
-    fn default() -> Self {
-        Self {
-            capacity: 0,
-            shards: 8,
-            ttl: None,
-        }
-    }
 }
 
 impl CacheConfig {
-    /// An enabled cache of `capacity` entries with default sharding and
-    /// no TTL.
+    /// An enabled cache of `capacity` entries.
     pub fn enabled(capacity: usize) -> Self {
-        Self {
-            capacity,
-            ..Self::default()
-        }
+        Self { capacity }
     }
 
     /// Whether this configuration caches anything at all.
@@ -102,8 +85,6 @@ pub enum CacheLookup {
     /// An entry existed but was produced by a retired model generation;
     /// it has been dropped.
     Stale,
-    /// An entry existed but outlived its TTL; it has been dropped.
-    Expired,
 }
 
 /// Outcome of one cache insert.
@@ -125,7 +106,6 @@ const NIL: usize = usize::MAX;
 struct Node {
     fp: u64,
     generation: u64,
-    inserted_at: u64,
     sel: Selection,
     /// Hits since the fingerprint was inserted (a refresh keeps it).
     hits: u64,
@@ -192,8 +172,7 @@ impl Shard {
 pub struct DecisionCache {
     shards: Vec<Mutex<Shard>>,
     shard_mask: u64,
-    per_shard_capacity: usize,
-    ttl_ns: Option<u64>,
+    shard_capacity: usize,
 }
 
 impl DecisionCache {
@@ -202,12 +181,11 @@ impl DecisionCache {
         if !cfg.is_enabled() {
             return None;
         }
-        let shards = cfg.shards.clamp(1, cfg.capacity).next_power_of_two();
+        let shards = SHARDS.min(cfg.capacity).next_power_of_two();
         Some(Self {
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             shard_mask: shards as u64 - 1,
-            per_shard_capacity: cfg.capacity.div_ceil(shards),
-            ttl_ns: cfg.ttl.map(|d| d.as_nanos() as u64),
+            shard_capacity: cfg.capacity.div_ceil(shards),
         })
     }
 
@@ -217,18 +195,18 @@ impl DecisionCache {
         &self.shards[((fp ^ (fp >> 32)) & self.shard_mask) as usize]
     }
 
-    /// Probes for `fp` under the live model `generation` at time `now`
-    /// (clock nanoseconds). Stale-generation and TTL-expired entries
-    /// are dropped on sight and reported distinctly so the serving
-    /// layer can count them.
-    pub fn lookup(&self, fp: u64, generation: u64, now: u64) -> CacheLookup {
-        self.lookup_counted(fp, generation, now).0
+    /// Probes for `fp` under the live model `generation`. A
+    /// stale-generation entry is dropped on sight and reported apart
+    /// from a miss so the serving layer can count it. `_now` is ignored:
+    /// entries do not expire by age.
+    pub fn lookup(&self, fp: u64, generation: u64, _now: u64) -> CacheLookup {
+        self.lookup_counted(fp, generation).0
     }
 
     /// [`DecisionCache::lookup`], plus, on a hit, how many hits the entry
     /// has served since its fingerprint was inserted, this one included
     /// (0 otherwise). The server audits by this count.
-    pub(crate) fn lookup_counted(&self, fp: u64, generation: u64, now: u64) -> (CacheLookup, u64) {
+    pub(crate) fn lookup_counted(&self, fp: u64, generation: u64) -> (CacheLookup, u64) {
         let mut s = self.shard(fp).lock().expect("cache shard lock");
         let Some(&i) = s.map.get(&fp) else {
             return (CacheLookup::Miss, 0);
@@ -237,13 +215,6 @@ impl DecisionCache {
             s.remove(i);
             return (CacheLookup::Stale, 0);
         }
-        if self
-            .ttl_ns
-            .is_some_and(|ttl| now.saturating_sub(s.slab[i].inserted_at) >= ttl)
-        {
-            s.remove(i);
-            return (CacheLookup::Expired, 0);
-        }
         s.unlink(i);
         s.push_front(i);
         s.slab[i].hits += 1;
@@ -251,14 +222,13 @@ impl DecisionCache {
     }
 
     /// Inserts (or refreshes) the decision for `fp` produced by model
-    /// `generation` at time `now`, evicting the shard's LRU entry when
-    /// the shard is full.
-    pub fn insert(&self, fp: u64, generation: u64, now: u64, sel: Selection) -> CacheInsert {
+    /// `generation`, evicting the shard's LRU entry when the shard is
+    /// full. `_now` is ignored, as in [`DecisionCache::lookup`].
+    pub fn insert(&self, fp: u64, generation: u64, _now: u64, sel: Selection) -> CacheInsert {
         let mut s = self.shard(fp).lock().expect("cache shard lock");
         if let Some(&i) = s.map.get(&fp) {
             s.slab[i] = Node {
                 generation,
-                inserted_at: now,
                 sel,
                 ..s.slab[i]
             };
@@ -266,7 +236,7 @@ impl DecisionCache {
             s.push_front(i);
             return CacheInsert::Updated;
         }
-        let evicting = s.len() >= self.per_shard_capacity;
+        let evicting = s.len() >= self.shard_capacity;
         if evicting {
             let lru = s.tail;
             s.remove(lru);
@@ -274,7 +244,6 @@ impl DecisionCache {
         let node = Node {
             fp,
             generation,
-            inserted_at: now,
             sel,
             hits: 0,
             prev: NIL,
@@ -311,19 +280,6 @@ impl DecisionCache {
     /// Whether the cache currently holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Per-shard entry counts (capacity tests).
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").len())
-            .collect()
-    }
-
-    /// The capacity each shard enforces.
-    pub fn per_shard_capacity(&self) -> usize {
-        self.per_shard_capacity
     }
 }
 
@@ -489,13 +445,8 @@ mod tests {
         }
     }
 
-    fn small_cache(capacity: usize, shards: usize, ttl: Option<Duration>) -> DecisionCache {
-        DecisionCache::new(&CacheConfig {
-            capacity,
-            shards,
-            ttl,
-        })
-        .expect("enabled config")
+    fn small_cache(capacity: usize) -> DecisionCache {
+        DecisionCache::new(&CacheConfig::enabled(capacity)).expect("enabled config")
     }
 
     #[test]
@@ -507,7 +458,7 @@ mod tests {
 
     #[test]
     fn hit_returns_what_was_inserted() {
-        let c = small_cache(8, 1, None);
+        let c = small_cache(8);
         let s = sel(SparseFormat::Dia, 0.9);
         assert_eq!(c.insert(7, 0, 0, s), CacheInsert::Inserted);
         assert_eq!(c.lookup(7, 0, 0), CacheLookup::Hit(s));
@@ -518,25 +469,25 @@ mod tests {
     /// insert after a drop starts it again, and misses count nothing.
     #[test]
     fn hit_counts_are_per_entry_and_survive_a_refresh() {
-        let c = small_cache(8, 1, None);
+        let c = small_cache(8);
         let s = sel(SparseFormat::Dia, 0.9);
         c.insert(1, 0, 0, s);
         c.insert(2, 0, 0, s);
-        assert_eq!(c.lookup_counted(1, 0, 0), (CacheLookup::Hit(s), 1));
-        assert_eq!(c.lookup_counted(1, 0, 0), (CacheLookup::Hit(s), 2));
-        assert_eq!(c.lookup_counted(2, 0, 0), (CacheLookup::Hit(s), 1));
-        assert_eq!(c.lookup_counted(3, 0, 0), (CacheLookup::Miss, 0));
+        assert_eq!(c.lookup_counted(1, 0), (CacheLookup::Hit(s), 1));
+        assert_eq!(c.lookup_counted(1, 0), (CacheLookup::Hit(s), 2));
+        assert_eq!(c.lookup_counted(2, 0), (CacheLookup::Hit(s), 1));
+        assert_eq!(c.lookup_counted(3, 0), (CacheLookup::Miss, 0));
         let t = sel(SparseFormat::Csr, 0.8);
         assert_eq!(c.insert(1, 0, 0, t), CacheInsert::Updated);
-        assert_eq!(c.lookup_counted(1, 0, 0), (CacheLookup::Hit(t), 3));
-        assert_eq!(c.lookup_counted(1, 1, 0), (CacheLookup::Stale, 0));
+        assert_eq!(c.lookup_counted(1, 0), (CacheLookup::Hit(t), 3));
+        assert_eq!(c.lookup_counted(1, 1), (CacheLookup::Stale, 0));
         c.insert(1, 1, 0, s);
-        assert_eq!(c.lookup_counted(1, 1, 0), (CacheLookup::Hit(s), 1));
+        assert_eq!(c.lookup_counted(1, 1), (CacheLookup::Hit(s), 1));
     }
 
     #[test]
     fn generation_bump_invalidates_all_prior_entries() {
-        let c = small_cache(16, 2, None);
+        let c = small_cache(16);
         for fp in 0..10u64 {
             c.insert(fp, 0, 0, sel(SparseFormat::Csr, 0.8));
         }
@@ -555,46 +506,45 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expiry_uses_the_injected_clock() {
-        let c = small_cache(8, 1, Some(Duration::from_nanos(100)));
-        c.insert(1, 0, 1000, sel(SparseFormat::Csr, 0.9));
-        assert!(matches!(c.lookup(1, 0, 1099), CacheLookup::Hit(_)));
-        assert_eq!(c.lookup(1, 0, 1100), CacheLookup::Expired);
-        assert_eq!(c.lookup(1, 0, 1100), CacheLookup::Miss);
-    }
-
-    #[test]
     fn eviction_honors_capacity_per_shard_in_lru_order() {
-        let c = small_cache(4, 1, None);
-        assert_eq!(c.per_shard_capacity(), 4);
-        for fp in 0..4u64 {
+        let c = small_cache(4 * SHARDS);
+        assert_eq!(c.shard_capacity, 4);
+        // Multiples of the shard count all route to shard 0.
+        let key = |k: u64| k * SHARDS as u64;
+        for k in 0..4 {
             assert_eq!(
-                c.insert(fp, 0, 0, sel(SparseFormat::Csr, 0.5)),
+                c.insert(key(k), 0, 0, sel(SparseFormat::Csr, 0.5)),
                 CacheInsert::Inserted
             );
         }
         // Touch 0 so 1 becomes the LRU entry.
-        assert!(matches!(c.lookup(0, 0, 0), CacheLookup::Hit(_)));
+        assert!(matches!(c.lookup(key(0), 0, 0), CacheLookup::Hit(_)));
         assert_eq!(
-            c.insert(9, 0, 0, sel(SparseFormat::Coo, 0.6)),
+            c.insert(key(9), 0, 0, sel(SparseFormat::Coo, 0.6)),
             CacheInsert::InsertedEvicting
         );
         assert_eq!(c.len(), 4);
-        assert_eq!(c.lookup(1, 0, 0), CacheLookup::Miss, "LRU entry evicted");
-        for fp in [0u64, 2, 3, 9] {
-            assert!(matches!(c.lookup(fp, 0, 0), CacheLookup::Hit(_)), "{fp}");
+        assert_eq!(
+            c.lookup(key(1), 0, 0),
+            CacheLookup::Miss,
+            "LRU entry evicted"
+        );
+        for k in [0, 2, 3, 9] {
+            assert!(matches!(c.lookup(key(k), 0, 0), CacheLookup::Hit(_)), "{k}");
         }
     }
 
     #[test]
     fn shard_count_rounds_to_power_of_two_and_respects_capacity() {
-        let c = small_cache(100, 6, None);
-        assert_eq!(c.shard_lens().len(), 8);
-        assert_eq!(c.per_shard_capacity(), 13);
+        let c = small_cache(100);
+        assert_eq!(c.shards.len(), 8);
+        assert_eq!(c.shard_capacity, 13);
         // A tiny capacity never spreads across more shards than
-        // entries.
-        let c = small_cache(2, 64, None);
-        assert_eq!(c.shard_lens().len(), 2);
+        // entries, and rounds up to a power of two.
+        let c = small_cache(2);
+        assert_eq!(c.shards.len(), 2);
+        let c = small_cache(3);
+        assert_eq!((c.shards.len(), c.shard_capacity), (4, 1));
     }
 
     fn diag(n: usize) -> CooMatrix<f32> {
@@ -675,47 +625,72 @@ mod tests {
     }
 
     /// Reference model for one shard's LRU: a Vec in recency order.
-    #[derive(Default)]
+    #[derive(Clone)]
     struct ModelLru {
-        entries: Vec<(u64, u64, u64, Selection)>, // (fp, gen, at, sel) most-recent-first
+        /// `(fp, generation, sel, hits)`, most recent first.
+        entries: Vec<(u64, u64, Selection, u64)>,
         cap: usize,
     }
 
     impl ModelLru {
-        fn lookup(&mut self, fp: u64, generation: u64, now: u64, ttl: Option<u64>) -> CacheLookup {
+        fn lookup(&mut self, fp: u64, generation: u64) -> (CacheLookup, u64) {
             let Some(i) = self.entries.iter().position(|e| e.0 == fp) else {
-                return CacheLookup::Miss;
+                return (CacheLookup::Miss, 0);
             };
-            let e = self.entries[i];
+            let mut e = self.entries.remove(i);
             if e.1 != generation {
-                self.entries.remove(i);
-                return CacheLookup::Stale;
+                return (CacheLookup::Stale, 0);
             }
-            if ttl.is_some_and(|t| now.saturating_sub(e.2) >= t) {
-                self.entries.remove(i);
-                return CacheLookup::Expired;
-            }
-            self.entries.remove(i);
+            e.3 += 1;
             self.entries.insert(0, e);
-            CacheLookup::Hit(e.3)
+            (CacheLookup::Hit(e.2), e.3)
         }
 
-        fn insert(&mut self, fp: u64, generation: u64, now: u64, sel: Selection) -> CacheInsert {
+        fn insert(&mut self, fp: u64, generation: u64, sel: Selection) -> CacheInsert {
             if let Some(i) = self.entries.iter().position(|e| e.0 == fp) {
-                self.entries.remove(i);
-                self.entries.insert(0, (fp, generation, now, sel));
+                let hits = self.entries.remove(i).3;
+                self.entries.insert(0, (fp, generation, sel, hits));
                 return CacheInsert::Updated;
             }
             let evicting = self.entries.len() >= self.cap;
             if evicting {
                 self.entries.pop();
             }
-            self.entries.insert(0, (fp, generation, now, sel));
+            self.entries.insert(0, (fp, generation, sel, 0));
             if evicting {
                 CacheInsert::InsertedEvicting
             } else {
                 CacheInsert::Inserted
             }
+        }
+    }
+
+    /// Reference model for the whole cache: one plain LRU per shard,
+    /// keys routed by the folded low bits of the fingerprint.
+    struct ModelCache {
+        shards: Vec<ModelLru>,
+    }
+
+    impl ModelCache {
+        fn new(capacity: usize) -> Self {
+            let n = SHARDS.min(capacity).next_power_of_two();
+            let cap = capacity.div_ceil(n);
+            let shard = ModelLru {
+                entries: Vec::new(),
+                cap,
+            };
+            Self {
+                shards: vec![shard; n],
+            }
+        }
+
+        fn shard(&mut self, fp: u64) -> &mut ModelLru {
+            let mask = self.shards.len() as u64 - 1;
+            &mut self.shards[((fp ^ (fp >> 32)) & mask) as usize]
+        }
+
+        fn len(&self) -> usize {
+            self.shards.iter().map(|s| s.entries.len()).sum()
         }
     }
 
@@ -763,30 +738,32 @@ mod tests {
             }
         }
 
-        /// A single-shard cache behaves exactly like the obvious
-        /// Vec-based LRU model under arbitrary interleavings of
-        /// lookups, inserts, generation bumps and clock advances.
+        /// The cache as it ships (8 shards, fewer below 8 entries)
+        /// behaves exactly like one Vec-based LRU per shard under
+        /// arbitrary interleavings of lookups, inserts and generation
+        /// bumps, hit counts included. Keys carry high bits, so the
+        /// routing fold is exercised too.
         #[test]
-        fn single_shard_matches_reference_lru(
-            ops in proptest::collection::vec((0u8..4, 0u64..12), 1..200),
-            cap in 1usize..6,
-            ttl_raw in 0u64..50,
+        fn sharded_cache_matches_per_shard_reference_lru(
+            ops in proptest::collection::vec((0u8..5, 0u64..24), 1..200),
+            capacity in 1usize..20,
         ) {
-            // 0 means "no TTL"; the vendored proptest has no option strategy.
-            let ttl = (ttl_raw > 0).then_some(ttl_raw);
-            let cache = small_cache(cap, 1, ttl.map(Duration::from_nanos));
-            let mut model = ModelLru { cap, ..Default::default() };
-            let (mut generation, mut now) = (0u64, 0u64);
+            let cache = small_cache(capacity);
+            let mut model = ModelCache::new(capacity);
+            prop_assert_eq!(cache.shards.len(), model.shards.len());
+            prop_assert_eq!(cache.shard_capacity, model.shards[0].cap);
+            let mut generation = 0u64;
             let mut fmt = 0u32;
-            for (op, fp) in ops {
+            for (op, k) in ops {
+                let fp = (k % 5) << 32 | k;
                 match op {
-                    0 => {
+                    0 | 1 => {
                         prop_assert_eq!(
-                            cache.lookup(fp, generation, now),
-                            model.lookup(fp, generation, now, ttl)
+                            cache.lookup_counted(fp, generation),
+                            model.shard(fp).lookup(fp, generation)
                         );
                     }
-                    1 => {
+                    2 | 3 => {
                         // Distinct payloads so a hit proves which
                         // insert it came from.
                         fmt += 1;
@@ -795,15 +772,13 @@ mod tests {
                             fmt as f32,
                         );
                         prop_assert_eq!(
-                            cache.insert(fp, generation, now, s),
-                            model.insert(fp, generation, now, s)
+                            cache.insert(fp, generation, 0, s),
+                            model.shard(fp).insert(fp, generation, s)
                         );
                     }
-                    2 => generation += 1,
-                    _ => now += fp + 1,
+                    _ => generation += 1,
                 }
-                prop_assert_eq!(cache.len(), model.entries.len());
-                prop_assert!(cache.len() <= cap);
+                prop_assert_eq!(cache.len(), model.len());
             }
         }
     }

@@ -49,9 +49,10 @@ pub use error::SelectorError;
 pub use samples::make_samples;
 pub use selector::{FormatSelector, SelectorConfig};
 pub use server::{
-    load_selector_with_retry, system_clock, BreakerConfig, BreakerSnapshot, BreakerState, ClockFn,
+    load_selector_with_retry, system_clock, BreakerSnapshot, BreakerState, ClockFn,
     PendingSelection, SelectorServer, ServeCacheReport, ServeError, ServeHooks, ServeTap,
-    ServerConfig, ServerReport, CACHE_AUDIT_PERIOD,
+    ServerConfig, ServerReport, BREAKER_FAILURE_THRESHOLD, BREAKER_MAX_BACKOFF,
+    BREAKER_OPEN_BACKOFF, CACHE_AUDIT_PERIOD,
 };
 pub use service::{
     CnnFault, CnnRungOutcome, GuardedSelection, SelectGuard, Selection, SelectionSource,

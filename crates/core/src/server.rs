@@ -69,27 +69,19 @@ pub use dnnspmv_obs::{system_clock, ClockFn};
 /// them unless the cycle length is a multiple of the period.
 pub const CACHE_AUDIT_PERIOD: u64 = 31;
 
-/// Circuit-breaker tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct BreakerConfig {
-    /// Consecutive CNN failures (panic, deadline, non-finite) that trip
-    /// the breaker open.
-    pub failure_threshold: u32,
-    /// How long the breaker stays open before the first probe.
-    pub open_backoff: Duration,
-    /// Cap on the exponentially growing backoff after failed probes.
-    pub max_backoff: Duration,
-}
+/// Consecutive CNN failures (panic, deadline, non-finite) that trip
+/// the circuit breaker open.
+pub const BREAKER_FAILURE_THRESHOLD: u32 = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        Self {
-            failure_threshold: 3,
-            open_backoff: Duration::from_millis(500),
-            max_backoff: Duration::from_secs(30),
-        }
-    }
-}
+/// How long the breaker stays open before its first probe. Each failed
+/// probe doubles the wait; a successful one resets it to this.
+pub const BREAKER_OPEN_BACKOFF: Duration = Duration::from_millis(500);
+
+/// Cap on the doubling backoff after failed probes.
+pub const BREAKER_MAX_BACKOFF: Duration = Duration::from_secs(30);
+
+const OPEN_BACKOFF_NS: u64 = BREAKER_OPEN_BACKOFF.as_nanos() as u64;
+const MAX_BACKOFF_NS: u64 = BREAKER_MAX_BACKOFF.as_nanos() as u64;
 
 /// Circuit-breaker state (the classic three-state machine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -145,20 +137,17 @@ enum Gate {
 
 #[derive(Debug)]
 struct Breaker {
-    cfg: BreakerConfig,
     inner: Mutex<BreakerInner>,
 }
 
 impl Breaker {
-    fn new(cfg: BreakerConfig) -> Self {
-        let backoff = cfg.open_backoff.as_nanos() as u64;
+    fn new() -> Self {
         Self {
-            cfg,
             inner: Mutex::new(BreakerInner {
                 state: BreakerState::Closed,
                 consec: 0,
                 opened_at: 0,
-                backoff_ns: backoff,
+                backoff_ns: OPEN_BACKOFF_NS,
                 probing: false,
                 to_open: 0,
                 to_half_open: 0,
@@ -204,7 +193,7 @@ impl Breaker {
             if b.state == BreakerState::HalfOpen {
                 b.state = BreakerState::Closed;
                 b.to_closed += 1;
-                b.backoff_ns = self.cfg.open_backoff.as_nanos() as u64;
+                b.backoff_ns = OPEN_BACKOFF_NS;
             }
         }
     }
@@ -218,17 +207,14 @@ impl Breaker {
             b.state = BreakerState::Open;
             b.opened_at = now;
             b.to_open += 1;
-            b.backoff_ns = b
-                .backoff_ns
-                .saturating_mul(2)
-                .min(self.cfg.max_backoff.as_nanos() as u64);
-            b.consec = self.cfg.failure_threshold;
+            b.backoff_ns = b.backoff_ns.saturating_mul(2).min(MAX_BACKOFF_NS);
+            b.consec = BREAKER_FAILURE_THRESHOLD;
             return;
         }
         match b.state {
             BreakerState::Closed => {
                 b.consec += 1;
-                if b.consec >= self.cfg.failure_threshold {
+                if b.consec >= BREAKER_FAILURE_THRESHOLD {
                     b.state = BreakerState::Open;
                     b.opened_at = now;
                     b.to_open += 1;
@@ -353,11 +339,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded queue capacity; submissions beyond it are shed.
     pub queue_capacity: usize,
-    /// Deadline applied by [`SelectorServer::select`] when the caller
-    /// does not pass one (`None`: no deadline).
-    pub default_deadline: Option<Duration>,
-    /// Circuit-breaker tuning.
-    pub breaker: BreakerConfig,
     /// Attempts for a hot reload whose artefact read fails transiently.
     pub reload_attempts: u32,
     /// Backoff before the first reload retry (doubles per retry).
@@ -385,8 +366,6 @@ impl Default for ServerConfig {
         Self {
             workers: 2,
             queue_capacity: 64,
-            default_deadline: None,
-            breaker: BreakerConfig::default(),
             reload_attempts: 3,
             reload_backoff: Duration::from_millis(20),
             cache: CacheConfig::default(),
@@ -421,7 +400,6 @@ struct ServerMetrics {
     path_single: Counter,
     cache_miss: Counter,
     cache_stale: Counter,
-    cache_expired: Counter,
     cache_audit: Counter,
     audit_match: Counter,
     audit_mismatch: Counter,
@@ -464,7 +442,6 @@ impl ServerMetrics {
             path_single: path("single"),
             cache_miss: lookup("miss"),
             cache_stale: lookup("stale"),
-            cache_expired: lookup("expired"),
             cache_audit: lookup("audit"),
             audit_match: audit("match"),
             audit_mismatch: audit("mismatch"),
@@ -502,8 +479,6 @@ pub struct ServeCacheReport {
     /// Lookups that found an entry from a retired model generation
     /// (dropped on sight).
     pub stale: u64,
-    /// Lookups that found an entry past its TTL (dropped on sight).
-    pub expired: u64,
     /// Hits demoted to the miss path as an audit (an entry's every
     /// [`CACHE_AUDIT_PERIOD`]th hit) and queued; not counted in `hits`.
     /// An audit that finds the queue full is served as a hit instead.
@@ -530,8 +505,8 @@ pub struct ServeCacheReport {
 /// invariant refines `served`: `served == cache.hits + batched_served +
 /// single_served` — every answer travelled exactly one hot-path route.
 /// With the cache on, every admitted submission looks it up exactly
-/// once: `cache.hits + misses + stale + expired + audited == submitted
-/// − rejected_shutdown` (an injected admission failure also skips it).
+/// once: `cache.hits + misses + stale + audited == submitted −
+/// rejected_shutdown` (an injected admission failure also skips it).
 /// An audit never fails or degrades: when it misses its deadline or the
 /// CNN does not answer it, the worker replies with the cached CNN
 /// answer, counted in `served_cnn` although its own ladder pass (if any)
@@ -784,7 +759,7 @@ impl<S: Scalar> Inner<S> {
         let outs = generation.service.select_batch(&members);
         for (&(i, probe), out) in live.iter().zip(outs) {
             match out.cnn {
-                CnnRungOutcome::Answered | CnnRungOutcome::LowConfidence => {
+                CnnRungOutcome::Answered => {
                     if probe {
                         self.metrics.probes_ok.inc();
                     }
@@ -871,7 +846,7 @@ impl<S: Scalar> Inner<S> {
             // A failed shard store costs a future hit, nothing else.
             return;
         }
-        match cache.insert(fp, generation, (self.clock)(), *sel) {
+        match cache.insert(fp, generation, 0, *sel) {
             CacheInsert::Inserted => {
                 self.metrics.cache_inserted.inc();
                 self.metrics.cache_entries.inc();
@@ -1011,7 +986,7 @@ impl<S: Scalar> SelectorServer<S> {
         // every future generation binds the same registry.
         let service = service.with_registry(metrics.registry.clone());
         let inner = Arc::new(Inner {
-            breaker: Breaker::new(cfg.breaker),
+            breaker: Breaker::new(),
             cache: DecisionCache::new(&cfg.cache),
             cfg,
             clock,
@@ -1090,10 +1065,10 @@ impl<S: Scalar> SelectorServer<S> {
             {
                 (CacheLookup::Miss, 0)
             } else {
-                cache.lookup_counted(key, generation, now)
+                cache.lookup_counted(key, generation)
             };
             #[cfg(not(feature = "chaos"))]
-            let looked_up = cache.lookup_counted(key, generation, now);
+            let looked_up = cache.lookup_counted(key, generation);
             match looked_up {
                 (CacheLookup::Hit(sel), hits) if !hits.is_multiple_of(CACHE_AUDIT_PERIOD) => {
                     return Ok(self.serve_hit(&matrix, sel, generation, now));
@@ -1104,10 +1079,6 @@ impl<S: Scalar> SelectorServer<S> {
                 (CacheLookup::Miss, _) => m.cache_miss.inc(),
                 (CacheLookup::Stale, _) => {
                     m.cache_stale.inc();
-                    m.cache_entries.dec();
-                }
-                (CacheLookup::Expired, _) => {
-                    m.cache_expired.inc();
                     m.cache_entries.dec();
                 }
             }
@@ -1167,11 +1138,9 @@ impl<S: Scalar> SelectorServer<S> {
         }
     }
 
-    /// Synchronous convenience: submit with the configured default
-    /// deadline and wait.
+    /// Synchronous convenience: submit with no deadline and wait.
     pub fn select(&self, matrix: &CooMatrix<S>) -> Result<Selection, ServeError> {
-        self.submit(Arc::new(matrix.clone()), self.inner.cfg.default_deadline)?
-            .wait()
+        self.submit(Arc::new(matrix.clone()), None)?.wait()
     }
 
     /// Hot-reloads the model from `path`: loads and validates off the
@@ -1214,8 +1183,6 @@ impl<S: Scalar> SelectorServer<S> {
             let service =
                 SelectorService::with_fallback_tree(Some(sel), slot.service.tree().cloned())
                     .map_err(reject)?
-                    .with_confidence_threshold(slot.service.confidence_threshold())
-                    .with_default_format(slot.service.default_format())
                     .with_registry(self.inner.metrics.registry.clone());
             let number = slot.number + 1;
             *slot = Arc::new(Generation { service, number });
@@ -1276,7 +1243,6 @@ impl<S: Scalar> SelectorServer<S> {
                 hits: served_cache,
                 misses: m.cache_miss.get(),
                 stale: m.cache_stale.get(),
-                expired: m.cache_expired.get(),
                 audited: m.cache_audit.get(),
                 audit_mismatches: m.audit_mismatch.get(),
                 inserted: m.cache_inserted.get(),
@@ -1370,17 +1336,12 @@ mod tests {
         (t, Arc::new(move || tc.load(Ordering::SeqCst)))
     }
 
-    fn cfg_100ns() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 3,
-            open_backoff: Duration::from_nanos(100),
-            max_backoff: Duration::from_nanos(400),
-        }
-    }
+    /// The first open period, in clock nanoseconds.
+    const B: u64 = OPEN_BACKOFF_NS;
 
     #[test]
     fn breaker_trips_after_threshold_and_recovers_via_probe() {
-        let b = Breaker::new(cfg_100ns());
+        let b = Breaker::new();
         assert_eq!(b.gate(0), Gate::Allow);
         b.on_failure(false, 0);
         b.on_failure(false, 0);
@@ -1388,10 +1349,10 @@ mod tests {
         b.on_failure(false, 10);
         assert_eq!(b.snapshot().state, BreakerState::Open);
         // Denied while the backoff runs.
-        assert_eq!(b.gate(50), Gate::Deny);
+        assert_eq!(b.gate(B / 2), Gate::Deny);
         // Backoff expired: exactly one probe, everyone else denied.
-        assert_eq!(b.gate(110), Gate::Probe);
-        assert_eq!(b.gate(111), Gate::Deny);
+        assert_eq!(b.gate(10 + B), Gate::Probe);
+        assert_eq!(b.gate(11 + B), Gate::Deny);
         b.on_success(true);
         let s = b.snapshot();
         assert_eq!(s.state, BreakerState::Closed);
@@ -1400,53 +1361,61 @@ mod tests {
 
     #[test]
     fn failed_probe_doubles_backoff_up_to_cap() {
-        let b = Breaker::new(cfg_100ns());
+        let b = Breaker::new();
         for _ in 0..3 {
             b.on_failure(false, 0);
         }
-        assert_eq!(b.gate(100), Gate::Probe);
-        b.on_failure(true, 100);
+        let mut t = B;
+        assert_eq!(b.gate(t), Gate::Probe);
+        b.on_failure(true, t);
         let s = b.snapshot();
         assert_eq!(s.state, BreakerState::Open);
-        assert_eq!(s.current_backoff_ns, 200);
-        // Still within the doubled backoff at t=250.
-        assert_eq!(b.gate(250), Gate::Deny);
-        assert_eq!(b.gate(300), Gate::Probe);
-        b.on_failure(true, 300);
-        assert_eq!(b.snapshot().current_backoff_ns, 400);
-        // Third failed probe: doubling is capped at max_backoff.
-        assert_eq!(b.gate(700), Gate::Probe);
-        b.on_failure(true, 700);
-        assert_eq!(b.snapshot().current_backoff_ns, 400, "capped");
+        assert_eq!(s.current_backoff_ns, 2 * B);
+        // Still within the doubled backoff just before it ends.
+        assert_eq!(b.gate(t + 2 * B - 1), Gate::Deny);
+        // Every further failed probe doubles the backoff until the cap.
+        let mut backoff = 2 * B;
+        while backoff < MAX_BACKOFF_NS {
+            t += backoff;
+            assert_eq!(b.gate(t), Gate::Probe);
+            b.on_failure(true, t);
+            backoff = (2 * backoff).min(MAX_BACKOFF_NS);
+            assert_eq!(b.snapshot().current_backoff_ns, backoff);
+        }
+        // One more failed probe: doubling is capped at the maximum.
+        t += backoff;
+        assert_eq!(b.gate(t), Gate::Probe);
+        b.on_failure(true, t);
+        assert_eq!(b.snapshot().current_backoff_ns, MAX_BACKOFF_NS, "capped");
         // A successful probe resets the backoff to the initial value.
-        assert_eq!(b.gate(1100), Gate::Probe);
+        assert_eq!(b.gate(t + MAX_BACKOFF_NS), Gate::Probe);
         b.on_success(true);
-        assert_eq!(b.snapshot().current_backoff_ns, 100);
+        assert_eq!(b.snapshot().current_backoff_ns, B);
     }
 
     #[test]
     fn abandoned_probe_frees_the_slot() {
-        let b = Breaker::new(cfg_100ns());
+        let b = Breaker::new();
         for _ in 0..3 {
             b.on_failure(false, 0);
         }
-        assert_eq!(b.gate(100), Gate::Probe);
-        assert_eq!(b.gate(100), Gate::Deny);
+        assert_eq!(b.gate(B), Gate::Probe);
+        assert_eq!(b.gate(B), Gate::Deny);
         b.abandon_probe();
-        assert_eq!(b.gate(101), Gate::Probe);
+        assert_eq!(b.gate(B + 1), Gate::Probe);
     }
 
     #[test]
     fn late_failures_do_not_extend_the_open_period() {
-        let b = Breaker::new(cfg_100ns());
+        let b = Breaker::new();
         for _ in 0..3 {
             b.on_failure(false, 10);
         }
         let opened = b.snapshot().to_open;
         // A request admitted before the trip fails afterwards.
-        b.on_failure(false, 90);
+        b.on_failure(false, B);
         assert_eq!(b.snapshot().to_open, opened);
-        assert_eq!(b.gate(110), Gate::Probe);
+        assert_eq!(b.gate(10 + B), Gate::Probe);
     }
 
     #[test]
@@ -1514,11 +1483,11 @@ mod tests {
         // the transition repeatedly to give an atomicity bug every
         // chance to double-probe.
         for round in 0..64u64 {
-            let b = Breaker::new(cfg_100ns());
+            let b = Breaker::new();
             for _ in 0..3 {
                 b.on_failure(false, 0);
             }
-            let now = 100 + round;
+            let now = B + round;
             let barrier = std::sync::Barrier::new(8);
             let probes: usize = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..8)

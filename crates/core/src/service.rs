@@ -20,13 +20,13 @@
 //!    down the ladder unchanged. This is a cost gate, not a confidence
 //!    gate: outside its training range a pure leaf is no sign of a
 //!    right answer, so large matrices always reach the CNN.
-//! 1. **CNN** — used when its probabilities are finite and the top
-//!    class clears the confidence threshold. Panics inside the network
+//! 1. **CNN** — its top class answers whenever its probabilities are
+//!    finite; there is no confidence cut-off. Panics inside the network
 //!    (defence in depth; load-time validation should make them
 //!    unreachable) are caught and demoted to a fallback.
 //! 2. **Decision tree** — the SMAT-style baseline, structurally
 //!    simpler and independent of the CNN artefact.
-//! 3. **Static default** — CSR unless configured otherwise.
+//! 3. **Static default** — CSR.
 //!
 //! Every decision increments an observable counter
 //! ([`SelectorService::report`]), so a deployment that silently
@@ -55,7 +55,7 @@ pub const TREE_UNIT_MACS: u64 = 20;
 /// Which rung of the ladder produced a [`Selection`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SelectionSource {
-    /// The CNN selector answered with confidence.
+    /// The CNN selector answered.
     Cnn,
     /// The decision-tree baseline answered.
     Tree,
@@ -98,9 +98,6 @@ pub enum CnnRungOutcome {
     Panicked,
     /// The CNN produced NaN/Inf probabilities.
     NonFinite,
-    /// The CNN answered but below the confidence threshold (healthy
-    /// model, uncertain input).
-    LowConfidence,
     /// The deadline expired inside extraction or the forward pass.
     Cancelled,
     /// The caller asked to skip the CNN (breaker open).
@@ -163,8 +160,6 @@ pub struct ServiceReport {
     pub cnn_panic: u64,
     /// CNN produced NaN/Inf probabilities.
     pub cnn_nonfinite: u64,
-    /// CNN's top class fell below the confidence threshold.
-    pub cnn_low_confidence: u64,
     /// CNN rung abandoned because the request's deadline expired.
     pub cnn_cancelled: u64,
     /// CNN rung skipped on request (circuit breaker open).
@@ -200,7 +195,6 @@ struct Counters {
     cnn_ok: Counter,
     cnn_panic: Counter,
     cnn_nonfinite: Counter,
-    cnn_low_confidence: Counter,
     cnn_cancelled: Counter,
     cnn_skipped: Counter,
     cnn_bypassed: Counter,
@@ -221,7 +215,6 @@ impl Counters {
             cnn_ok: rung("cnn", "ok"),
             cnn_panic: rung("cnn", "panic"),
             cnn_nonfinite: rung("cnn", "nonfinite"),
-            cnn_low_confidence: rung("cnn", "low_confidence"),
             cnn_cancelled: rung("cnn", "cancelled"),
             cnn_skipped: rung("cnn", "skipped"),
             cnn_bypassed: rung("cnn", "bypassed"),
@@ -240,8 +233,6 @@ pub struct SelectorService {
     /// Largest `nnz + nrows + ncols` the tree is asked first for; `None`
     /// when the tree is a fallback rung only.
     tree_first_units: Option<u64>,
-    default_format: SparseFormat,
-    confidence_threshold: f32,
     registry: Registry,
     counters: Counters,
 }
@@ -273,8 +264,6 @@ impl SelectorService {
             cnn,
             tree,
             tree_first_units,
-            default_format: SparseFormat::Csr,
-            confidence_threshold: 0.0,
             registry,
             counters,
         })
@@ -308,29 +297,6 @@ impl SelectorService {
     /// The registry the ladder counters live in.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// Requires the CNN's top-class probability to reach `t` before its
-    /// answer is trusted (default 0: any finite answer is accepted).
-    pub fn with_confidence_threshold(mut self, t: f32) -> Self {
-        self.confidence_threshold = t;
-        self
-    }
-
-    /// Replaces the static fallback format (default CSR).
-    pub fn with_default_format(mut self, f: SparseFormat) -> Self {
-        self.default_format = f;
-        self
-    }
-
-    /// The static fallback format.
-    pub fn default_format(&self) -> SparseFormat {
-        self.default_format
-    }
-
-    /// The confidence threshold the CNN rung must clear.
-    pub fn confidence_threshold(&self) -> f32 {
-        self.confidence_threshold
     }
 
     /// The tree baseline, if any (a serving layer clones it when
@@ -399,8 +365,8 @@ impl SelectorService {
     ///   layers) — as long as one member still wants the answer, the
     ///   batch keeps going.
     /// * **After the forward pass**, each member re-checks its own
-    ///   deadline, then classifies its own probability row through the
-    ///   confidence gate and, failing that, its own fallback rungs.
+    ///   deadline, then classifies its own probability row: its top
+    ///   class when the row is finite, its own fallback rungs when not.
     pub fn select_batch<S: Scalar>(
         &self,
         members: &[(&CooMatrix<S>, SelectGuard)],
@@ -538,8 +504,8 @@ impl SelectorService {
     }
 
     /// Classifies one member's CNN probabilities, counting the rung
-    /// outcome: `Answered` (with the winning selection), or
-    /// `NonFinite` / `LowConfidence` handed down to the fallback rungs.
+    /// outcome: `Answered` with the top class, or `NonFinite` handed
+    /// down to the fallback rungs.
     fn classify_probs<S: Scalar>(
         &self,
         cnn: &FormatSelector,
@@ -556,10 +522,6 @@ impl SelectorService {
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .expect("validated selector has a non-empty class set");
-        if p < self.confidence_threshold {
-            self.counters.cnn_low_confidence.inc();
-            return self.fallback_rungs(matrix, CnnRungOutcome::LowConfidence, cancel);
-        }
         self.counters.cnn_ok.inc();
         GuardedSelection {
             selection: Some(Selection {
@@ -607,7 +569,7 @@ impl SelectorService {
         self.counters.default_used.inc();
         GuardedSelection {
             selection: Some(Selection {
-                format: self.default_format,
+                format: SparseFormat::Csr,
                 source: SelectionSource::Default,
                 confidence: None,
             }),
@@ -621,7 +583,6 @@ impl SelectorService {
             cnn_ok: self.counters.cnn_ok.get(),
             cnn_panic: self.counters.cnn_panic.get(),
             cnn_nonfinite: self.counters.cnn_nonfinite.get(),
-            cnn_low_confidence: self.counters.cnn_low_confidence.get(),
             cnn_cancelled: self.counters.cnn_cancelled.get(),
             cnn_skipped: self.counters.cnn_skipped.get(),
             cnn_bypassed: self.counters.cnn_bypassed.get(),
@@ -760,19 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn unreachable_confidence_threshold_falls_through() {
-        let (cnn, dt, data) = trained_pair();
-        let svc = SelectorService::new(Some(cnn), Some(dt))
-            .unwrap()
-            .with_confidence_threshold(1.1);
-        let sel = svc.select(&cnn_bound(&svc, &data)[0]);
-        assert_eq!(sel.source, SelectionSource::Tree);
-        let r = svc.report();
-        assert_eq!(r.cnn_low_confidence, 1);
-        assert_eq!(r.tree_ok, 1);
-    }
-
-    #[test]
     fn guarded_select_classifies_injected_faults() {
         let (cnn, dt, data) = trained_pair();
         let svc = SelectorService::new(Some(cnn), Some(dt)).unwrap();
@@ -800,7 +748,7 @@ mod tests {
         });
         assert_eq!(g.cnn, CnnRungOutcome::Skipped);
         assert_eq!(g.selection.unwrap().source, SelectionSource::Tree);
-        // Expired deadline: no answer at all.
+        // A deadline already passed: no answer at all.
         let g = one(SelectGuard {
             cancel: &|| true,
             ..Default::default()

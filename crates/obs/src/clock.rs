@@ -1,7 +1,7 @@
 //! Injectable monotonic time for the serving layer.
 //!
 //! Anything timing-sensitive (the selector server's deadlines, breaker
-//! and latency histograms, the decision cache's TTL) takes a
+//! and latency histograms) takes a
 //! [`ClockFn`] instead of reading `Instant` directly, so tests drive a
 //! fake clock and every duration they observe is exact.
 

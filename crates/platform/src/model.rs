@@ -365,63 +365,6 @@ impl PlatformModel {
         time * self.bias_of(format) + self.launch_ns
     }
 
-    /// Estimated one-time cost of *converting* a canonical COO matrix
-    /// into `format`: read the triplets, write the target arrays
-    /// (including padding), plus per-entry bookkeeping (block grouping
-    /// and tile setup cost more). Section 7.6 notes conversion "could
-    /// take a number of SpMV iterations' time" — this models it.
-    pub fn conversion_estimate(&self, p: &WorkloadProfile, format: SparseFormat) -> f64 {
-        let s = &p.stats;
-        let nnz = s.nnz as f64;
-        let m = s.nrows as f64;
-        // The canonical matrix is already COO: conversion is free.
-        if format == SparseFormat::Coo {
-            return 0.0;
-        }
-        let read = nnz * (VAL_BYTES + 2.0 * IDX_BYTES);
-        let (written, per_entry_ns) = match format {
-            SparseFormat::Coo => (0.0, 0.0),
-            SparseFormat::Csr => (nnz * (VAL_BYTES + IDX_BYTES) + (m + 1.0) * PTR_BYTES, 0.5),
-            SparseFormat::Dia => {
-                if s.ndiags > DEFAULT_MAX_DIAGS || s.ndiags == 0 {
-                    return f64::INFINITY;
-                }
-                (2.0 * p.dia_lane_slots as f64 * VAL_BYTES, 1.0)
-            }
-            SparseFormat::Ell => {
-                if s.row_max > DEFAULT_MAX_WIDTH || s.row_max == 0 {
-                    return f64::INFINITY;
-                }
-                (m * s.row_max as f64 * (VAL_BYTES + IDX_BYTES), 0.5)
-            }
-            SparseFormat::Hyb => (
-                m * p.hyb_width as f64 * (VAL_BYTES + IDX_BYTES)
-                    + p.hyb_overflow as f64 * (VAL_BYTES + 2.0 * IDX_BYTES),
-                1.0,
-            ),
-            // Block grouping sorts/dedups block keys.
-            SparseFormat::Bsr => ((s.nblocks * 16) as f64 * VAL_BYTES, 2.0),
-            // Tile descriptors need a scan plus per-tile setup.
-            SparseFormat::Csr5 => (
-                nnz * (VAL_BYTES + IDX_BYTES)
-                    + (m + 1.0) * PTR_BYTES
-                    + (nnz / TILE_NNZ).ceil() * 8.0,
-                1.0,
-            ),
-            // σ-window sort plus the padded column-major fill.
-            SparseFormat::Sell => {
-                if s.row_max == 0 {
-                    return f64::INFINITY;
-                }
-                let slots = nnz + DEFAULT_CHUNK as f64 * (s.row_max - s.row_min) as f64;
-                (slots * (VAL_BYTES + IDX_BYTES) + m * IDX_BYTES, 1.0)
-            }
-            // Plain CSR arrays; partitioning happens at SpMV time.
-            SparseFormat::MergeCsr => (nnz * (VAL_BYTES + IDX_BYTES) + (m + 1.0) * PTR_BYTES, 0.5),
-        };
-        (read + written) / self.bw_gbps + nnz * per_entry_ns / self.cores.min(8.0)
-    }
-
     /// All candidate formats with their estimates, best first.
     pub fn ranking(&self, p: &WorkloadProfile) -> Vec<(SparseFormat, f64)> {
         let mut v: Vec<(SparseFormat, f64)> = self
@@ -651,23 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn new_format_conversions_are_costed() {
-        let m = banded(512, &[0, 2, -5, 9]);
-        let p = profile(&m);
-        let many = PlatformModel::manycore_cpu();
-        for f in [SparseFormat::Sell, SparseFormat::MergeCsr] {
-            let c = many.conversion_estimate(&p, f);
-            assert!(c > 0.0 && c.is_finite(), "{f}: {c}");
-        }
-        // Merge-CSR is plain CSR storage: converting must not cost more
-        // than SELL's sort-and-pad pipeline.
-        assert!(
-            many.conversion_estimate(&p, SparseFormat::MergeCsr)
-                <= many.conversion_estimate(&p, SparseFormat::Sell)
-        );
-    }
-
-    #[test]
     fn infeasible_formats_get_infinity() {
         let n = 10_000;
         let t: Vec<_> = (0..n).map(|i| (i, n - 1 - i, 1.0f32)).collect();
@@ -735,60 +661,5 @@ mod tests {
                 assert!(e.is_finite() && e > 0.0, "{}: {e}", plat.name);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod amortized_tests {
-    use super::*;
-    use crate::profile::WorkloadProfile;
-    use dnnspmv_sparse::CooMatrix;
-
-    fn banded(n: usize) -> WorkloadProfile {
-        let mut t = Vec::new();
-        for i in 0..n {
-            for d in [-1i64, 0, 1, 4] {
-                let j = i as i64 + d;
-                if (0..n as i64).contains(&j) {
-                    t.push((i, j as usize, 1.0f32));
-                }
-            }
-        }
-        WorkloadProfile::compute(&CooMatrix::from_triplets(n, n, &t).unwrap())
-    }
-
-    #[test]
-    fn conversion_costs_are_positive_and_coo_is_free() {
-        let p = banded(256);
-        let plat = PlatformModel::intel_cpu();
-        assert_eq!(plat.conversion_estimate(&p, SparseFormat::Coo), 0.0);
-        for f in [SparseFormat::Csr, SparseFormat::Dia, SparseFormat::Ell] {
-            let c = plat.conversion_estimate(&p, f);
-            assert!(c > 0.0 && c.is_finite(), "{f}: {c}");
-        }
-    }
-
-    #[test]
-    fn conversion_exceeds_one_spmv_iteration() {
-        // Section 7.6: conversion takes "a number of SpMV iterations".
-        let p = banded(512);
-        let plat = PlatformModel::intel_cpu();
-        for f in [SparseFormat::Csr, SparseFormat::Dia] {
-            assert!(
-                plat.conversion_estimate(&p, f) > plat.estimate(&p, f) * 0.5,
-                "{f} conversion implausibly cheap"
-            );
-        }
-    }
-
-    #[test]
-    fn infeasible_conversion_is_infinite() {
-        let n = 10_000;
-        let t: Vec<_> = (0..n).map(|i| (i, n - 1 - i, 1.0f32)).collect();
-        let p = WorkloadProfile::compute(&CooMatrix::from_triplets(n, n, &t).unwrap());
-        let plat = PlatformModel::intel_cpu();
-        assert!(plat
-            .conversion_estimate(&p, SparseFormat::Dia)
-            .is_infinite());
     }
 }

@@ -60,9 +60,7 @@ fn server_gemm_stays_serial_by_default() {
     };
     let (cnn, _) =
         FormatSelector::train_with_labels(&data.matrices, &labels, intel.formats().to_vec(), &cfg);
-    let service = SelectorService::new(Some(cnn), None)
-        .unwrap()
-        .with_confidence_threshold(0.0);
+    let service = SelectorService::new(Some(cnn), None).unwrap();
     let server = SelectorServer::new(service, ServerConfig::default());
 
     slots_probe_reset();

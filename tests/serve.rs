@@ -7,9 +7,9 @@
 //! fault hooks), so nothing here depends on scheduler luck.
 
 use dnnspmv::core::{
-    BreakerConfig, BreakerState, CacheConfig, CnnFault, DtSelector, FormatSelector,
-    SelectionSource, SelectorConfig, SelectorServer, SelectorService, ServeError, ServeHooks,
-    ServerConfig, CACHE_AUDIT_PERIOD,
+    BreakerState, CacheConfig, CnnFault, DtSelector, FormatSelector, SelectionSource,
+    SelectorConfig, SelectorServer, SelectorService, ServeError, ServeHooks, ServerConfig,
+    BREAKER_OPEN_BACKOFF, CACHE_AUDIT_PERIOD,
 };
 use dnnspmv::gen::{Dataset, DatasetSpec};
 use dnnspmv::nn::TrainConfig;
@@ -65,13 +65,11 @@ fn fixture() -> &'static (FormatSelector, DtSelector, Dataset) {
     })
 }
 
-/// A full CNN+tree ladder with the confidence gate disabled, so every
-/// healthy CNN answer counts as a CNN answer.
+/// A full CNN+tree ladder: every finite CNN answer counts as a CNN
+/// answer.
 fn full_service() -> SelectorService {
     let (cnn, dt, _) = fixture();
-    SelectorService::new(Some(cnn.clone()), Some(dt.clone()))
-        .unwrap()
-        .with_confidence_threshold(0.0)
+    SelectorService::new(Some(cnn.clone()), Some(dt.clone())).unwrap()
 }
 
 /// Matrices [`full_service`] sends down the CNN path, by the predicate
@@ -111,13 +109,9 @@ fn fake_clock() -> (Arc<AtomicU64>, dnnspmv::core::ClockFn) {
     (t, Arc::new(move || tc.load(Ordering::SeqCst)))
 }
 
-fn tight_breaker() -> BreakerConfig {
-    BreakerConfig {
-        failure_threshold: 3,
-        open_backoff: Duration::from_nanos(1_000),
-        max_backoff: Duration::from_nanos(8_000),
-    }
-}
+/// The breaker's first open period in fake-clock nanoseconds: advancing
+/// the clock by this much lets the next request probe.
+const OPEN_NS: u64 = BREAKER_OPEN_BACKOFF.as_nanos() as u64;
 
 /// Acceptance (a): a burst beyond queue capacity is shed with a typed
 /// `Overloaded` error while every admitted request still completes, and
@@ -246,9 +240,9 @@ fn deadlines_expire_in_queue_and_in_flight() {
 }
 
 /// Acceptance (b) + (c), hang flavour: a CNN that stalls past the
-/// deadline trips the breaker within `failure_threshold` requests, the
-/// tree keeps answering while the breaker is open, and the half-open
-/// probe restores the CNN once the fault clears.
+/// deadline trips the breaker within `BREAKER_FAILURE_THRESHOLD`
+/// requests, the tree keeps answering while the breaker is open, and
+/// the half-open probe restores the CNN once the fault clears.
 #[test]
 fn hung_cnn_trips_breaker_tree_answers_probe_restores() {
     let (clock_raw, clock) = fake_clock();
@@ -266,7 +260,6 @@ fn hung_cnn_trips_breaker_tree_answers_probe_restores() {
     let cfg = ServerConfig {
         workers: 1,
         queue_capacity: 16,
-        breaker: tight_breaker(),
         ..ServerConfig::default()
     };
     let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
@@ -300,7 +293,7 @@ fn hung_cnn_trips_breaker_tree_answers_probe_restores() {
     // Fault clears, backoff elapses: the next request is the half-open
     // probe, the CNN answers, and the breaker closes.
     hang.store(false, Ordering::SeqCst);
-    clock_raw.fetch_add(10_000, Ordering::SeqCst);
+    clock_raw.fetch_add(OPEN_NS, Ordering::SeqCst);
     let sel = server
         .submit(Arc::clone(&m), deadline)
         .unwrap()
@@ -343,7 +336,6 @@ fn panicking_cnn_is_contained_and_failed_probe_doubles_backoff() {
     let cfg = ServerConfig {
         workers: 1,
         queue_capacity: 16,
-        breaker: tight_breaker(),
         ..ServerConfig::default()
     };
     let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
@@ -361,17 +353,17 @@ fn panicking_cnn_is_contained_and_failed_probe_doubles_backoff() {
 
     // Backoff elapses but the fault persists: the probe fails, the
     // breaker reopens, and the backoff doubles.
-    clock_raw.fetch_add(2_000, Ordering::SeqCst);
+    clock_raw.fetch_add(OPEN_NS, Ordering::SeqCst);
     let sel = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
     assert_eq!(sel.source, SelectionSource::Tree);
     let r = server.report();
     assert_eq!(r.probes_failed, 1);
     assert_eq!(r.breaker.state, BreakerState::Open);
-    assert_eq!(r.breaker.current_backoff_ns, 2_000);
+    assert_eq!(r.breaker.current_backoff_ns, 2 * OPEN_NS);
 
     // Fault clears; after the doubled backoff the probe succeeds.
     panicking.store(false, Ordering::SeqCst);
-    clock_raw.fetch_add(10_000, Ordering::SeqCst);
+    clock_raw.fetch_add(2 * OPEN_NS, Ordering::SeqCst);
     let sel = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
     assert_eq!(sel.source, SelectionSource::Cnn);
     assert_eq!(server.report().breaker.state, BreakerState::Closed);
@@ -554,7 +546,6 @@ fn metrics_snapshot_reproduces_server_report_exactly() {
         ServerConfig {
             workers: 1,
             queue_capacity: 16,
-            breaker: tight_breaker(),
             ..ServerConfig::default()
         },
         hooks,
@@ -579,7 +570,7 @@ fn metrics_snapshot_reproduces_server_report_exactly() {
     }
     // Fault clears, backoff elapses: the probe restores the CNN.
     panicking.store(false, Ordering::SeqCst);
-    clock_raw.fetch_add(100_000, Ordering::SeqCst);
+    clock_raw.fetch_add(OPEN_NS, Ordering::SeqCst);
     assert_eq!(serve_one().source, SelectionSource::Cnn);
     // In-queue deadline expiry.
     clock_raw.fetch_add(10_000_000, Ordering::SeqCst);
@@ -811,7 +802,6 @@ fn audit_on_open_breaker_or_cnn_fault_returns_the_cached_answer() {
     };
     let cfg = ServerConfig {
         workers: 1,
-        breaker: tight_breaker(),
         cache: CacheConfig::enabled(64),
         ..ServerConfig::default()
     };
@@ -837,7 +827,7 @@ fn audit_on_open_breaker_or_cnn_fault_returns_the_cached_answer() {
     // After the backoff the next audit is the half-open probe, and the
     // CNN still panics: the probe fails, the cached answer serves.
     hit_times(&server, &m, CACHE_AUDIT_PERIOD - 1);
-    clock_raw.fetch_add(2_000, Ordering::SeqCst);
+    clock_raw.fetch_add(OPEN_NS, Ordering::SeqCst);
     assert_eq!(server.select(&m).unwrap(), cached);
     let r = server.report();
     assert_eq!(r.probes_failed, 1, "{r:?}");
@@ -1113,7 +1103,6 @@ fn gathered_batch_on_open_breaker_takes_exactly_one_probe() {
     let cfg = ServerConfig {
         workers: 1,
         queue_capacity: 16,
-        breaker: tight_breaker(),
         max_batch: 4,
         max_batch_wait: Duration::from_micros(100),
         ..ServerConfig::default()
@@ -1140,7 +1129,7 @@ fn gathered_batch_on_open_breaker_takes_exactly_one_probe() {
 
     // Fault clears, backoff elapses, four more arrive together.
     panicking.store(false, Ordering::SeqCst);
-    clock_raw.fetch_add(2_000, Ordering::SeqCst);
+    clock_raw.fetch_add(OPEN_NS, Ordering::SeqCst);
     for p in submit_four(10) {
         assert_eq!(p.wait().unwrap().source, SelectionSource::Cnn);
     }
@@ -1241,7 +1230,7 @@ fn rayon_stress_with_cache_and_batching_accounts_exactly() {
     // audits one hit in CACHE_AUDIT_PERIOD, and an audit that finds the
     // queue full is served as a hit, so the audits are at most that.
     assert_eq!(
-        r.cache.hits + r.cache.misses + r.cache.stale + r.cache.expired + r.cache.audited,
+        r.cache.hits + r.cache.misses + r.cache.stale + r.cache.audited,
         r.submitted
     );
     assert!(
@@ -1284,12 +1273,6 @@ fn soak_sustained_load_with_reloads_stays_consistent() {
         ServerConfig {
             workers: 4,
             queue_capacity: 16,
-            default_deadline: Some(Duration::from_secs(5)),
-            breaker: BreakerConfig {
-                failure_threshold: 3,
-                open_backoff: Duration::from_millis(5),
-                max_backoff: Duration::from_millis(50),
-            },
             ..ServerConfig::default()
         },
         hooks,
