@@ -614,8 +614,8 @@ fn check_invariants(run: &EpisodeRun, admission_sheds: u64) -> Vec<String> {
     }
     if !r.path_accounted() {
         v.push(format!(
-            "path accounting broken: served {} != cache {} + batched {} + single {}",
-            r.served, r.served_cache, r.batched_served, r.single_served
+            "path accounting broken: served {} != cache {} + tree-first {} + batched {} + single {}",
+            r.served, r.served_cache, r.tree_first_served, r.batched_served, r.single_served
         ));
     }
     let c = &r.cache;

@@ -11,9 +11,11 @@
 //! Design points:
 //!
 //! * **Sharded LRU** — 8 shards (fewer when the capacity is below 8,
-//!   rounded up to a power of two), each a lock-protected
+//!   rounded down to a power of two), each a lock-protected
 //!   constant-time LRU (hash map into an intrusive slab list), so
-//!   concurrent submitters rarely contend on one lock.
+//!   concurrent submitters rarely contend on one lock. The shards split
+//!   the capacity between them exactly: together they hold no more
+//!   than [`CacheConfig::capacity`] entries.
 //! * **Generation-keyed** — every entry records the model generation
 //!   that produced it; a lookup under a newer generation reports
 //!   [`CacheLookup::Stale`] and drops the entry, so a hot model reload
@@ -51,7 +53,7 @@ use std::ops::Range;
 use std::sync::Mutex;
 
 /// Shards a cache spreads its entries over, clamped to its capacity and
-/// rounded up to a power of two.
+/// rounded down to a power of two.
 const SHARDS: usize = 8;
 
 /// Decision-cache tuning (see module docs). The default is disabled:
@@ -123,13 +125,16 @@ struct Shard {
     free: Vec<usize>,
     head: usize,
     tail: usize,
+    /// Entries this shard holds before it evicts.
+    capacity: usize,
 }
 
 impl Shard {
-    fn new() -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
             head: NIL,
             tail: NIL,
+            capacity,
             ..Self::default()
         }
     }
@@ -172,7 +177,6 @@ impl Shard {
 pub struct DecisionCache {
     shards: Vec<Mutex<Shard>>,
     shard_mask: u64,
-    shard_capacity: usize,
 }
 
 impl DecisionCache {
@@ -181,11 +185,16 @@ impl DecisionCache {
         if !cfg.is_enabled() {
             return None;
         }
-        let shards = SHARDS.min(cfg.capacity).next_power_of_two();
+        // A power of two no larger than the capacity, so every shard
+        // holds at least one entry; the first `capacity % shards` shards
+        // take one entry more than the rest.
+        let shards = 1 << SHARDS.min(cfg.capacity).ilog2();
+        let (each, extra) = (cfg.capacity / shards, cfg.capacity % shards);
         Some(Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
+            shards: (0..shards)
+                .map(|i| Mutex::new(Shard::new(each + usize::from(i < extra))))
+                .collect(),
             shard_mask: shards as u64 - 1,
-            shard_capacity: cfg.capacity.div_ceil(shards),
         })
     }
 
@@ -236,7 +245,7 @@ impl DecisionCache {
             s.push_front(i);
             return CacheInsert::Updated;
         }
-        let evicting = s.len() >= self.shard_capacity;
+        let evicting = s.len() >= s.capacity;
         if evicting {
             let lru = s.tail;
             s.remove(lru);
@@ -449,6 +458,14 @@ mod tests {
         DecisionCache::new(&CacheConfig::enabled(capacity)).expect("enabled config")
     }
 
+    /// Each shard's capacity, in shard order.
+    fn shard_capacities(c: &DecisionCache) -> Vec<usize> {
+        c.shards
+            .iter()
+            .map(|s| s.lock().expect("cache shard lock").capacity)
+            .collect()
+    }
+
     #[test]
     fn disabled_config_builds_no_cache() {
         assert!(DecisionCache::new(&CacheConfig::default()).is_none());
@@ -508,7 +525,7 @@ mod tests {
     #[test]
     fn eviction_honors_capacity_per_shard_in_lru_order() {
         let c = small_cache(4 * SHARDS);
-        assert_eq!(c.shard_capacity, 4);
+        assert_eq!(shard_capacities(&c), vec![4; SHARDS]);
         // Multiples of the shard count all route to shard 0.
         let key = |k: u64| k * SHARDS as u64;
         for k in 0..4 {
@@ -537,14 +554,20 @@ mod tests {
     #[test]
     fn shard_count_rounds_to_power_of_two_and_respects_capacity() {
         let c = small_cache(100);
-        assert_eq!(c.shards.len(), 8);
-        assert_eq!(c.shard_capacity, 13);
+        assert_eq!(shard_capacities(&c), [13, 13, 13, 13, 12, 12, 12, 12]);
         // A tiny capacity never spreads across more shards than
-        // entries, and rounds up to a power of two.
+        // entries, and rounds down to a power of two.
         let c = small_cache(2);
-        assert_eq!(c.shards.len(), 2);
+        assert_eq!(shard_capacities(&c), [1, 1]);
         let c = small_cache(3);
-        assert_eq!((c.shards.len(), c.shard_capacity), (4, 1));
+        assert_eq!(shard_capacities(&c), [2, 1]);
+        // The shards together hold exactly the configured capacity.
+        for capacity in 1..=64 {
+            let caps = shard_capacities(&small_cache(capacity));
+            assert!(caps.len().is_power_of_two() && caps.len() <= SHARDS);
+            assert!(caps.iter().all(|&c| c >= 1), "{capacity}: {caps:?}");
+            assert_eq!(caps.iter().sum::<usize>(), capacity, "{caps:?}");
+        }
     }
 
     fn diag(n: usize) -> CooMatrix<f32> {
@@ -672,16 +695,25 @@ mod tests {
     }
 
     impl ModelCache {
+        /// The largest power of two of shards that each get an entry,
+        /// at most `SHARDS` of them, and the capacity dealt out to them
+        /// one entry at a time.
         fn new(capacity: usize) -> Self {
-            let n = SHARDS.min(capacity).next_power_of_two();
-            let cap = capacity.div_ceil(n);
-            let shard = ModelLru {
-                entries: Vec::new(),
-                cap,
-            };
-            Self {
-                shards: vec![shard; n],
+            let mut n = 1;
+            while n * 2 <= SHARDS && n * 2 <= capacity {
+                n *= 2;
             }
+            let mut shards = vec![
+                ModelLru {
+                    entries: Vec::new(),
+                    cap: 0,
+                };
+                n
+            ];
+            for entry in 0..capacity {
+                shards[entry % n].cap += 1;
+            }
+            Self { shards }
         }
 
         fn shard(&mut self, fp: u64) -> &mut ModelLru {
@@ -738,8 +770,8 @@ mod tests {
             }
         }
 
-        /// The cache as it ships (8 shards, fewer below 8 entries)
-        /// behaves exactly like one Vec-based LRU per shard under
+        /// The cache as it ships (8 shards, fewer below 8 entries, the
+        /// capacity split between them exactly) behaves exactly like one Vec-based LRU per shard under
         /// arbitrary interleavings of lookups, inserts and generation
         /// bumps, hit counts included. Keys carry high bits, so the
         /// routing fold is exercised too.
@@ -750,8 +782,8 @@ mod tests {
         ) {
             let cache = small_cache(capacity);
             let mut model = ModelCache::new(capacity);
-            prop_assert_eq!(cache.shards.len(), model.shards.len());
-            prop_assert_eq!(cache.shard_capacity, model.shards[0].cap);
+            let model_caps: Vec<usize> = model.shards.iter().map(|s| s.cap).collect();
+            prop_assert_eq!(shard_capacities(&cache), model_caps);
             let mut generation = 0u64;
             let mut fmt = 0u32;
             for (op, k) in ops {

@@ -10,7 +10,11 @@
 //! * **Admission control** — a bounded queue feeding a fixed worker
 //!   pool. When the queue is full, new requests are shed immediately
 //!   with [`ServeError::Overloaded`] instead of queueing unboundedly
-//!   and collapsing latency for everyone.
+//!   and collapsing latency for everyone. Two kinds of answer never
+//!   queue: a decision-cache hit, and a small matrix the tree answers
+//!   first from a pure leaf ([`SelectorService::tree_first`]). Both are
+//!   answered on the submitting thread, cheaper than the hand-off to a
+//!   worker would be.
 //! * **Deadlines** — each request may carry a deadline; cooperative
 //!   cancellation checkpoints threaded through representation
 //!   extraction and the CNN forward pass abandon the work as soon as
@@ -297,9 +301,10 @@ impl std::error::Error for ServeError {
 }
 
 /// Observer of served selections — the seam the feedback layer hangs
-/// off. Called synchronously on every *served* answer (cache hit or
-/// worker pass) with the request's matrix, the selection
-/// returned to the client, and the model generation that produced it.
+/// off. Called synchronously on every *served* answer (cache hit,
+/// tree-first answer at admission, or worker pass) with the request's
+/// matrix, the selection returned to the client, and the model
+/// generation that produced it.
 ///
 /// Implementations MUST be cheap and non-blocking: the contract is a
 /// counter tick plus at most a bounded-queue `try_push` — anything
@@ -317,10 +322,13 @@ pub trait ServeTap<S: Scalar>: Send + Sync {
 pub struct ServeHooks {
     /// Consulted once per request the breaker lets reach the CNN rung,
     /// with the request's sequence number; the returned fault is
-    /// injected into the rung. A request with a fault is never answered
-    /// tree-first; one without may still be. Side effects (advancing a
-    /// fake clock to simulate a latency spike or a hang, parking the
-    /// worker to hold the queue full) are the test harness's levers.
+    /// injected into the rung. Side effects (advancing a fake clock to
+    /// simulate a latency spike or a hang, parking the worker to hold
+    /// the queue full) are the test harness's levers, so they must stay
+    /// on the worker: with a hook installed, `submit` answers no request
+    /// tree-first, and the cascade runs in the worker's batch instead. A
+    /// request with a fault is never answered tree-first; one without
+    /// may still be.
     pub cnn_fault: Option<Arc<dyn Fn(u64) -> CnnFault + Send + Sync>>,
 }
 
@@ -396,6 +404,7 @@ struct ServerMetrics {
     reloads_rejected: Counter,
     served_cache: Counter,
     path_cache: Counter,
+    path_tree_first: Counter,
     path_batched: Counter,
     path_single: Counter,
     cache_miss: Counter,
@@ -438,6 +447,7 @@ impl ServerMetrics {
             served_default: served("default"),
             served_cache: served("cache"),
             path_cache: path("cache"),
+            path_tree_first: path("tree_first"),
             path_batched: path("batched"),
             path_single: path("single"),
             cache_miss: lookup("miss"),
@@ -502,8 +512,9 @@ pub struct ServeCacheReport {
 /// `submitted == shed + rejected_shutdown + served + deadline_in_queue +
 /// deadline_in_flight` — every request lands in exactly one terminal
 /// bucket, none lost, none double-counted. A second, path-level
-/// invariant refines `served`: `served == cache.hits + batched_served +
-/// single_served` — every answer travelled exactly one hot-path route.
+/// invariant refines `served`: `served == cache.hits +
+/// tree_first_served + batched_served + single_served` — every answer
+/// travelled exactly one hot-path route.
 /// With the cache on, every admitted submission looks it up exactly
 /// once: `cache.hits + misses + stale + audited == submitted −
 /// rejected_shutdown` (an injected admission failure also skips it).
@@ -525,12 +536,17 @@ pub struct ServerReport {
     /// Answered by the CNN rung.
     pub served_cnn: u64,
     /// Answered by the tree, first or as a fallback
-    /// (`ladder.cnn_bypassed` counts the first).
+    /// (`ladder.cnn_bypassed` counts the first, wherever it ran).
     pub served_tree: u64,
     /// Answered by the static default.
     pub served_default: u64,
     /// Answered from the decision cache (no rung ran at all).
     pub served_cache: u64,
+    /// Answered tree-first at admission, on the submitting thread: no
+    /// queue, no worker. Each is also counted in `served_tree` and in
+    /// `ladder.cnn_bypassed`; with no fault hook installed, every
+    /// tree-first answer is one of these.
+    pub tree_first_served: u64,
     /// Answers produced by a worker pass shared by two or more
     /// requests.
     pub batched_served: u64,
@@ -576,9 +592,11 @@ impl ServerReport {
 
     /// Path-level refinement of the accounting invariant: every served
     /// answer arrived via exactly one route — a synchronous cache hit,
-    /// a worker pass shared with batch mates, or a worker pass alone.
+    /// a synchronous tree-first answer, a worker pass shared with batch
+    /// mates, or a worker pass alone.
     pub fn path_accounted(&self) -> bool {
-        self.served == self.served_cache + self.batched_served + self.single_served
+        self.served
+            == self.served_cache + self.tree_first_served + self.batched_served + self.single_served
     }
 }
 
@@ -604,6 +622,9 @@ struct Job<S: Scalar> {
     /// cached under and the cached selection the worker's fresh answer
     /// is checked against.
     audit: Option<(u64, Selection)>,
+    /// Admission already asked the tree first and it did not answer, so
+    /// the worker does not ask again.
+    tree_asked: bool,
     reply: mpsc::Sender<Result<Selection, ServeError>>,
 }
 
@@ -714,7 +735,9 @@ impl<S: Scalar> Inner<S> {
                 .record(now.saturating_sub(job.enqueued_at));
             if job.deadline.is_some_and(|d| now >= d) {
                 results[i] = Some(match job.audit {
-                    Some((cached_in, cached)) => Ok(self.answer(job, cached, cached_in, path)),
+                    Some((cached_in, cached)) => {
+                        Ok(self.answer(&job.matrix, cached, cached_in, path))
+                    }
                     None => {
                         self.metrics.deadline_in_queue.inc();
                         Err(ServeError::DeadlineExceeded)
@@ -752,7 +775,7 @@ impl<S: Scalar> Inner<S> {
                 skip_cnn,
                 cancel: &cancels[i],
                 inject,
-                require_cnn: probe || job.audit.is_some(),
+                require_cnn: probe || job.audit.is_some() || job.tree_asked,
             };
             members.push((job.matrix.as_ref(), guard));
         }
@@ -786,7 +809,7 @@ impl<S: Scalar> Inner<S> {
             results[i] = Some(match (out.selection, job.audit) {
                 // An audit the CNN did not answer ends as the hit it was.
                 (_, Some((cached_in, cached))) if out.cnn != CnnRungOutcome::Answered => {
-                    Ok(self.answer(job, cached, cached_in, path))
+                    Ok(self.answer(&job.matrix, cached, cached_in, path))
                 }
                 (Some(sel), audit) => {
                     // Only a fresh CNN answer from the model that made
@@ -801,7 +824,7 @@ impl<S: Scalar> Inner<S> {
                         }
                     }
                     self.cache_store(job.fp, generation.number, out.cnn, &sel);
-                    Ok(self.answer(job, sel, generation.number, path))
+                    Ok(self.answer(&job.matrix, sel, generation.number, path))
                 }
                 (None, _) => {
                     self.metrics.deadline_in_flight.inc();
@@ -815,9 +838,15 @@ impl<S: Scalar> Inner<S> {
             .collect()
     }
 
-    /// Counts a worker's answer to `job` under its rung and `path`, and
-    /// shows it to the tap.
-    fn answer(&self, job: &Job<S>, sel: Selection, generation: u64, path: &Counter) -> Selection {
+    /// Counts an answer to a request for `matrix` under its rung and
+    /// `path`, and shows it to the tap.
+    fn answer(
+        &self,
+        matrix: &Arc<CooMatrix<S>>,
+        sel: Selection,
+        generation: u64,
+        path: &Counter,
+    ) -> Selection {
         let c = match sel.source {
             SelectionSource::Cnn => &self.metrics.served_cnn,
             SelectionSource::Tree => &self.metrics.served_tree,
@@ -825,7 +854,7 @@ impl<S: Scalar> Inner<S> {
         };
         c.inc();
         path.inc();
-        self.tap_observe(&job.matrix, &sel, generation);
+        self.tap_observe(matrix, &sel, generation);
         sel
     }
 
@@ -936,13 +965,15 @@ impl<S: Scalar> Inner<S> {
 }
 
 /// A handle to one submitted request; resolves when a worker answers —
-/// or immediately, when the decision cache answered at admission.
+/// or immediately, when the decision cache or the tree answered at
+/// admission.
 pub struct PendingSelection {
     state: PendingState,
 }
 
 enum PendingState {
-    /// Answered synchronously (cache hit); no worker involved.
+    /// Answered synchronously (cache hit or tree-first answer); no
+    /// worker involved.
     Ready(Box<Result<Selection, ServeError>>),
     /// Queued; a worker will reply.
     Waiting(mpsc::Receiver<Result<Selection, ServeError>>),
@@ -1024,14 +1055,28 @@ impl<S: Scalar> SelectorServer<S> {
     }
 
     /// Submits a request with an explicit deadline (`None`: no
-    /// deadline). Sheds immediately with [`ServeError::Overloaded`]
-    /// when the queue is full. When the decision cache holds a
-    /// same-generation answer for the matrix's structural fingerprint,
-    /// the request is answered synchronously without queueing at all —
-    /// the hit path is a fingerprint, a sharded lookup, and a clone —
-    /// except an entry's every [`CACHE_AUDIT_PERIOD`]th hit, which is
-    /// queued like a miss so a worker can check the cached answer. An
-    /// audit is never shed: on a full queue it is served as a hit.
+    /// deadline). A submission ends in one of three ways:
+    ///
+    /// * **Hit.** When the decision cache holds a same-generation
+    ///   answer for the matrix's structural fingerprint, the request is
+    ///   answered synchronously without queueing at all — the hit path
+    ///   is a fingerprint, a sharded lookup, and a clone — except an
+    ///   entry's every [`CACHE_AUDIT_PERIOD`]th hit, which is queued
+    ///   like a miss so a worker can check the cached answer. An audit
+    ///   is never shed: on a full queue it is served as a hit.
+    /// * **Tree first.** Otherwise, unless the request is an audit, a
+    ///   [`ServeHooks::cnn_fault`] hook is installed or the deadline has
+    ///   already passed, the live generation's
+    ///   [`SelectorService::tree_first`] is asked; a pure-leaf answer is
+    ///   returned synchronously, counted `cnn/bypassed` plus `tree/ok`
+    ///   and `serve_path_total{path="tree_first"}`. It is never cached,
+    ///   never shed, and gives the circuit breaker no signal (it does
+    ///   not consult it either, so it never takes the half-open probe).
+    ///   A matrix above the tree's cost gate pays one slot read and one
+    ///   comparison here.
+    /// * **Queued.** Everything else goes to a worker, which does not
+    ///   ask the tree again. When the queue is full the request is shed
+    ///   immediately with [`ServeError::Overloaded`].
     pub fn submit(
         &self,
         matrix: Arc<CooMatrix<S>>,
@@ -1085,6 +1130,22 @@ impl<S: Scalar> SelectorServer<S> {
             fp = Some(key);
         }
         let deadline_ns = deadline.map(|d| now.saturating_add(d.as_nanos() as u64));
+        let mut tree_asked = false;
+        if audit.is_none()
+            && self.inner.hooks.cnn_fault.is_none()
+            && deadline_ns.is_none_or(|d| now < d)
+        {
+            let generation = Arc::clone(&self.inner.slot.read().expect("slot lock"));
+            if let Some(sel) = generation.service.answer_tree_first(matrix.as_ref()) {
+                let sel = self
+                    .inner
+                    .answer(&matrix, sel, generation.number, &m.path_tree_first);
+                return Ok(PendingSelection {
+                    state: PendingState::Ready(Box::new(Ok(sel))),
+                });
+            }
+            tree_asked = true;
+        }
         let (tx, rx) = mpsc::channel();
         let job = Job {
             matrix,
@@ -1093,6 +1154,7 @@ impl<S: Scalar> SelectorServer<S> {
             enqueued_at: now,
             fp,
             audit,
+            tree_asked,
             reply: tx,
         };
         {
@@ -1237,6 +1299,7 @@ impl<S: Scalar> SelectorServer<S> {
             served_tree,
             served_default,
             served_cache,
+            tree_first_served: m.path_tree_first.get(),
             batched_served: m.path_batched.get(),
             single_served: m.path_single.get(),
             cache: ServeCacheReport {

@@ -19,7 +19,13 @@
 //!    matrix above the gate, breaker probe, injected fault — goes on
 //!    down the ladder unchanged. This is a cost gate, not a confidence
 //!    gate: outside its training range a pure leaf is no sign of a
-//!    right answer, so large matrices always reach the CNN.
+//!    right answer, so large matrices always reach the CNN. The
+//!    predicate ([`SelectorService::tree_first`]) has two call sites:
+//!    [`SelectorService::select_batch`] here, and
+//!    [`SelectorServer::submit`](crate::SelectorServer::submit), which
+//!    asks it at admission so a tree-first answer never queues; a
+//!    member admission already asked reaches this rung with
+//!    [`SelectGuard::require_cnn`] set, so the tree never runs twice.
 //! 1. **CNN** — its top class answers whenever its probabilities are
 //!    finite; there is no confidence cut-off. Panics inside the network
 //!    (defence in depth; load-time validation should make them
@@ -124,9 +130,10 @@ pub struct SelectGuard<'a> {
     /// member is pulled out of the shared forward pass and never
     /// answered tree-first.
     pub inject: CnnFault,
-    /// The member must reach the CNN rung (a circuit breaker's
-    /// half-open probe, or a cache audit re-checking a CNN answer), so
-    /// the tree is not asked first.
+    /// The tree is not asked first: it was already asked (at a
+    /// server's admission), or the member must reach the CNN rung (a
+    /// circuit breaker's half-open probe, or a cache audit re-checking
+    /// a CNN answer).
     pub require_cnn: bool,
 }
 
@@ -318,7 +325,8 @@ impl SelectorService {
     /// matrix down the CNN path. A matrix above the gate is decided
     /// without running the tree. This is the predicate
     /// [`Self::select_batch`] applies to every member that may bypass
-    /// the CNN (no injected fault, no [`SelectGuard::require_cnn`]).
+    /// the CNN (no injected fault, no [`SelectGuard::require_cnn`]), and
+    /// the one a server applies at admission.
     pub fn tree_first<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Option<SparseFormat> {
         let limit = self.tree_first_units?;
         let units = (matrix.nnz() + matrix.nrows() + matrix.ncols()) as u64;
@@ -397,8 +405,11 @@ impl SelectorService {
                 continue;
             }
             if guard.inject == CnnFault::None && !guard.require_cnn && !(guard.cancel)() {
-                if let Some(answer) = self.answer_tree_first(matrix) {
-                    out[i] = Some(answer);
+                if let Some(sel) = self.answer_tree_first(matrix) {
+                    out[i] = Some(GuardedSelection {
+                        selection: Some(sel),
+                        cnn: CnnRungOutcome::Bypassed,
+                    });
                     continue;
                 }
             }
@@ -480,19 +491,18 @@ impl SelectorService {
     }
 
     /// [`Self::tree_first`] behind an unwind boundary, counted: a tree
-    /// answer bypasses the CNN, a tree panic costs only the shortcut.
-    fn answer_tree_first<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Option<GuardedSelection> {
+    /// answer bypasses the CNN (`cnn/bypassed` plus `tree/ok`), a tree
+    /// panic costs only the shortcut (`tree/panic`). Both call sites of
+    /// the cascade, in-batch and a server's admission, go through here.
+    pub(crate) fn answer_tree_first<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Option<Selection> {
         match catch_unwind(AssertUnwindSafe(|| self.tree_first(matrix))) {
             Ok(Some(format)) => {
                 self.counters.cnn_bypassed.inc();
                 self.counters.tree_ok.inc();
-                Some(GuardedSelection {
-                    selection: Some(Selection {
-                        format,
-                        source: SelectionSource::Tree,
-                        confidence: None,
-                    }),
-                    cnn: CnnRungOutcome::Bypassed,
+                Some(Selection {
+                    format,
+                    source: SelectionSource::Tree,
+                    confidence: None,
                 })
             }
             Ok(None) => None,

@@ -2,12 +2,15 @@
 //! than one CNN forward, and whose tree leaf was pure in training, is
 //! answered by the tree before any forward runs. Every other member (an
 //! impure leaf, a matrix above the gate, a breaker probe, an injected
-//! fault) takes the CNN path exactly as before.
+//! fault) takes the CNN path exactly as before. A server with no fault
+//! hook asks the tree at admission and answers there; with a hook, the
+//! cascade runs in the worker's batch.
 
 use dnnspmv_core::{
-    BreakerState, CacheConfig, CnnFault, CnnRungOutcome, DtSelector, FormatSelector, SelectGuard,
-    Selection, SelectionSource, SelectorConfig, SelectorServer, SelectorService, ServeHooks,
-    ServerConfig, BREAKER_OPEN_BACKOFF, TREE_UNIT_MACS,
+    BreakerState, CacheConfig, CnnFault, CnnRungOutcome, DtSelector, FormatSelector,
+    PendingSelection, SelectGuard, Selection, SelectionSource, SelectorConfig, SelectorServer,
+    SelectorService, ServeError, ServeHooks, ServeTap, ServerConfig, ServerReport,
+    BREAKER_OPEN_BACKOFF, TREE_UNIT_MACS,
 };
 use dnnspmv_gen::{Dataset, DatasetSpec};
 use dnnspmv_nn::{CnnConfig, TrainConfig};
@@ -15,7 +18,7 @@ use dnnspmv_platform::{label_dataset, PlatformModel};
 use dnnspmv_repr::ReprConfig;
 use dnnspmv_sparse::CooMatrix;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 
 /// A small CNN and the tree trained beside it on the same labels, plus
 /// their training matrices (edge 48–112, all below the gate).
@@ -189,6 +192,18 @@ fn matrices_above_the_gate_never_run_the_tree_first() {
     assert_eq!(r.tree_ok, before.tree_ok);
     assert_eq!(r.cnn_bypassed, before.cnn_bypassed);
     assert_eq!(r.cnn_ok, before.cnn_ok + big.len() as u64);
+
+    // The same at a server's admission: every one is queued and answered
+    // by a worker's CNN pass, and the tree never runs.
+    let server: SelectorServer<f32> = SelectorServer::new(service(), ServerConfig::default());
+    for m in big {
+        assert_eq!(server.select(m).unwrap().source, SelectionSource::Cnn);
+    }
+    let r = server.report();
+    assert_eq!(r.tree_first_served, 0);
+    assert_eq!(r.single_served + r.batched_served, big.len() as u64);
+    assert_eq!((r.ladder.tree_ok, r.ladder.cnn_bypassed), (0, 0));
+    assert_eq!(r.ladder.cnn_ok, big.len() as u64);
 }
 
 #[test]
@@ -356,6 +371,9 @@ fn tree_first_answers_never_enter_the_cache() {
         (0, 0, 0)
     );
     assert_eq!((r.served_cache, r.cache.misses), (0, 12));
+    // No hook: every one was answered at admission.
+    assert_eq!(r.tree_first_served, 12);
+    assert_eq!(r.single_served + r.batched_served, 0);
     // A CNN answer beside them is cached and hit as before.
     let m = rest[0];
     let cnn = server.select(m).unwrap();
@@ -369,12 +387,12 @@ fn tree_first_answers_never_enter_the_cache() {
     assert_eq!(r.ladder.cnn_bypassed, 12);
 }
 
-#[test]
-fn accounting_stays_exact_on_a_mixed_stream() {
+/// Tree-first, impure-leaf and above-gate matrices interleaved, served
+/// by four concurrent clients through a small queue with the cache on.
+/// Each matrix appears well under CACHE_AUDIT_PERIOD times, so no hit is
+/// audited and every CNN-served answer is a CNN rung answer.
+fn mixed_stream(hooks: ServeHooks) -> ServerReport {
     let (first, rest) = split();
-    // Tree-first, impure-leaf and above-gate matrices interleaved; each
-    // appears well under CACHE_AUDIT_PERIOD times, so no hit is audited
-    // and every CNN-served answer is a CNN rung answer.
     let mix: Vec<&CooMatrix<f32>> = first
         .iter()
         .take(12)
@@ -382,13 +400,6 @@ fn accounting_stays_exact_on_a_mixed_stream() {
         .chain(rest.iter().copied())
         .chain(larger().iter().take(4))
         .collect();
-    let hooks = ServeHooks {
-        cnn_fault: Some(Arc::new(|seq| match seq % 13 {
-            5 => CnnFault::Panic,
-            9 => CnnFault::NonFinite,
-            _ => CnnFault::None,
-        })),
-    };
     let server: SelectorServer<f32> = SelectorServer::with_parts(
         service(),
         ServerConfig {
@@ -425,6 +436,27 @@ fn accounting_stays_exact_on_a_mixed_stream() {
     assert!(r.ladder.cnn_bypassed <= r.ladder.tree_ok);
     assert_eq!(r.cache.audited, 0);
     assert_eq!(r.cache.hits + r.cache.misses + r.cache.stale, r.submitted);
+    r
+}
+
+#[test]
+fn accounting_stays_exact_on_a_mixed_stream() {
+    // With injected faults the cascade runs on the workers.
+    let r = mixed_stream(ServeHooks {
+        cnn_fault: Some(Arc::new(|seq| match seq % 13 {
+            5 => CnnFault::Panic,
+            9 => CnnFault::NonFinite,
+            _ => CnnFault::None,
+        })),
+    });
+    assert_eq!(r.tree_first_served, 0, "{r:?}");
+    // Without a hook every tree-first answer is given at admission, and
+    // the workers answer only from the CNN.
+    let r = mixed_stream(ServeHooks::default());
+    assert_eq!(r.tree_first_served, r.ladder.cnn_bypassed, "{r:?}");
+    assert_eq!(r.served_tree, r.tree_first_served, "{r:?}");
+    assert_eq!(r.single_served + r.batched_served, r.served_cnn, "{r:?}");
+    assert_eq!(r.served_default + r.ladder.tree_panic, 0, "{r:?}");
 }
 
 #[test]
@@ -461,4 +493,166 @@ fn decisions_are_repeatable_bit_for_bit() {
             );
         }
     }
+}
+
+/// Records every served answer with the generation the server reports
+/// for it.
+#[derive(Default)]
+struct Recorder(Mutex<Vec<(Selection, u64)>>);
+
+impl ServeTap<f32> for Recorder {
+    fn observe(&self, _m: &Arc<CooMatrix<f32>>, sel: &Selection, generation: u64) {
+        self.0.lock().unwrap().push((*sel, generation));
+    }
+}
+
+/// Selection with its confidence as bits, for bit-for-bit comparison.
+fn bits(s: Selection) -> (SelectionSource, dnnspmv_sparse::SparseFormat, Option<u32>) {
+    (s.source, s.format, s.confidence.map(f32::to_bits))
+}
+
+#[test]
+fn admission_answers_equal_in_batch_answers_bit_for_bit() {
+    let (first, rest) = split();
+    let svc = service();
+    let server: SelectorServer<f32> = SelectorServer::new(service(), ServerConfig::default());
+    let tap = Arc::new(Recorder::default());
+    assert!(server.set_serve_tap(tap.clone()));
+    for m in &first {
+        let in_batch = svc.select_batch(&[(*m, SelectGuard::default())])[0];
+        assert_eq!(in_batch.cnn, CnnRungOutcome::Bypassed);
+        let at_admission = server.select(m).unwrap();
+        assert_eq!(bits(at_admission), bits(in_batch.selection.unwrap()));
+    }
+    let r = server.report();
+    assert_eq!(r.tree_first_served, first.len() as u64);
+    assert_eq!(r.single_served + r.batched_served, 0);
+    assert_eq!(r.ladder, svc.report(), "the same ladder counters");
+    // Each was shown to the tap once, under the generation it read.
+    let seen = tap.0.lock().unwrap().clone();
+    assert_eq!(seen.len(), first.len());
+    assert!(seen
+        .iter()
+        .all(|&(s, g)| s.source == SelectionSource::Tree && g == 0));
+
+    // Impure leaves are queued and answered by a worker's CNN pass; no
+    // tree answer is added on the way.
+    for m in &rest {
+        let sel = server.select(m).unwrap();
+        assert_eq!(sel.source, SelectionSource::Cnn);
+        assert_eq!(sel.format, fixture().0.predict(*m));
+    }
+    let r = server.report();
+    assert_eq!(r.single_served + r.batched_served, rest.len() as u64);
+    assert_eq!(
+        (r.ladder.cnn_ok, r.ladder.tree_ok),
+        (rest.len() as u64, first.len() as u64)
+    );
+    assert_eq!(r.ladder.tree_panic, 0);
+    assert_eq!(r.accounted(), r.submitted);
+    assert!(r.path_accounted(), "{r:?}");
+}
+
+#[test]
+fn a_fault_hook_keeps_the_cascade_on_the_worker() {
+    let (first, _) = split();
+    let hooks = ServeHooks {
+        cnn_fault: Some(Arc::new(|_seq| CnnFault::None)),
+    };
+    let server: SelectorServer<f32> = SelectorServer::with_parts(
+        service(),
+        ServerConfig::default(),
+        hooks,
+        dnnspmv_core::system_clock(),
+    );
+    let plain: SelectorServer<f32> = SelectorServer::new(service(), ServerConfig::default());
+    for m in &first {
+        let on_worker = server.select(m).unwrap();
+        assert_eq!(on_worker.source, SelectionSource::Tree);
+        assert_eq!(bits(on_worker), bits(plain.select(m).unwrap()));
+    }
+    let r = server.report();
+    assert_eq!(r.tree_first_served, 0, "{r:?}");
+    assert_eq!(r.single_served + r.batched_served, first.len() as u64);
+    assert_eq!(r.ladder.cnn_bypassed, first.len() as u64);
+    assert!(r.path_accounted(), "{r:?}");
+    assert_eq!(plain.report().tree_first_served, first.len() as u64);
+}
+
+/// Parks the worker inside the first CNN answer it shows the tap, until
+/// released: the lever that holds the queue full without a fault hook
+/// (which would move the cascade onto the worker). Tree answers pass
+/// straight through.
+struct ParkOnCnn {
+    parked: AtomicBool,
+    entered: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl ServeTap<f32> for ParkOnCnn {
+    fn observe(&self, _m: &Arc<CooMatrix<f32>>, sel: &Selection, _generation: u64) {
+        if sel.source == SelectionSource::Cnn && !self.parked.swap(true, Ordering::SeqCst) {
+            self.entered.lock().unwrap().send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+    }
+}
+
+#[test]
+fn admission_answers_are_never_shed_and_never_cached() {
+    let (first, rest) = split();
+    assert!(rest.len() >= 4, "only {} impure leaves", rest.len());
+    let server: SelectorServer<f32> = SelectorServer::new(
+        service(),
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 2,
+            max_batch: 1,
+            cache: CacheConfig::enabled(64),
+            ..ServerConfig::default()
+        },
+    );
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    assert!(server.set_serve_tap(Arc::new(ParkOnCnn {
+        parked: AtomicBool::new(false),
+        entered: Mutex::new(entered_tx),
+        release: Mutex::new(release_rx),
+    })));
+    let submit = |m: &CooMatrix<f32>| server.submit(Arc::new(m.clone()), None);
+    // One CNN request parks the only worker; two more fill the queue,
+    // and the next is shed.
+    let parked = submit(rest[0]).unwrap();
+    entered.recv().unwrap();
+    let queued: Vec<PendingSelection> = rest[1..3].iter().map(|m| submit(m).unwrap()).collect();
+    assert!(matches!(
+        submit(rest[3]),
+        Err(ServeError::Overloaded { capacity: 2 })
+    ));
+    // The queue is still full, and every tree-first matrix is answered
+    // anyway, twice over, before the worker moves.
+    for m in first.iter().chain(&first) {
+        let sel = submit(m).unwrap().wait().unwrap();
+        assert_eq!(sel.source, SelectionSource::Tree);
+    }
+    let r = server.report();
+    assert_eq!(r.shed, 1, "{r:?}");
+    assert_eq!(r.tree_first_served, 2 * first.len() as u64);
+    assert_eq!(
+        r.cache.misses,
+        4 + 2 * first.len() as u64,
+        "no tree-first hit"
+    );
+    // The parked answer was stored before the tap saw it; nothing else.
+    assert_eq!(r.cache.inserted, 1, "{r:?}");
+    release.send(()).unwrap();
+    assert_eq!(parked.wait().unwrap().source, SelectionSource::Cnn);
+    for p in queued {
+        assert_eq!(p.wait().unwrap().source, SelectionSource::Cnn);
+    }
+    let r = server.report();
+    assert_eq!((r.cache.inserted, r.cache.entries), (3, 3), "{r:?}");
+    assert_eq!(r.served_cache, 0);
+    assert_eq!(r.accounted(), r.submitted, "{r:?}");
+    assert!(r.path_accounted(), "{r:?}");
 }
