@@ -27,6 +27,11 @@
 //! * **drained exit** — after shutdown the queue-depth and in-flight
 //!   gauges return to zero.
 //!
+//! Even-seeded episodes serve with a decision tree trained beside the
+//! CNN, so small matrices take the tree-first answer at admission under
+//! the same faults; odd-seeded ones serve the CNN and its fallback
+//! ladder alone.
+//!
 //! Every episode is a pure function of `(seed, schedule)`: a failing
 //! episode prints both plus the ordered fire trace, and
 //! `--replay <seed> <schedule>` reruns exactly that episode.
@@ -34,7 +39,8 @@
 use crate::fixture::Fixture;
 use dnnspmv_chaos::{sites, Schedule};
 use dnnspmv_core::{
-    CacheConfig, SelectorServer, SelectorService, ServeError, ServerConfig, ServerReport,
+    CacheConfig, DtSelector, SelectorServer, SelectorService, ServeError, ServerConfig,
+    ServerReport,
 };
 use dnnspmv_feedback::{
     evolve, replay, usable_samples, DriftConfig, DriftDetector, EvolveConfig, FeedbackSampler,
@@ -136,6 +142,9 @@ pub struct ChaosSoakReport {
     pub episodes: usize,
     /// Requests submitted across all episodes.
     pub requests: u64,
+    /// Requests a tree-served episode answered from a pure tree leaf,
+    /// summed over episodes.
+    pub tree_first_served: u64,
     /// Total failpoint fires across all episodes.
     pub total_fires: u64,
     /// Distinct sites that fired at least once.
@@ -152,11 +161,13 @@ pub struct ChaosSoakReport {
 
 impl ChaosSoakReport {
     /// The CI verdict: registry armed, every invariant held in every
-    /// episode, and the adversary exercised enough distinct sites.
+    /// episode, the adversary exercised enough distinct sites, and the
+    /// tree-first path answered under faults.
     pub fn gates_passed(&self) -> bool {
         self.enabled
             && self.failures.is_empty()
             && self.distinct_sites_fired >= self.min_distinct_sites
+            && self.tree_first_served > 0
     }
 
     /// Human-readable run summary.
@@ -166,11 +177,14 @@ impl ChaosSoakReport {
             "chaos soak ({:.1}s):\n\
              \x20 episodes          {}\n\
              \x20 requests          {}\n\
+             \x20 tree-first        {} {}\n\
              \x20 fires             {} across {} distinct sites (floor {}) {}\n\
              \x20 violations        {} {}\n",
             self.elapsed_s,
             self.episodes,
             self.requests,
+            self.tree_first_served,
+            gate(self.tree_first_served > 0),
             self.total_fires,
             self.distinct_sites_fired,
             self.min_distinct_sites,
@@ -256,11 +270,26 @@ fn counter(server: &SelectorServer<f32>, name: &str) -> u64 {
     server.metrics_snapshot().counter(name, &[]).unwrap_or(0)
 }
 
+/// The decision tree trained on the fixture's pool and labels, beside
+/// its CNN: what a tree-served episode asks first.
+fn fixture_tree(fixture: &Fixture) -> DtSelector {
+    DtSelector::train(
+        &fixture.matrices,
+        &fixture.labels,
+        fixture.platform.formats().to_vec(),
+    )
+}
+
 /// Runs the closed loop once under the armed registry. Everything this
 /// function does happens *under chaos*; the caller disarms and judges.
-fn run_episode_body(fixture: &Fixture, cfg: &ChaosSoakConfig, dir: &Path) -> EpisodeRun {
-    let service = SelectorService::new(Some(fixture.incumbent.clone()), None)
-        .expect("fixture selector validates");
+fn run_episode_body(
+    fixture: &Fixture,
+    tree: Option<DtSelector>,
+    cfg: &ChaosSoakConfig,
+    dir: &Path,
+) -> EpisodeRun {
+    let service = SelectorService::new(Some(fixture.incumbent.clone()), tree)
+        .expect("fixture selectors validate");
     let server = SelectorServer::new(
         service,
         ServerConfig {
@@ -685,20 +714,36 @@ fn check_invariants(run: &EpisodeRun, admission_sheds: u64) -> Vec<String> {
     v
 }
 
+/// What one judged episode hands back to the soak and to `--replay`.
+struct EpisodeOutcome {
+    violations: Vec<String>,
+    stats: Vec<dnnspmv_chaos::SiteStats>,
+    trace: Vec<String>,
+    /// Requests the driver submitted (0 if the episode body panicked).
+    attempts: u64,
+    /// The server's tree-first answers (0 on an odd seed).
+    tree_first_served: u64,
+}
+
 /// Runs one `(seed, schedule)` episode end to end: arm, run, disarm,
 /// judge. This is also the `--replay` entry point — the episode is a
-/// pure function of its arguments plus the shared fixture.
+/// pure function of its arguments plus the shared fixture and tree,
+/// which it serves beside the CNN on even seeds only.
 fn run_episode(
     fixture: &Fixture,
+    tree: &DtSelector,
     seed: u64,
     schedule: &Schedule,
     cfg: &ChaosSoakConfig,
-) -> (Vec<String>, Vec<dnnspmv_chaos::SiteStats>, Vec<String>, u64) {
+) -> EpisodeOutcome {
     let dir = fixture.dir.join(format!("ep-{seed}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("episode dir");
+    let tree = seed.is_multiple_of(2).then(|| tree.clone());
     dnnspmv_chaos::configure(seed, schedule);
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_episode_body(fixture, cfg, &dir)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        run_episode_body(fixture, tree, cfg, &dir)
+    }));
     dnnspmv_chaos::deactivate();
     let stats = dnnspmv_chaos::site_stats();
     let fired = dnnspmv_chaos::trace();
@@ -707,19 +752,29 @@ fn run_episode(
         .filter(|e| e.site == sites::SERVE_ADMISSION && e.action == dnnspmv_chaos::Action::Err)
         .count() as u64;
     let trace: Vec<String> = fired.iter().map(|e| e.to_string()).collect();
-    let (violations, attempts) = match outcome {
-        Ok(run) => (check_invariants(&run, admission_sheds), run.attempts),
+    let (violations, attempts, tree_first_served) = match outcome {
+        Ok(run) => (
+            check_invariants(&run, admission_sheds),
+            run.attempts,
+            run.report.tree_first_served,
+        ),
         Err(panic) => {
             let msg = panic
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "<non-string panic>".into());
-            (vec![format!("episode body panicked: {msg}")], 0)
+            (vec![format!("episode body panicked: {msg}")], 0, 0)
         }
     };
     let _ = std::fs::remove_dir_all(&dir);
-    (violations, stats, trace, attempts)
+    EpisodeOutcome {
+        violations,
+        stats,
+        trace,
+        attempts,
+        tree_first_served,
+    }
 }
 
 /// Replays one captured `(seed, schedule)` episode and returns its
@@ -729,8 +784,9 @@ pub fn replay_episode(
     schedule: &Schedule,
     cfg: &ChaosSoakConfig,
 ) -> (Vec<String>, Vec<String>) {
-    let (violations, _, trace, _) = run_episode(&fixture(cfg), seed, schedule, cfg);
-    (violations, trace)
+    let fixture = fixture(cfg);
+    let out = run_episode(&fixture, &fixture_tree(&fixture), seed, schedule, cfg);
+    (out.violations, out.trace)
 }
 
 /// Runs the soak: `cfg.episodes` seeded episodes, each with a fresh
@@ -742,6 +798,7 @@ pub fn run_chaos_soak(cfg: &ChaosSoakConfig) -> ChaosSoakReport {
             enabled: false,
             episodes: 0,
             requests: 0,
+            tree_first_served: 0,
             total_fires: 0,
             distinct_sites_fired: 0,
             min_distinct_sites: cfg.min_distinct_sites,
@@ -751,9 +808,11 @@ pub fn run_chaos_soak(cfg: &ChaosSoakConfig) -> ChaosSoakReport {
         };
     }
     let fixture = fixture(cfg);
+    let tree = fixture_tree(&fixture);
     let mut site_totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     let mut failures = Vec::new();
     let mut requests = 0u64;
+    let mut tree_first_served = 0u64;
     // Injected panics are routine here and every one is caught and
     // judged by invariant; the default hook's backtrace spam would
     // drown the report. `--replay` keeps the default hook, so a single
@@ -763,23 +822,24 @@ pub fn run_chaos_soak(cfg: &ChaosSoakConfig) -> ChaosSoakReport {
     for e in 0..cfg.episodes {
         let seed = cfg.base_seed.wrapping_add(e as u64);
         let schedule = Schedule::random(seed, sites::CATALOG, cfg.max_rules);
-        let (violations, stats, trace, attempts) = run_episode(&fixture, seed, &schedule, cfg);
-        requests += attempts;
-        for s in &stats {
+        let out = run_episode(&fixture, &tree, seed, &schedule, cfg);
+        requests += out.attempts;
+        tree_first_served += out.tree_first_served;
+        for s in &out.stats {
             let t = site_totals.entry(s.site.clone()).or_insert((0, 0));
             t.0 += s.calls;
             t.1 += s.fires;
         }
-        if !violations.is_empty() {
+        if !out.violations.is_empty() {
             eprintln!("episode FAILED seed={seed} schedule=\"{schedule}\"");
-            for v in &violations {
+            for v in &out.violations {
                 eprintln!("  violation: {v}");
             }
             failures.push(EpisodeFailure {
                 seed,
                 schedule: schedule.to_string(),
-                violations,
-                trace,
+                violations: out.violations,
+                trace: out.trace,
             });
         }
     }
@@ -792,6 +852,7 @@ pub fn run_chaos_soak(cfg: &ChaosSoakConfig) -> ChaosSoakReport {
         enabled: true,
         episodes: cfg.episodes,
         requests,
+        tree_first_served,
         total_fires: site_fires.iter().map(|s| s.fires).sum(),
         distinct_sites_fired: site_fires.iter().filter(|s| s.fires > 0).count(),
         min_distinct_sites: cfg.min_distinct_sites,
@@ -839,6 +900,10 @@ mod tests {
             report.failures.is_empty(),
             "chaos episodes violated invariants: {:?}",
             report.failures
+        );
+        assert!(
+            report.tree_first_served > 0,
+            "the even-seeded episode serves tree-first answers"
         );
     }
 }

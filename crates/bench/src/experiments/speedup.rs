@@ -6,8 +6,7 @@
 //! disagreements improved). Section 7.3 also reports speedups over
 //! always-using-CSR (paper CPU: 2.23x average / 14.9x max; GPU: 1.7x /
 //! 22.5x). Times come from the same deterministic cost model that
-//! produced the labels (the measured-kernel cross-check lives in the
-//! Criterion benches).
+//! produced the labels.
 
 use crate::ExpConfig;
 use dnnspmv_core::{make_samples, DtSelector, FormatSelector};

@@ -21,6 +21,9 @@ pub struct Fixture {
     /// The platform model whose labels the selector learned — exactly
     /// what an unrotated `ModelTimer` over it will measure.
     pub platform: PlatformModel,
+    /// The platform's label (index into its format set) for each
+    /// matrix of the pool.
+    pub labels: Vec<usize>,
     /// The trained selector.
     pub incumbent: FormatSelector,
     /// Scratch directory for journals, candidates and checkpoints;
@@ -79,6 +82,7 @@ impl Fixture {
         Self {
             matrices: data.matrices,
             platform,
+            labels,
             incumbent,
             dir,
             incumbent_path,

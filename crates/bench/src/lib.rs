@@ -24,8 +24,8 @@
 //! promote → rollback, gated by `tests/feedback_loop.rs`) and
 //! [`chaos_soak`] (the driver behind `dnnspmv chaos-soak`). Performance
 //! claims about the system are not made here: `perfbench/` (see
-//! `BENCHMARK.json`) is the one harness that times it, with criterion
-//! micro-benches of single kernels under `benches/`.
+//! `BENCHMARK.json`) is the one harness that times it, from whole
+//! requests down to single kernels.
 
 pub mod chaos_soak;
 pub mod closed_loop;

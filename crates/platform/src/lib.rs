@@ -14,8 +14,9 @@
 //!   and — crucially for Section 6 — *different* platforms produce
 //!   different labels.
 //! * [`measured`] — times the real Rust kernels from `dnnspmv-sparse`
-//!   on the host machine, for cross-checking the model's *shape*
-//!   against reality (used by the Criterion benches).
+//!   on the host machine: the paper's labelling procedure, which the
+//!   model stands in for (the feedback lane's sampler times served
+//!   matrices with it).
 //!
 //! Absolute times from the model are arbitrary units; only ratios and
 //! argmins are meaningful, which is all the experiments use.

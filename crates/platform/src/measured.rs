@@ -2,10 +2,9 @@
 //!
 //! This is the paper's actual labelling procedure (Section 3, step 1):
 //! run SpMV in every candidate format, repeatedly, and pick the
-//! fastest. It grounds the analytic model — the Criterion benches use
-//! it to confirm that the model's *winners* usually win for real on the
-//! host — at the cost of being machine-dependent and slow, which is why
-//! the deterministic model drives the main experiments.
+//! fastest. It is machine-dependent and slow, which is why the
+//! deterministic model drives the main experiments; the feedback lane's
+//! sampler uses it to time served matrices.
 //!
 //! Only formats with a kernel can be timed. BSR, CSR5 and merge-path CSR
 //! are names the cost models price; asking this labeller to time one is a

@@ -34,7 +34,8 @@
 //! `--model` in place on a passed gate.
 //! `chaos-soak` (requires `--features chaos`) runs seeded failpoint
 //! episodes over the whole closed loop and exits nonzero if any
-//! standing invariant breaks or site coverage falls short; failing
+//! standing invariant breaks, site coverage falls short or no request
+//! took the tree-first answer (even seeds serve a tree); failing
 //! episodes print a `(seed, schedule)` pair that `--replay` reruns
 //! bit-identically.
 //!
