@@ -125,7 +125,9 @@ pub struct SelectGuard<'a> {
     /// the representation extraction, between CNN layers, and between
     /// ladder rungs. Once it reports `true` the request is abandoned.
     /// A member without a deadline keeps the default `&|| false`.
-    pub cancel: &'a dyn Fn() -> bool,
+    /// `Sync`, because a large matrix's extraction polls it from every
+    /// part it is split into (`samples::extract_in_parts`).
+    pub cancel: &'a (dyn Fn() -> bool + Sync),
     /// Injected CNN fault for deterministic failure testing; a faulted
     /// member is pulled out of the shared forward pass and never
     /// answered tree-first.

@@ -5,6 +5,8 @@
 //! the registry is process-global, so tests serialise on a mutex.
 #![cfg(feature = "chaos")]
 
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use dnnspmv_core::{Selection, SelectionSource};
@@ -25,10 +27,30 @@ fn armed(seed: u64, schedule: &str) -> MutexGuard<'static, ()> {
     guard
 }
 
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("dnnspmv-fb-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
+/// A journal directory of this process, removed when dropped (a failed
+/// assertion included), so a run leaves nothing under the temp dir.
+struct TmpDir(PathBuf);
+
+impl TmpDir {
+    fn new(tag: &str) -> Self {
+        let d = std::env::temp_dir().join(format!("dnnspmv-fb-chaos-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        Self(d)
+    }
+}
+
+impl Deref for TmpDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn record(seq: u64) -> FeedbackRecord {
@@ -61,7 +83,7 @@ fn tridiagonal(n: usize) -> CooMatrix<f32> {
 #[test]
 fn journal_replays_exactly_the_successful_appends() {
     let guard = armed(41, "feedback.journal.append=err@every(2)");
-    let dir = tmp_dir("append");
+    let dir = TmpDir::new("append");
     let mut writer = JournalWriter::open(&dir, JournalConfig::default()).unwrap();
     let mut ok = 0usize;
     for seq in 0..10 {
@@ -88,7 +110,7 @@ fn sampler_sheds_and_counts_when_the_disk_fills() {
     // lane must shed the sample, bump the dedicated counter and keep
     // draining rather than treating ENOSPC as a structural failure.
     let guard = armed(43, "feedback.journal.append=err");
-    let dir = tmp_dir("sampler-full");
+    let dir = TmpDir::new("sampler-full");
     let reg = Registry::new();
     let drift = Arc::new(DriftDetector::new(Default::default(), &reg));
     let timer = Arc::new(ModelTimer::new(PlatformModel::intel_cpu()));

@@ -13,8 +13,13 @@
 //! innermost scope wins. Training installs its `TrainConfig` policy
 //! around the whole run; server workers install `Serial` around their
 //! drain loop (the workers *are* the parallelism there — nested
-//! fork-join would only add contention); everything else defaults to
-//! `Auto`.
+//! fork-join in a forward would only add contention); everything else
+//! defaults to `Auto`. What a worker does fork is the extraction of a
+//! matrix of at least 2^18 nonzeros
+//! (`dnnspmv_core::samples::extract_in_parts`): each part sweeps at
+//! least 2^17 nonzeros, ~200 µs against a pool worker's 35–45 µs
+//! wake-up, and a part no worker has claimed runs on the caller, so a
+//! busy pool costs one queue push.
 //!
 //! # Determinism contract
 //!

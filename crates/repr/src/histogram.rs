@@ -12,6 +12,7 @@ use crate::image::Image;
 use crate::sweep::{counts_to_f32, sweep, AxisMap};
 use crate::CancelCheck;
 use dnnspmv_sparse::{CooMatrix, Scalar};
+use std::ops::Range;
 
 /// Algorithm 1 for both channels in one sweep: adds the nonzeros
 /// `(rows[i], cols[i])` (sorted by row) of an `nrows x ncols` matrix to
@@ -42,65 +43,71 @@ pub(crate) fn add_to_histograms(
     })
 }
 
-/// The raw `[row, column]` histograms under a cancellation checkpoint;
-/// `None` once `cancel` reports `true`.
-fn histogram_counts<S: Scalar>(
+/// The raw histograms `by_rows ++ by_cols`, each `bands x bins`, of the
+/// nonzeros of `matrix` with storage indices in `nonzeros`; `None` once
+/// `cancel` reports `true`.
+pub(crate) fn histogram_counts<S: Scalar>(
     matrix: &CooMatrix<S>,
-    bands: usize,
-    bins: usize,
+    nonzeros: Range<usize>,
+    (bands, bins): (usize, usize),
     cancel: CancelCheck,
-) -> Option<[Image; 2]> {
+) -> Option<Vec<u32>> {
     assert!(bands > 0 && bins > 0, "histogram shape must be positive");
-    let mut counts = [vec![0u32; bands * bins], vec![0u32; bands * bins]];
-    let [by_rows, by_cols] = &mut counts;
+    let mut counts = vec![0u32; 2 * bands * bins];
+    let (by_rows, by_cols) = counts.split_at_mut(bands * bins);
     add_to_histograms(
         (matrix.nrows(), matrix.ncols()),
-        (matrix.row_indices(), matrix.col_indices()),
+        (
+            &matrix.row_indices()[nonzeros.clone()],
+            &matrix.col_indices()[nonzeros],
+        ),
         bins,
         by_rows,
         by_cols,
         cancel,
     )
-    .then(|| counts.map(|c| Image::from_vec(bands, bins, counts_to_f32(&c))))
+    .then_some(counts)
 }
 
-/// The `[row, column]` histograms, each normalised to `[0, 1]` by its
-/// maximum (the form fed to the CNN); `None` once `cancel` reports
-/// `true`.
-pub(crate) fn histograms<S: Scalar>(
-    matrix: &CooMatrix<S>,
-    bands: usize,
-    bins: usize,
-    cancel: CancelCheck,
-) -> Option<[Image; 2]> {
-    let mut pair = histogram_counts(matrix, bands, bins, cancel)?;
-    pair.iter_mut().for_each(Image::normalize_max);
-    Some(pair)
+/// The raw `[row, column]` histogram images of the counts
+/// `by_rows ++ by_cols`, each `bands x bins`.
+pub(crate) fn histogram_images(counts: &[u32], (bands, bins): (usize, usize)) -> [Image; 2] {
+    let (by_rows, by_cols) = counts.split_at(bands * bins);
+    [by_rows, by_cols].map(|c| Image::from_vec(bands, bins, counts_to_f32(c)))
+}
+
+/// Both raw histograms of the whole matrix.
+fn whole_histograms<S: Scalar>(matrix: &CooMatrix<S>, grid: (usize, usize)) -> [Image; 2] {
+    let counts =
+        histogram_counts(matrix, 0..matrix.nnz(), grid, &|| false).expect("never cancelled");
+    histogram_images(&counts, grid)
 }
 
 /// Raw (unnormalised) row histogram: `R[row_band][dist_bin]` counts the
 /// nonzeros of that row band at that diagonal distance (Algorithm 1).
 pub fn row_histogram_counts<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    let [by_rows, _] = histogram_counts(matrix, bands, bins, &|| false).expect("never cancelled");
+    let [by_rows, _] = whole_histograms(matrix, (bands, bins));
     by_rows
 }
 
 /// Raw column histogram: the same construction over column bands.
 pub fn col_histogram_counts<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    let [_, by_cols] = histogram_counts(matrix, bands, bins, &|| false).expect("never cancelled");
+    let [_, by_cols] = whole_histograms(matrix, (bands, bins));
     by_cols
 }
 
 /// Row histogram normalised to `[0, 1]` by its maximum (the form fed to
 /// the CNN).
 pub fn row_histogram<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    let [by_rows, _] = histograms(matrix, bands, bins, &|| false).expect("never cancelled");
+    let mut by_rows = row_histogram_counts(matrix, bands, bins);
+    by_rows.normalize_max();
     by_rows
 }
 
 /// Column histogram normalised to `[0, 1]` by its maximum.
 pub fn col_histogram<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    let [_, by_cols] = histograms(matrix, bands, bins, &|| false).expect("never cancelled");
+    let mut by_cols = col_histogram_counts(matrix, bands, bins);
+    by_cols.normalize_max();
     by_cols
 }
 

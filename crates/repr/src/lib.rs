@@ -32,6 +32,7 @@ pub use sample::{binary, density};
 
 use dnnspmv_sparse::{CooMatrix, Scalar};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Cooperative-cancellation callback threaded through the extraction
 /// loops. Returns `true` when the caller's deadline has passed; the
@@ -148,27 +149,109 @@ impl MatrixRepr {
     /// kind is one sweep over the nonzeros that checks `cancel` every
     /// [`CANCEL_STRIDE`] nonzeros and returns `None` as soon as it
     /// reports `true` — the hook a serving layer uses to enforce
-    /// per-request deadlines on pathological inputs.
+    /// per-request deadlines on pathological inputs. It is the one-part
+    /// case of [`ReprCounts`]: all nonzeros counted at once, then
+    /// finished.
     pub fn extract_with_cancel<S: Scalar>(
         matrix: &CooMatrix<S>,
         kind: ReprKind,
         cfg: &ReprConfig,
         cancel: CancelCheck,
     ) -> Option<Self> {
-        let (size, bands, bins) = (cfg.image_size, cfg.hist_rows, cfg.hist_bins);
-        let channels = match kind {
-            ReprKind::Histogram => histogram::histograms(matrix, bands, bins, cancel)?.into(),
-            ReprKind::Binary | ReprKind::BinaryDensity => {
-                let counts = sample::block_counts(matrix, size, cancel)?;
-                let mut channels = vec![sample::binary_of(&counts, size)];
-                if kind == ReprKind::BinaryDensity {
-                    let shape = (matrix.nrows(), matrix.ncols());
-                    channels.push(sample::density_of(&counts, size, shape));
-                }
-                channels
+        ReprCounts::count(matrix, kind, cfg, 0..matrix.nnz(), cancel).map(ReprCounts::finish)
+    }
+}
+
+/// The raw `u32` grids of one representation over a contiguous range of
+/// a matrix's nonzeros, before the one conversion to `f32` and the
+/// normalisation.
+///
+/// Every kind is one additive sweep, so the counts of disjoint ranges
+/// [`merge`](Self::merge) exactly: a caller may count a matrix in parts
+/// (on as many threads), merge them in any order and
+/// [`finish`](Self::finish) into a representation bit-identical to
+/// [`MatrixRepr::extract`]'s.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReprCounts {
+    kind: ReprKind,
+    cfg: ReprConfig,
+    shape: (usize, usize),
+    /// `Histogram`: the row-band grid, then the column-band grid, each
+    /// `hist_rows x hist_bins`. The others: the `image_size` square
+    /// grid of per-block counts.
+    counts: Vec<u32>,
+}
+
+impl ReprCounts {
+    /// Counts the nonzeros with storage indices in `nonzeros` (a range
+    /// of `0..matrix.nnz()`, which may start or end mid-row). Polls
+    /// `cancel` once per [`CANCEL_STRIDE`] nonzeros of the range and
+    /// returns `None` as soon as it reports `true`.
+    ///
+    /// # Panics
+    /// Panics if `nonzeros` runs past the matrix's nonzeros or the
+    /// configured grid of `kind` is empty.
+    pub fn count<S: Scalar>(
+        matrix: &CooMatrix<S>,
+        kind: ReprKind,
+        cfg: &ReprConfig,
+        nonzeros: Range<usize>,
+        cancel: CancelCheck,
+    ) -> Option<Self> {
+        let counts = match kind {
+            ReprKind::Histogram => {
+                let grid = (cfg.hist_rows, cfg.hist_bins);
+                histogram::histogram_counts(matrix, nonzeros, grid, cancel)
             }
+            ReprKind::Binary | ReprKind::BinaryDensity => {
+                sample::block_counts(matrix, nonzeros, cfg.image_size, cancel)
+            }
+        }?;
+        Some(Self {
+            kind,
+            cfg: *cfg,
+            shape: (matrix.nrows(), matrix.ncols()),
+            counts,
+        })
+    }
+
+    /// Adds the counts of another range of nonzeros.
+    ///
+    /// # Panics
+    /// Panics unless `other` counts the same kind, configuration and
+    /// matrix shape.
+    pub fn merge(&mut self, other: &Self) {
+        assert_eq!(
+            (self.kind, self.cfg, self.shape),
+            (other.kind, other.cfg, other.shape),
+            "merged counts must be of one representation of one matrix"
+        );
+        for (total, &part) in self.counts.iter_mut().zip(&other.counts) {
+            *total += part;
+        }
+    }
+
+    /// Converts the counts into the normalised representation.
+    pub fn finish(self) -> MatrixRepr {
+        let Self {
+            kind,
+            cfg,
+            shape,
+            counts,
+        } = self;
+        let channels = match kind {
+            ReprKind::Histogram => {
+                let mut pair = histogram::histogram_images(&counts, (cfg.hist_rows, cfg.hist_bins));
+                pair.iter_mut().for_each(Image::normalize_max);
+                pair.into()
+            }
+            ReprKind::Binary => vec![sample::binary_of(&counts, cfg.image_size)],
+            ReprKind::BinaryDensity => vec![
+                sample::binary_of(&counts, cfg.image_size),
+                sample::density_of(&counts, cfg.image_size, shape),
+            ],
         };
-        Some(Self { kind, channels })
+        MatrixRepr { kind, channels }
     }
 }
 

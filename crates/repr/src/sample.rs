@@ -10,6 +10,7 @@ use crate::image::Image;
 use crate::sweep::{counts_to_f32, sweep, AxisMap};
 use crate::CancelCheck;
 use dnnspmv_sparse::{CooMatrix, Scalar};
+use std::ops::Range;
 
 /// Adds the nonzeros `(rows[i], cols[i])` (sorted by row) of an
 /// `nrows x ncols` matrix to the `size x size` grid of per-block counts
@@ -33,10 +34,11 @@ pub(crate) fn add_to_blocks(
     })
 }
 
-/// The per-block nonzero counts of `matrix` under a cancellation
-/// checkpoint; `None` once `cancel` reports `true`.
+/// The `size x size` per-block counts of the nonzeros of `matrix` with
+/// storage indices in `nonzeros`; `None` once `cancel` reports `true`.
 pub(crate) fn block_counts<S: Scalar>(
     matrix: &CooMatrix<S>,
+    nonzeros: Range<usize>,
     size: usize,
     cancel: CancelCheck,
 ) -> Option<Vec<u32>> {
@@ -44,12 +46,20 @@ pub(crate) fn block_counts<S: Scalar>(
     let mut counts = vec![0u32; size * size];
     add_to_blocks(
         (matrix.nrows(), matrix.ncols()),
-        (matrix.row_indices(), matrix.col_indices()),
+        (
+            &matrix.row_indices()[nonzeros.clone()],
+            &matrix.col_indices()[nonzeros],
+        ),
         size,
         &mut counts,
         cancel,
     )
     .then_some(counts)
+}
+
+/// The block counts of the whole matrix.
+fn all_block_counts<S: Scalar>(matrix: &CooMatrix<S>, size: usize) -> Vec<u32> {
+    block_counts(matrix, 0..matrix.nnz(), size, &|| false).expect("never cancelled")
 }
 
 /// The binary map of a grid of block counts.
@@ -84,14 +94,14 @@ pub(crate) fn density_of(counts: &[u32], size: usize, (nrows, ncols): (usize, us
 /// Binary down-sampling (Figure 4b): cell is 1 iff its block contains
 /// at least one nonzero.
 pub fn binary<S: Scalar>(matrix: &CooMatrix<S>, size: usize) -> Image {
-    let counts = block_counts(matrix, size, &|| false).expect("never cancelled");
+    let counts = all_block_counts(matrix, size);
     binary_of(&counts, size)
 }
 
 /// Density map (Figure 5a): cell holds `nnz(block) / |block|`, a value
 /// in `[0, 1]` capturing within-block variation the binary map loses.
 pub fn density<S: Scalar>(matrix: &CooMatrix<S>, size: usize) -> Image {
-    let counts = block_counts(matrix, size, &|| false).expect("never cancelled");
+    let counts = all_block_counts(matrix, size);
     density_of(&counts, size, (matrix.nrows(), matrix.ncols()))
 }
 
