@@ -299,7 +299,6 @@ fn run_episode_body(
             max_batch: 4,
             reload_attempts: 2,
             reload_backoff: Duration::from_millis(1),
-            ..ServerConfig::default()
         },
     );
     let drift = Arc::new(DriftDetector::new(

@@ -49,7 +49,7 @@ use crate::service::{
     ServiceReport,
 };
 use dnnspmv_nn::{with_gemm_threading, GemmThreading, NnError};
-use dnnspmv_obs::{Counter, Gauge, LatencyHistogram, MetricsSnapshot, Registry};
+use dnnspmv_obs::{Counter, Gauge, GaugeGuard, LatencyHistogram, MetricsSnapshot, Registry};
 use dnnspmv_sparse::{CooMatrix, Scalar};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -230,12 +230,6 @@ impl Breaker {
         }
     }
 
-    /// Releases a probe slot whose request never reached the CNN rung
-    /// (e.g. its deadline expired while queued).
-    fn abandon_probe(&self) {
-        self.inner.lock().expect("breaker lock").probing = false;
-    }
-
     /// Whether the breaker is currently closed, without consuming a
     /// probe slot or transitioning state — the micro-batcher peeks this
     /// to decide between one shared CNN pass (closed) and feeding the
@@ -320,15 +314,13 @@ pub trait ServeTap<S: Scalar>: Send + Sync {
 /// production).
 #[derive(Clone, Default)]
 pub struct ServeHooks {
-    /// Consulted once per request the breaker lets reach the CNN rung,
-    /// with the request's sequence number; the returned fault is
-    /// injected into the rung. Side effects (advancing a fake clock to
-    /// simulate a latency spike or a hang, parking the worker to hold
-    /// the queue full) are the test harness's levers, so they must stay
-    /// on the worker: with a hook installed, `submit` answers no request
-    /// tree-first, and the cascade runs in the worker's batch instead. A
-    /// request with a fault is never answered tree-first; one without
-    /// may still be.
+    /// Consulted on the worker once per request the breaker lets reach
+    /// the CNN rung, with the request's sequence number; the returned
+    /// fault is injected into the rung. Its side effects (advancing a
+    /// fake clock to simulate a latency spike or a hang, parking the
+    /// worker to hold the queue full) are the test harness's levers. A
+    /// request answered tree-first at admission never reaches the rung,
+    /// so it never consults the hook.
     pub cnn_fault: Option<Arc<dyn Fn(u64) -> CnnFault + Send + Sync>>,
 }
 
@@ -357,16 +349,12 @@ pub struct ServerConfig {
     /// cached, and every entry is keyed by the model generation that
     /// produced it, so a hot reload invalidates the whole cache at once.
     pub cache: CacheConfig,
-    /// Largest micro-batch a worker may coalesce from consecutive
-    /// cache-miss requests (1 disables batching). Batched members share
-    /// one packed CNN forward pass; deadlines, breaker accounting and
-    /// fault injection stay per-member.
+    /// Largest micro-batch a worker may coalesce from the requests
+    /// already queued (1 disables batching); it never waits for a
+    /// fuller batch. Batched members share one packed CNN forward pass;
+    /// deadlines, breaker accounting and fault injection stay
+    /// per-member.
     pub max_batch: usize,
-    /// How long a worker holding a partial batch waits for more work
-    /// before running it. Zero (the default) batches opportunistically:
-    /// whatever is already queued is taken, but the worker never idles
-    /// waiting for a fuller batch, so low-load latency is unaffected.
-    pub max_batch_wait: Duration,
 }
 
 impl Default for ServerConfig {
@@ -378,7 +366,6 @@ impl Default for ServerConfig {
             reload_backoff: Duration::from_millis(20),
             cache: CacheConfig::default(),
             max_batch: 8,
-            max_batch_wait: Duration::ZERO,
         }
     }
 }
@@ -535,8 +522,8 @@ pub struct ServerReport {
     pub served: u64,
     /// Answered by the CNN rung.
     pub served_cnn: u64,
-    /// Answered by the tree, first or as a fallback
-    /// (`ladder.cnn_bypassed` counts the first, wherever it ran).
+    /// Answered by the tree, first (at admission, also counted in
+    /// `tree_first_served`) or as a fallback.
     pub served_tree: u64,
     /// Answered by the static default.
     pub served_default: u64,
@@ -544,8 +531,8 @@ pub struct ServerReport {
     pub served_cache: u64,
     /// Answered tree-first at admission, on the submitting thread: no
     /// queue, no worker. Each is also counted in `served_tree` and in
-    /// `ladder.cnn_bypassed`; with no fault hook installed, every
-    /// tree-first answer is one of these.
+    /// `ladder.cnn_bypassed`, and a server gives no other tree-first
+    /// answer, so this equals `ladder.cnn_bypassed`.
     pub tree_first_served: u64,
     /// Answers produced by a worker pass shared by two or more
     /// requests.
@@ -622,9 +609,6 @@ struct Job<S: Scalar> {
     /// cached under and the cached selection the worker's fresh answer
     /// is checked against.
     audit: Option<(u64, Selection)>,
-    /// Admission already asked the tree first and it did not answer, so
-    /// the worker does not ask again.
-    tree_asked: bool,
     reply: mpsc::Sender<Result<Selection, ServeError>>,
 }
 
@@ -652,19 +636,6 @@ struct Inner<S: Scalar> {
     /// feedback layer attaches one).
     tap: OnceLock<Arc<dyn ServeTap<S>>>,
     seq: AtomicU64,
-}
-
-/// Restores a gauge by `n` on drop, so the in-flight gauge is released
-/// even if a batch member's CNN pass panics through the worker.
-struct GaugeDebt<'a> {
-    gauge: &'a Gauge,
-    n: i64,
-}
-
-impl Drop for GaugeDebt<'_> {
-    fn drop(&mut self) {
-        self.gauge.add(-self.n);
-    }
 }
 
 type Reply = mpsc::Sender<Result<Selection, ServeError>>;
@@ -705,12 +676,7 @@ impl<S: Scalar> Inner<S> {
                 .collect();
         }
         let now = (self.clock)();
-        let n = jobs.len() as i64;
-        self.metrics.in_flight.add(n);
-        let _in_flight = GaugeDebt {
-            gauge: &self.metrics.in_flight,
-            n,
-        };
+        let _in_flight = GaugeGuard::enter(&self.metrics.in_flight, jobs.len() as i64);
         let path = if jobs.len() > 1 {
             &self.metrics.path_batched
         } else {
@@ -775,7 +741,6 @@ impl<S: Scalar> Inner<S> {
                 skip_cnn,
                 cancel: &cancels[i],
                 inject,
-                require_cnn: probe || job.audit.is_some() || job.tree_asked,
             };
             members.push((job.matrix.as_ref(), guard));
         }
@@ -796,11 +761,9 @@ impl<S: Scalar> Inner<S> {
                     }
                     self.breaker.on_failure(probe, (self.clock)());
                 }
-                CnnRungOutcome::Skipped | CnnRungOutcome::Absent | CnnRungOutcome::Bypassed => {
-                    if probe {
-                        self.breaker.abandon_probe();
-                    }
-                }
+                // Never a probe: only a service with a CNN is gated,
+                // and the probe's gate lets it reach the CNN rung.
+                CnnRungOutcome::Skipped | CnnRungOutcome::Absent => {}
             }
             self.metrics
                 .handle_ns
@@ -888,11 +851,8 @@ impl<S: Scalar> Inner<S> {
         }
     }
 
-    /// Pops one job, then greedily coalesces up to `max_batch - 1` more.
-    /// With a non-zero `max_batch_wait` the worker holds the partial
-    /// batch open until the (injected) clock passes the gather deadline,
-    /// sleeping in short real-time slices so a frozen fake clock holds
-    /// the gather window open deterministically.
+    /// Pops one job, then takes up to `max_batch - 1` more of those
+    /// already queued, without waiting for more to arrive.
     fn gather_batch(&self, first: Job<S>) -> Vec<Job<S>> {
         let max_batch = self.cfg.max_batch.max(1);
         let mut batch = vec![first];
@@ -902,35 +862,11 @@ impl<S: Scalar> Inner<S> {
         // Latency injection on the gather path (the only legal action
         // here — a panic would take the worker down with it).
         dnnspmv_chaos::failpoint!(dnnspmv_chaos::sites::SERVE_BATCH_GATHER);
-        let wait_ns = self.cfg.max_batch_wait.as_nanos() as u64;
-        let gather_deadline = (self.clock)().saturating_add(wait_ns);
         let mut q = self.queue.lock().expect("queue lock");
-        loop {
-            while batch.len() < max_batch {
-                match q.pop_front() {
-                    Some(j) => {
-                        self.metrics.queue_depth.dec();
-                        batch.push(j);
-                    }
-                    None => break,
-                }
-            }
-            if batch.len() >= max_batch
-                || wait_ns == 0
-                || (self.clock)() >= gather_deadline
-                || self.shutdown.load(Ordering::SeqCst)
-            {
-                return batch;
-            }
-            // Short real slice, injected-clock deadline: under a fake
-            // clock the slice expires but the deadline does not, so the
-            // window stays open until the test advances time.
-            let (guard, _) = self
-                .cv
-                .wait_timeout(q, Duration::from_micros(200))
-                .expect("queue lock");
-            q = guard;
-        }
+        let more = q.len().min(max_batch - 1);
+        batch.extend(q.drain(..more));
+        self.metrics.queue_depth.add(-(more as i64));
+        batch
     }
 
     fn worker_loop(&self) {
@@ -1064,19 +1000,18 @@ impl<S: Scalar> SelectorServer<S> {
     ///   entry's every [`CACHE_AUDIT_PERIOD`]th hit, which is queued
     ///   like a miss so a worker can check the cached answer. An audit
     ///   is never shed: on a full queue it is served as a hit.
-    /// * **Tree first.** Otherwise, unless the request is an audit, a
-    ///   [`ServeHooks::cnn_fault`] hook is installed or the deadline has
-    ///   already passed, the live generation's
+    /// * **Tree first.** Otherwise, unless the request is an audit or
+    ///   its deadline has already passed, the live generation's
     ///   [`SelectorService::tree_first`] is asked; a pure-leaf answer is
     ///   returned synchronously, counted `cnn/bypassed` plus `tree/ok`
     ///   and `serve_path_total{path="tree_first"}`. It is never cached,
-    ///   never shed, and gives the circuit breaker no signal (it does
-    ///   not consult it either, so it never takes the half-open probe).
-    ///   A matrix above the tree's cost gate pays one slot read and one
-    ///   comparison here.
-    /// * **Queued.** Everything else goes to a worker, which does not
-    ///   ask the tree again. When the queue is full the request is shed
-    ///   immediately with [`ServeError::Overloaded`].
+    ///   never shed, never consults [`ServeHooks::cnn_fault`], and gives
+    ///   the circuit breaker no signal (it does not consult it either,
+    ///   so it never takes the half-open probe). A matrix above the
+    ///   tree's cost gate pays one slot read and one comparison here.
+    /// * **Queued.** Everything else goes to a worker, whose ladder
+    ///   starts at the CNN rung. When the queue is full the request is
+    ///   shed immediately with [`ServeError::Overloaded`].
     pub fn submit(
         &self,
         matrix: Arc<CooMatrix<S>>,
@@ -1130,11 +1065,7 @@ impl<S: Scalar> SelectorServer<S> {
             fp = Some(key);
         }
         let deadline_ns = deadline.map(|d| now.saturating_add(d.as_nanos() as u64));
-        let mut tree_asked = false;
-        if audit.is_none()
-            && self.inner.hooks.cnn_fault.is_none()
-            && deadline_ns.is_none_or(|d| now < d)
-        {
+        if audit.is_none() && deadline_ns.is_none_or(|d| now < d) {
             let generation = Arc::clone(&self.inner.slot.read().expect("slot lock"));
             if let Some(sel) = generation.service.answer_tree_first(matrix.as_ref()) {
                 let sel = self
@@ -1144,7 +1075,6 @@ impl<S: Scalar> SelectorServer<S> {
                     state: PendingState::Ready(Box::new(Ok(sel))),
                 });
             }
-            tree_asked = true;
         }
         let (tx, rx) = mpsc::channel();
         let job = Job {
@@ -1154,7 +1084,6 @@ impl<S: Scalar> SelectorServer<S> {
             enqueued_at: now,
             fp,
             audit,
-            tree_asked,
             reply: tx,
         };
         {
@@ -1214,16 +1143,6 @@ impl<S: Scalar> SelectorServer<S> {
     /// tree stays on as a fallback rung only: it was trained beside the
     /// first CNN, so it never answers ahead of a reloaded one.
     pub fn reload_model<P: AsRef<Path>>(&self, path: P) -> Result<u64, ServeError> {
-        self.reload_model_with_sleep(path, &|d| thread::sleep(d))
-    }
-
-    /// [`SelectorServer::reload_model`] with an injectable sleep, so
-    /// retry behaviour is testable without wall-clock waits.
-    pub fn reload_model_with_sleep<P: AsRef<Path>>(
-        &self,
-        path: P,
-        sleep: &dyn Fn(Duration),
-    ) -> Result<u64, ServeError> {
         let cfg = &self.inner.cfg;
         let reject = |e: SelectorError| {
             self.inner.metrics.reloads_rejected.inc();
@@ -1233,7 +1152,7 @@ impl<S: Scalar> SelectorServer<S> {
             path.as_ref(),
             cfg.reload_attempts,
             cfg.reload_backoff,
-            sleep,
+            &|d| thread::sleep(d),
         )
         .map_err(reject)?;
         // Swap under the write lock; in-flight requests hold an Arc to
@@ -1393,12 +1312,6 @@ fn is_transient(e: &SelectorError) -> bool {
 mod tests {
     use super::*;
 
-    fn fake_clock() -> (Arc<AtomicU64>, ClockFn) {
-        let t = Arc::new(AtomicU64::new(0));
-        let tc = Arc::clone(&t);
-        (t, Arc::new(move || tc.load(Ordering::SeqCst)))
-    }
-
     /// The first open period, in clock nanoseconds.
     const B: u64 = OPEN_BACKOFF_NS;
 
@@ -1457,18 +1370,6 @@ mod tests {
     }
 
     #[test]
-    fn abandoned_probe_frees_the_slot() {
-        let b = Breaker::new();
-        for _ in 0..3 {
-            b.on_failure(false, 0);
-        }
-        assert_eq!(b.gate(B), Gate::Probe);
-        assert_eq!(b.gate(B), Gate::Deny);
-        b.abandon_probe();
-        assert_eq!(b.gate(B + 1), Gate::Probe);
-    }
-
-    #[test]
     fn late_failures_do_not_extend_the_open_period() {
         let b = Breaker::new();
         for _ in 0..3 {
@@ -1519,7 +1420,7 @@ mod tests {
 
     #[test]
     fn server_without_predictors_serves_default_and_accounts_exactly() {
-        let (_, clock) = fake_clock();
+        let clock = dnnspmv_obs::ManualClock::new().as_clock_fn();
         let svc = SelectorService::new(None, None).unwrap();
         let server: SelectorServer<f32> =
             SelectorServer::with_parts(svc, ServerConfig::default(), ServeHooks::default(), clock);

@@ -14,18 +14,16 @@
 //!    its CNN and the tree's feature pass is estimated to cost less
 //!    than one CNN forward ([`TREE_UNIT_MACS`]), the tree is asked
 //!    first; if the leaf the matrix lands in was pure in training, the
-//!    tree's format is the answer and no CNN forward runs
-//!    ([`CnnRungOutcome::Bypassed`]). Every other member — impure leaf,
-//!    matrix above the gate, breaker probe, injected fault — goes on
-//!    down the ladder unchanged. This is a cost gate, not a confidence
-//!    gate: outside its training range a pure leaf is no sign of a
-//!    right answer, so large matrices always reach the CNN. The
-//!    predicate ([`SelectorService::tree_first`]) has two call sites:
-//!    [`SelectorService::select_batch`] here, and
-//!    [`SelectorServer::submit`](crate::SelectorServer::submit), which
-//!    asks it at admission so a tree-first answer never queues; a
-//!    member admission already asked reaches this rung with
-//!    [`SelectGuard::require_cnn`] set, so the tree never runs twice.
+//!    tree's format is the answer and no CNN forward runs (counted
+//!    `cnn/bypassed`). This is a cost gate, not a confidence gate:
+//!    outside its training range a pure leaf is no sign of a right
+//!    answer, so large matrices always reach the CNN. The predicate is
+//!    [`SelectorService::tree_first`], asked before the ladder proper:
+//!    by [`SelectorService::select`], and by
+//!    [`SelectorServer::submit`](crate::SelectorServer::submit) at
+//!    admission, so a tree-first answer never queues.
+//!    [`SelectorService::select_batch`], the ladder a server's workers
+//!    run, starts at the CNN rung.
 //! 1. **CNN** — its top class answers whenever its probabilities are
 //!    finite; there is no confidence cut-off. Panics inside the network
 //!    (defence in depth; load-time validation should make them
@@ -108,9 +106,6 @@ pub enum CnnRungOutcome {
     Cancelled,
     /// The caller asked to skip the CNN (breaker open).
     Skipped,
-    /// The tree answered first from a pure leaf, so the CNN never ran
-    /// (a cost decision: no signal about the CNN's health).
-    Bypassed,
     /// The service holds no CNN.
     Absent,
 }
@@ -129,14 +124,8 @@ pub struct SelectGuard<'a> {
     /// part it is split into (`samples::extract_in_parts`).
     pub cancel: &'a (dyn Fn() -> bool + Sync),
     /// Injected CNN fault for deterministic failure testing; a faulted
-    /// member is pulled out of the shared forward pass and never
-    /// answered tree-first.
+    /// member is pulled out of the shared forward pass.
     pub inject: CnnFault,
-    /// The tree is not asked first: it was already asked (at a
-    /// server's admission), or the member must reach the CNN rung (a
-    /// circuit breaker's half-open probe, or a cache audit re-checking
-    /// a CNN answer).
-    pub require_cnn: bool,
 }
 
 impl Default for SelectGuard<'_> {
@@ -145,7 +134,6 @@ impl Default for SelectGuard<'_> {
             skip_cnn: false,
             cancel: &|| false,
             inject: CnnFault::None,
-            require_cnn: false,
         }
     }
 }
@@ -325,10 +313,8 @@ impl SelectorService {
     /// (`(nnz + nrows + ncols) · TREE_UNIT_MACS ≤ Cnn::macs(1)`) and
     /// the leaf it lands in was pure in training; `None` sends the
     /// matrix down the CNN path. A matrix above the gate is decided
-    /// without running the tree. This is the predicate
-    /// [`Self::select_batch`] applies to every member that may bypass
-    /// the CNN (no injected fault, no [`SelectGuard::require_cnn`]), and
-    /// the one a server applies at admission.
+    /// without running the tree. [`Self::select`] asks it first, and so
+    /// does a server at admission.
     pub fn tree_first<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Option<SparseFormat> {
         let limit = self.tree_first_units?;
         let units = (matrix.nnz() + matrix.nrows() + matrix.ncols()) as u64;
@@ -338,35 +324,35 @@ impl SelectorService {
         self.tree.as_ref()?.predict_if_pure(matrix)
     }
 
-    /// Picks a storage format for `matrix`, degrading down the ladder
-    /// as needed. Total: never panics, always returns a format.
+    /// Picks a storage format for `matrix`: the tree-first answer when
+    /// there is one, else the ladder as a batch of one — the two steps
+    /// a server takes for a request. Total: never panics, always
+    /// returns a format.
     pub fn select<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Selection {
+        if let Some(sel) = self.answer_tree_first(matrix) {
+            return sel;
+        }
         self.select_batch(&[(matrix, SelectGuard::default())])[0]
             .selection
             .expect("selection without a deadline always answers")
     }
 
-    /// The ladder: one CNN forward pass (a single GEMM per layer)
-    /// answers every member, while each member keeps its own controls
-    /// ([`SelectGuard`]: cancellation checkpoint for deadline
-    /// enforcement, skip-CNN demotion flag for a tripped breaker,
-    /// injectable fault for deterministic failure testing), its own
-    /// rung outcome and its own ladder counters. A single request is a
-    /// batch of one; the serving layer's micro-batcher drives every
-    /// cache miss through here. Each result carries the decision —
-    /// `None` only when the member's `cancel` fired — plus the CNN rung
-    /// outcome a breaker needs to classify the request. Per-member
-    /// semantics:
+    /// The ladder CNN → tree → CSR, with no tree-first step: one CNN
+    /// forward pass (a single GEMM per layer) answers every member,
+    /// while each member keeps its own controls ([`SelectGuard`]:
+    /// cancellation checkpoint for deadline enforcement, skip-CNN
+    /// demotion flag for a tripped breaker, injectable fault for
+    /// deterministic failure testing), its own rung outcome and its own
+    /// ladder counters. A single request is a batch of one; the serving
+    /// layer's micro-batcher drives every queued request through here.
+    /// Each result carries the decision — `None` only when the member's
+    /// `cancel` fired — plus the CNN rung outcome a breaker needs to
+    /// classify the request. Per-member semantics:
     ///
     /// * **Demoted members and injected faults** stay scoped: a member
     ///   that skips the CNN or carries a fault is classified on its own
     ///   and never joins the shared pass, so one poisoned request
     ///   cannot sink its batch mates.
-    /// * **Tree first**: a member that may bypass the CNN (no injected
-    ///   fault, no `require_cnn`, deadline not yet passed) and for which
-    ///   [`Self::tree_first`] answers is answered by the tree alone,
-    ///   counted `cnn/bypassed` plus `tree/ok`. A tree panic there
-    ///   counts `tree/panic` and the member takes the CNN path.
     /// * **Extraction** runs per member under that member's `cancel`
     ///   and behind its own unwind boundary; a deadline expiring (or a
     ///   panic) there costs only that member its CNN answer.
@@ -405,15 +391,6 @@ impl SelectorService {
                 self.counters.cnn_skipped.inc();
                 out[i] = Some(self.fallback_rungs(matrix, CnnRungOutcome::Skipped, guard.cancel));
                 continue;
-            }
-            if guard.inject == CnnFault::None && !guard.require_cnn && !(guard.cancel)() {
-                if let Some(sel) = self.answer_tree_first(matrix) {
-                    out[i] = Some(GuardedSelection {
-                        selection: Some(sel),
-                        cnn: CnnRungOutcome::Bypassed,
-                    });
-                    continue;
-                }
             }
             if guard.inject == CnnFault::NonFinite {
                 let probs = vec![f32::NAN; cnn.formats.len()];
@@ -494,8 +471,8 @@ impl SelectorService {
 
     /// [`Self::tree_first`] behind an unwind boundary, counted: a tree
     /// answer bypasses the CNN (`cnn/bypassed` plus `tree/ok`), a tree
-    /// panic costs only the shortcut (`tree/panic`). Both call sites of
-    /// the cascade, in-batch and a server's admission, go through here.
+    /// panic costs only the shortcut (`tree/panic`). [`Self::select`]
+    /// and a server's admission both ask the tree first through here.
     pub(crate) fn answer_tree_first<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Option<Selection> {
         match catch_unwind(AssertUnwindSafe(|| self.tree_first(matrix))) {
             Ok(Some(format)) => {
@@ -663,7 +640,7 @@ mod tests {
     }
 
     /// Matrices `svc` sends down the CNN path, by the predicate
-    /// `select_batch` applies: the dataset's own (impure leaf) and
+    /// `select` asks first: the dataset's own (impure leaf) and
     /// larger fresh ones (above the gate). These are the healthy members
     /// the CNN-rung tests below need.
     fn cnn_bound(svc: &SelectorService, data: &Dataset) -> Vec<CooMatrix<f32>> {

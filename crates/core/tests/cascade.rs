@@ -1,10 +1,11 @@
 //! The cost-ordered cascade: a matrix whose tree feature pass costs less
 //! than one CNN forward, and whose tree leaf was pure in training, is
-//! answered by the tree before any forward runs. Every other member (an
-//! impure leaf, a matrix above the gate, a breaker probe, an injected
-//! fault) takes the CNN path exactly as before. A server with no fault
-//! hook asks the tree at admission and answers there; with a hook, the
-//! cascade runs in the worker's batch.
+//! answered by the tree before any forward runs. Every other request (an
+//! impure leaf, a matrix above the gate, a breaker probe, a cache audit)
+//! takes the CNN path exactly as before. `SelectorService::select` asks
+//! the tree first and a server asks it at admission, fault hook or not;
+//! `SelectorService::select_batch`, the ladder a worker runs, starts at
+//! the CNN.
 
 use dnnspmv_core::{
     BreakerState, CacheConfig, CnnFault, CnnRungOutcome, DtSelector, FormatSelector,
@@ -14,6 +15,7 @@ use dnnspmv_core::{
 };
 use dnnspmv_gen::{Dataset, DatasetSpec};
 use dnnspmv_nn::{CnnConfig, TrainConfig};
+use dnnspmv_obs::ManualClock;
 use dnnspmv_platform::{label_dataset, PlatformModel};
 use dnnspmv_repr::ReprConfig;
 use dnnspmv_sparse::CooMatrix;
@@ -121,12 +123,6 @@ fn one(
     (g.selection.expect("no deadline"), g.cnn)
 }
 
-fn fake_clock() -> (Arc<AtomicU64>, dnnspmv_core::ClockFn) {
-    let t = Arc::new(AtomicU64::new(0));
-    let tc = Arc::clone(&t);
-    (t, Arc::new(move || tc.load(Ordering::SeqCst)))
-}
-
 #[test]
 fn pure_leaf_answers_equal_the_tree_and_impure_leaves_reach_the_cnn() {
     let (cnn, dt, data) = fixture();
@@ -135,8 +131,7 @@ fn pure_leaf_answers_equal_the_tree_and_impure_leaves_reach_the_cnn() {
     let (first, rest) = split();
     assert!(!first.is_empty() && !rest.is_empty(), "both kinds present");
     for m in &first {
-        let (sel, out) = one(&svc, m, SelectGuard::default());
-        assert_eq!(out, CnnRungOutcome::Bypassed);
+        let sel = svc.select(*m);
         assert_eq!(sel.source, SelectionSource::Tree);
         assert_eq!(sel.confidence, None);
         assert_eq!(sel.format, dt.predict(*m));
@@ -144,8 +139,7 @@ fn pure_leaf_answers_equal_the_tree_and_impure_leaves_reach_the_cnn() {
     for m in &rest {
         // Below the gate, so only an impure leaf sends it on.
         assert_eq!(dt.predict_if_pure(*m), None);
-        let (sel, out) = one(&svc, m, SelectGuard::default());
-        assert_eq!(out, CnnRungOutcome::Answered);
+        let sel = svc.select(*m);
         assert_eq!(sel.source, SelectionSource::Cnn);
         assert_eq!(sel.format, cnn.predict(*m));
     }
@@ -184,9 +178,7 @@ fn matrices_above_the_gate_never_run_the_tree_first() {
     );
     let before = svc.report();
     for m in big {
-        let (sel, out) = one(&svc, m, SelectGuard::default());
-        assert_eq!(out, CnnRungOutcome::Answered);
-        assert_eq!(sel.source, SelectionSource::Cnn);
+        assert_eq!(svc.select(m).source, SelectionSource::Cnn);
     }
     let r = svc.report();
     assert_eq!(r.tree_ok, before.tree_ok);
@@ -208,27 +200,26 @@ fn matrices_above_the_gate_never_run_the_tree_first() {
 
 #[test]
 fn probes_and_injected_faults_always_reach_the_cnn() {
-    let (first, _) = split();
+    let (first, rest) = split();
     let m = first[0];
-    // Service level: a fault or a required CNN rung overrides the
-    // shortcut even on a matrix the tree would answer.
+    // Service level: the batch ladder starts at the CNN, so a fault, or
+    // none, meets it even on a matrix the tree would answer.
     let svc = service();
-    let guard = |inject, require_cnn| SelectGuard {
+    let guard = |inject| SelectGuard {
         inject,
-        require_cnn,
         ..Default::default()
     };
-    let (sel, out) = one(&svc, m, guard(CnnFault::Panic, false));
+    let (sel, out) = one(&svc, m, guard(CnnFault::Panic));
     assert_eq!(
         (out, sel.source),
         (CnnRungOutcome::Panicked, SelectionSource::Tree)
     );
-    let (sel, out) = one(&svc, m, guard(CnnFault::NonFinite, false));
+    let (sel, out) = one(&svc, m, guard(CnnFault::NonFinite));
     assert_eq!(
         (out, sel.source),
         (CnnRungOutcome::NonFinite, SelectionSource::Tree)
     );
-    let (sel, out) = one(&svc, m, guard(CnnFault::None, true));
+    let (sel, out) = one(&svc, m, guard(CnnFault::None));
     assert_eq!(
         (out, sel.source),
         (CnnRungOutcome::Answered, SelectionSource::Cnn)
@@ -237,8 +228,10 @@ fn probes_and_injected_faults_always_reach_the_cnn() {
     assert_eq!((r.cnn_panic, r.cnn_nonfinite, r.cnn_ok), (1, 1, 1));
     assert_eq!((r.cnn_bypassed, r.tree_ok), (0, 2));
 
-    // Server level, on the same tree-first matrix throughout.
-    let (clock_raw, clock) = fake_clock();
+    // Server level: faults go to a CNN-bound matrix `c`, while the
+    // tree-first matrix `m` is answered at admission in between.
+    let c = rest[0];
+    let clock = ManualClock::new();
     let panicking = Arc::new(AtomicBool::new(false));
     let p_h = Arc::clone(&panicking);
     let hooks = ServeHooks {
@@ -254,27 +247,28 @@ fn probes_and_injected_faults_always_reach_the_cnn() {
         workers: 1,
         ..ServerConfig::default()
     };
-    let server = SelectorServer::with_parts(service(), cfg, hooks, clock);
-    let serve = || server.select(m).unwrap().source;
-    // Two injected panics, then a healthy request the tree answers
-    // first: a bypass is no signal, so the failure streak survives it
-    // and the third panic trips the breaker, as it would have with no
-    // request in between.
+    let server = SelectorServer::with_parts(service(), cfg, hooks, clock.as_clock_fn());
+    let serve = |m: &CooMatrix<f32>| server.select(m).unwrap().source;
+    // Two injected panics, then a tree-first answer: a bypass is no
+    // signal, so the failure streak survives it and the third panic
+    // trips the breaker, as it would have with no request in between.
     panicking.store(true, Ordering::SeqCst);
     assert_eq!(
-        (serve(), serve()),
+        (serve(c), serve(c)),
         (SelectionSource::Tree, SelectionSource::Tree)
     );
-    panicking.store(false, Ordering::SeqCst);
-    assert_eq!(serve(), SelectionSource::Tree);
+    assert_eq!(serve(m), SelectionSource::Tree);
     assert_eq!(server.report().breaker.consecutive_failures, 2);
-    panicking.store(true, Ordering::SeqCst);
-    assert_eq!(serve(), SelectionSource::Tree);
+    assert_eq!(serve(c), SelectionSource::Tree);
     let r = server.report();
     assert_eq!(r.breaker.state, BreakerState::Open, "{r:?}");
     assert_eq!((r.ladder.cnn_panic, r.ladder.cnn_bypassed), (3, 1));
-    // Open: the request is demoted, as before.
-    assert_eq!(serve(), SelectionSource::Tree);
+    // Open: the CNN-bound request is demoted; the tree-first one is
+    // answered at admission as before, not demoted.
+    assert_eq!(
+        (serve(c), serve(m)),
+        (SelectionSource::Tree, SelectionSource::Tree)
+    );
     assert_eq!(
         (
             server.report().breaker_demoted,
@@ -282,11 +276,14 @@ fn probes_and_injected_faults_always_reach_the_cnn() {
         ),
         (1, 1)
     );
-    // Fault clears, backoff elapses: the probe runs the CNN although
-    // the tree would have answered, and closes the breaker.
+    // Fault clears, backoff elapses: the tree-first matrix does not
+    // take the probe; the next CNN-bound request does, and closes the
+    // breaker.
     panicking.store(false, Ordering::SeqCst);
-    clock_raw.fetch_add(BREAKER_OPEN_BACKOFF.as_nanos() as u64, Ordering::SeqCst);
-    assert_eq!(serve(), SelectionSource::Cnn);
+    clock.advance(BREAKER_OPEN_BACKOFF.as_nanos() as u64);
+    assert_eq!(serve(m), SelectionSource::Tree);
+    assert_eq!(server.report().breaker.to_half_open, 0);
+    assert_eq!(serve(c), SelectionSource::Cnn);
     let r = server.report();
     assert_eq!(r.breaker.state, BreakerState::Closed);
     assert_eq!(r.probes_ok, 1);
@@ -298,10 +295,9 @@ fn probes_and_injected_faults_always_reach_the_cnn() {
         ),
         (1, 1, 1)
     );
-    // Closed again: the tree answers first once more.
-    assert_eq!(serve(), SelectionSource::Tree);
+    assert_eq!(serve(m), SelectionSource::Tree);
     let r = server.report();
-    assert_eq!(r.ladder.cnn_bypassed, 2);
+    assert_eq!((r.ladder.cnn_bypassed, r.tree_first_served), (4, 4));
     assert_eq!(r.accounted(), r.submitted);
 }
 
@@ -310,7 +306,7 @@ fn after_reload_answers_come_from_the_new_cnn() {
     let (cnn, _, _) = fixture();
     let (first, _) = split();
     let m = first[0];
-    let (_, clock) = fake_clock();
+    let clock = ManualClock::new().as_clock_fn();
     let hooks_fault = Arc::new(AtomicBool::new(false));
     let h = Arc::clone(&hooks_fault);
     let hooks = ServeHooks {
@@ -441,7 +437,8 @@ fn mixed_stream(hooks: ServeHooks) -> ServerReport {
 
 #[test]
 fn accounting_stays_exact_on_a_mixed_stream() {
-    // With injected faults the cascade runs on the workers.
+    // With injected faults every tree-first answer is still given at
+    // admission; the faulted requests' tree answers come from workers.
     let r = mixed_stream(ServeHooks {
         cnn_fault: Some(Arc::new(|seq| match seq % 13 {
             5 => CnnFault::Panic,
@@ -449,9 +446,8 @@ fn accounting_stays_exact_on_a_mixed_stream() {
             _ => CnnFault::None,
         })),
     });
-    assert_eq!(r.tree_first_served, 0, "{r:?}");
-    // Without a hook every tree-first answer is given at admission, and
-    // the workers answer only from the CNN.
+    assert_eq!(r.tree_first_served, r.ladder.cnn_bypassed, "{r:?}");
+    // Without a hook the workers answer only from the CNN.
     let r = mixed_stream(ServeHooks::default());
     assert_eq!(r.tree_first_served, r.ladder.cnn_bypassed, "{r:?}");
     assert_eq!(r.served_tree, r.tree_first_served, "{r:?}");
@@ -483,16 +479,6 @@ fn decisions_are_repeatable_bit_for_bit() {
     let once = bits(&a);
     assert_eq!(once, bits(&a), "same service, same batch");
     assert_eq!(once, bits(&b), "independently built service");
-    // A tree-first answer does not depend on its batch mates at all.
-    for (m, got) in mix.iter().zip(&once) {
-        if got.0 == CnnRungOutcome::Bypassed {
-            let (sel, out) = one(&a, m, SelectGuard::default());
-            assert_eq!(
-                (out, sel.source, sel.format, sel.confidence),
-                (got.0, got.1, got.2, None)
-            );
-        }
-    }
 }
 
 /// Records every served answer with the generation the server reports
@@ -511,23 +497,43 @@ fn bits(s: Selection) -> (SelectionSource, dnnspmv_sparse::SparseFormat, Option<
     (s.source, s.format, s.confidence.map(f32::to_bits))
 }
 
+/// `SelectorService::select`, a plain server and a server with a fault
+/// hook give bit-identical answers, confidence bits included, on pure
+/// leaves, impure leaves and matrices above the gate; the servers answer
+/// every pure leaf at admission (the hooked one without calling its
+/// hook), and the batch ladder answers no healthy member from the tree.
 #[test]
-fn admission_answers_equal_in_batch_answers_bit_for_bit() {
+fn select_and_the_servers_agree_bit_for_bit_and_workers_start_at_the_cnn() {
     let (first, rest) = split();
+    let queued: Vec<&CooMatrix<f32>> = rest.iter().copied().chain(larger()).collect();
     let svc = service();
-    let server: SelectorServer<f32> = SelectorServer::new(service(), ServerConfig::default());
+    let plain: SelectorServer<f32> = SelectorServer::new(service(), ServerConfig::default());
     let tap = Arc::new(Recorder::default());
-    assert!(server.set_serve_tap(tap.clone()));
+    assert!(plain.set_serve_tap(tap.clone()));
+    let calls = Arc::new(AtomicU64::new(0));
+    let c_h = Arc::clone(&calls);
+    let hooked: SelectorServer<f32> = SelectorServer::with_parts(
+        service(),
+        ServerConfig::default(),
+        ServeHooks {
+            cnn_fault: Some(Arc::new(move |_seq| {
+                c_h.fetch_add(1, Ordering::SeqCst);
+                CnnFault::None
+            })),
+        },
+        dnnspmv_core::system_clock(),
+    );
     for m in &first {
-        let in_batch = svc.select_batch(&[(*m, SelectGuard::default())])[0];
-        assert_eq!(in_batch.cnn, CnnRungOutcome::Bypassed);
-        let at_admission = server.select(m).unwrap();
-        assert_eq!(bits(at_admission), bits(in_batch.selection.unwrap()));
+        let sel = svc.select(*m);
+        assert_eq!(sel.source, SelectionSource::Tree);
+        assert_eq!(bits(plain.select(m).unwrap()), bits(sel));
+        assert_eq!(bits(hooked.select(m).unwrap()), bits(sel));
     }
-    let r = server.report();
-    assert_eq!(r.tree_first_served, first.len() as u64);
-    assert_eq!(r.single_served + r.batched_served, 0);
-    assert_eq!(r.ladder, svc.report(), "the same ladder counters");
+    assert_eq!(calls.load(Ordering::SeqCst), 0, "no pure leaf met the hook");
+    for (r, name) in [(plain.report(), "plain"), (hooked.report(), "hooked")] {
+        assert_eq!(r.tree_first_served, first.len() as u64, "{name}: {r:?}");
+        assert_eq!(r.single_served + r.batched_served, 0, "{name}");
+    }
     // Each was shown to the tap once, under the generation it read.
     let seen = tap.0.lock().unwrap().clone();
     assert_eq!(seen.len(), first.len());
@@ -535,53 +541,45 @@ fn admission_answers_equal_in_batch_answers_bit_for_bit() {
         .iter()
         .all(|&(s, g)| s.source == SelectionSource::Tree && g == 0));
 
-    // Impure leaves are queued and answered by a worker's CNN pass; no
-    // tree answer is added on the way.
-    for m in &rest {
-        let sel = server.select(m).unwrap();
+    // Impure leaves and matrices above the gate are queued and answered
+    // by a worker's CNN pass; no tree answer is added on the way.
+    for m in &queued {
+        let sel = svc.select(*m);
         assert_eq!(sel.source, SelectionSource::Cnn);
-        assert_eq!(sel.format, fixture().0.predict(*m));
+        assert_eq!(bits(plain.select(m).unwrap()), bits(sel));
+        assert_eq!(bits(hooked.select(m).unwrap()), bits(sel));
     }
-    let r = server.report();
-    assert_eq!(r.single_served + r.batched_served, rest.len() as u64);
-    assert_eq!(
-        (r.ladder.cnn_ok, r.ladder.tree_ok),
-        (rest.len() as u64, first.len() as u64)
-    );
-    assert_eq!(r.ladder.tree_panic, 0);
-    assert_eq!(r.accounted(), r.submitted);
-    assert!(r.path_accounted(), "{r:?}");
-}
+    assert_eq!(calls.load(Ordering::SeqCst), queued.len() as u64);
+    for r in [plain.report(), hooked.report()] {
+        assert_eq!(r.single_served + r.batched_served, queued.len() as u64);
+        assert_eq!(r.ladder, svc.report(), "the same ladder counters");
+        assert_eq!(
+            (r.ladder.cnn_ok, r.ladder.tree_ok, r.ladder.tree_panic),
+            (queued.len() as u64, first.len() as u64, 0)
+        );
+        assert_eq!(r.accounted(), r.submitted);
+        assert!(r.path_accounted(), "{r:?}");
+    }
 
-#[test]
-fn a_fault_hook_keeps_the_cascade_on_the_worker() {
-    let (first, _) = split();
-    let hooks = ServeHooks {
-        cnn_fault: Some(Arc::new(|_seq| CnnFault::None)),
-    };
-    let server: SelectorServer<f32> = SelectorServer::with_parts(
-        service(),
-        ServerConfig::default(),
-        hooks,
-        dnnspmv_core::system_clock(),
-    );
-    let plain: SelectorServer<f32> = SelectorServer::new(service(), ServerConfig::default());
-    for m in &first {
-        let on_worker = server.select(m).unwrap();
-        assert_eq!(on_worker.source, SelectionSource::Tree);
-        assert_eq!(bits(on_worker), bits(plain.select(m).unwrap()));
+    // The batch ladder a worker runs never answers a healthy member
+    // from the tree, pure leaf or not.
+    let all: Vec<_> = first
+        .iter()
+        .chain(&queued)
+        .map(|m| (*m, SelectGuard::default()))
+        .collect();
+    let ladder = service();
+    for g in ladder.select_batch(&all) {
+        assert_eq!(g.cnn, CnnRungOutcome::Answered);
+        assert_eq!(g.selection.unwrap().source, SelectionSource::Cnn);
     }
-    let r = server.report();
-    assert_eq!(r.tree_first_served, 0, "{r:?}");
-    assert_eq!(r.single_served + r.batched_served, first.len() as u64);
-    assert_eq!(r.ladder.cnn_bypassed, first.len() as u64);
-    assert!(r.path_accounted(), "{r:?}");
-    assert_eq!(plain.report().tree_first_served, first.len() as u64);
+    let r = ladder.report();
+    assert_eq!(r.cnn_ok, all.len() as u64);
+    assert_eq!((r.cnn_bypassed, r.tree_ok), (0, 0));
 }
 
 /// Parks the worker inside the first CNN answer it shows the tap, until
-/// released: the lever that holds the queue full without a fault hook
-/// (which would move the cascade onto the worker). Tree answers pass
+/// released: the lever that holds the queue full. Tree answers pass
 /// straight through.
 struct ParkOnCnn {
     parked: AtomicBool,

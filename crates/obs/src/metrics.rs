@@ -105,27 +105,26 @@ impl Gauge {
     }
 }
 
-/// An RAII in-flight marker: `inc` on construction, `dec` on drop —
-/// including a drop during panic unwinding, so a crashed worker never
-/// leaks an in-flight count.
+/// An RAII in-flight marker: adds `n` on construction and takes it
+/// back on drop — including a drop during panic unwinding, so a crashed
+/// worker never leaks an in-flight count.
 #[derive(Debug)]
-pub struct GaugeGuard {
-    gauge: Gauge,
+pub struct GaugeGuard<'a> {
+    gauge: &'a Gauge,
+    n: i64,
 }
 
-impl GaugeGuard {
-    /// Increments `gauge` now; decrements it when dropped.
-    pub fn enter(gauge: &Gauge) -> Self {
-        gauge.inc();
-        Self {
-            gauge: gauge.clone(),
-        }
+impl<'a> GaugeGuard<'a> {
+    /// Adds `n` to `gauge` now; subtracts it when dropped.
+    pub fn enter(gauge: &'a Gauge, n: i64) -> Self {
+        gauge.add(n);
+        Self { gauge, n }
     }
 }
 
-impl Drop for GaugeGuard {
+impl Drop for GaugeGuard<'_> {
     fn drop(&mut self) {
-        self.gauge.dec();
+        self.gauge.add(-self.n);
     }
 }
 
@@ -173,8 +172,8 @@ mod tests {
         let g = Gauge::new();
         let g2 = g.clone();
         let r = std::panic::catch_unwind(move || {
-            let _guard = GaugeGuard::enter(&g2);
-            assert_eq!(g2.get(), 1);
+            let _guard = GaugeGuard::enter(&g2, 3);
+            assert_eq!(g2.get(), 3);
             panic!("boom");
         });
         assert!(r.is_err());

@@ -2,17 +2,18 @@
 //! selector server: burst load, deadlines, circuit breaker, hot
 //! reload, and exact counter accounting under parallel hammering.
 //!
-//! All timing-sensitive behaviour runs against an injected fake clock
-//! (an `AtomicU64` of nanoseconds advanced explicitly by the test or by
+//! All timing-sensitive behaviour runs against an injected
+//! `ManualClock` (nanoseconds advanced explicitly by the test or by
 //! fault hooks), so nothing here depends on scheduler luck.
 
 use dnnspmv::core::{
-    BreakerState, CacheConfig, CnnFault, DtSelector, FormatSelector, SelectionSource,
-    SelectorConfig, SelectorServer, SelectorService, ServeError, ServeHooks, ServerConfig,
-    BREAKER_OPEN_BACKOFF, CACHE_AUDIT_PERIOD,
+    BreakerState, CacheConfig, CnnFault, DtSelector, FormatSelector, Selection, SelectionSource,
+    SelectorConfig, SelectorServer, SelectorService, ServeError, ServeHooks, ServeTap,
+    ServerConfig, BREAKER_OPEN_BACKOFF, CACHE_AUDIT_PERIOD,
 };
 use dnnspmv::gen::{Dataset, DatasetSpec};
 use dnnspmv::nn::TrainConfig;
+use dnnspmv::obs::ManualClock;
 use dnnspmv::platform::{label_dataset, PlatformModel};
 use dnnspmv::repr::ReprConfig;
 use dnnspmv::sparse::CooMatrix;
@@ -73,7 +74,7 @@ fn full_service() -> SelectorService {
 }
 
 /// Matrices [`full_service`] sends down the CNN path, by the predicate
-/// its `select_batch` applies (`SelectorService::tree_first`): the
+/// a server asks at admission (`SelectorService::tree_first`): the
 /// fixture's impure-leaf matrices, then larger fresh ones above the
 /// gate. A healthy small fixture matrix is answered tree-first, so the
 /// tests whose subject is the CNN rung (its answers, deadlines, breaker
@@ -103,12 +104,6 @@ fn cnn_bound() -> &'static [CooMatrix<f32>] {
     })
 }
 
-fn fake_clock() -> (Arc<AtomicU64>, dnnspmv::core::ClockFn) {
-    let t = Arc::new(AtomicU64::new(0));
-    let tc = Arc::clone(&t);
-    (t, Arc::new(move || tc.load(Ordering::SeqCst)))
-}
-
 /// The breaker's first open period in fake-clock nanoseconds: advancing
 /// the clock by this much lets the next request probe.
 const OPEN_NS: u64 = BREAKER_OPEN_BACKOFF.as_nanos() as u64;
@@ -118,7 +113,7 @@ const OPEN_NS: u64 = BREAKER_OPEN_BACKOFF.as_nanos() as u64;
 /// the terminal counters account for every single submission.
 #[test]
 fn burst_load_sheds_overloaded_and_admitted_requests_complete() {
-    let (_, clock) = fake_clock();
+    let clock = ManualClock::new();
     // One worker, parked inside the CNN-fault hook until released, so
     // the queue depth is fully under test control. The hook signals
     // `entered` so the test knows when the worker has dequeued a job.
@@ -137,7 +132,7 @@ fn burst_load_sheds_overloaded_and_admitted_requests_complete() {
         queue_capacity: 4,
         ..ServerConfig::default()
     };
-    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
+    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock.as_clock_fn());
     let m = Arc::new(cnn_bound()[0].clone());
 
     // First request occupies the worker (it blocks in the hook); once
@@ -186,8 +181,8 @@ fn burst_load_sheds_overloaded_and_admitted_requests_complete() {
 /// cancellation checkpoint inside representation extraction fires).
 #[test]
 fn deadlines_expire_in_queue_and_in_flight() {
-    let (clock_raw, clock) = fake_clock();
-    let advance = Arc::clone(&clock_raw);
+    let clock = ManualClock::new();
+    let hook_clock = Arc::clone(&clock);
     let hang = Arc::new(AtomicBool::new(false));
     let hang_h = Arc::clone(&hang);
     let hooks = ServeHooks {
@@ -195,7 +190,7 @@ fn deadlines_expire_in_queue_and_in_flight() {
             if hang_h.load(Ordering::SeqCst) {
                 // A CNN latency spike: time jumps past any deadline
                 // before the forward pass starts.
-                advance.fetch_add(1_000_000, Ordering::SeqCst);
+                hook_clock.advance(1_000_000);
             }
             CnnFault::None
         })),
@@ -205,7 +200,7 @@ fn deadlines_expire_in_queue_and_in_flight() {
         queue_capacity: 16,
         ..ServerConfig::default()
     };
-    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
+    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock.as_clock_fn());
     let m = Arc::new(cnn_bound()[1].clone());
 
     // In-flight expiry: the hook simulates the hang.
@@ -220,7 +215,7 @@ fn deadlines_expire_in_queue_and_in_flight() {
 
     // In-queue expiry: the deadline is already in the past relative to
     // the (frozen) fake clock by the time the worker dequeues it.
-    clock_raw.fetch_add(10_000_000, Ordering::SeqCst);
+    clock.advance(10_000_000);
     let pend = server.submit(Arc::clone(&m), Some(Duration::ZERO)).unwrap();
     assert_eq!(pend.wait(), Err(ServeError::DeadlineExceeded));
 
@@ -245,14 +240,14 @@ fn deadlines_expire_in_queue_and_in_flight() {
 /// the half-open probe restores the CNN once the fault clears.
 #[test]
 fn hung_cnn_trips_breaker_tree_answers_probe_restores() {
-    let (clock_raw, clock) = fake_clock();
-    let advance = Arc::clone(&clock_raw);
+    let clock = ManualClock::new();
+    let hook_clock = Arc::clone(&clock);
     let hang = Arc::new(AtomicBool::new(true));
     let hang_h = Arc::clone(&hang);
     let hooks = ServeHooks {
         cnn_fault: Some(Arc::new(move |_seq| {
             if hang_h.load(Ordering::SeqCst) {
-                advance.fetch_add(1_000_000, Ordering::SeqCst);
+                hook_clock.advance(1_000_000);
             }
             CnnFault::None
         })),
@@ -262,7 +257,7 @@ fn hung_cnn_trips_breaker_tree_answers_probe_restores() {
         queue_capacity: 16,
         ..ServerConfig::default()
     };
-    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
+    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock.as_clock_fn());
     let m = Arc::new(cnn_bound()[2].clone());
     let deadline = Some(Duration::from_nanos(1_000));
 
@@ -293,7 +288,7 @@ fn hung_cnn_trips_breaker_tree_answers_probe_restores() {
     // Fault clears, backoff elapses: the next request is the half-open
     // probe, the CNN answers, and the breaker closes.
     hang.store(false, Ordering::SeqCst);
-    clock_raw.fetch_add(OPEN_NS, Ordering::SeqCst);
+    clock.advance(OPEN_NS);
     let sel = server
         .submit(Arc::clone(&m), deadline)
         .unwrap()
@@ -320,8 +315,7 @@ fn hung_cnn_trips_breaker_tree_answers_probe_restores() {
 /// breaker with a doubled backoff.
 #[test]
 fn panicking_cnn_is_contained_and_failed_probe_doubles_backoff() {
-    let (_, _, data) = fixture();
-    let (clock_raw, clock) = fake_clock();
+    let clock = ManualClock::new();
     let panicking = Arc::new(AtomicBool::new(true));
     let p_h = Arc::clone(&panicking);
     let hooks = ServeHooks {
@@ -338,8 +332,8 @@ fn panicking_cnn_is_contained_and_failed_probe_doubles_backoff() {
         queue_capacity: 16,
         ..ServerConfig::default()
     };
-    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
-    let m = Arc::new(data.matrices[3].clone());
+    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock.as_clock_fn());
+    let m = Arc::new(cnn_bound()[3].clone());
 
     // Every request during the panic storm is still answered (by the
     // tree), and the third one trips the breaker.
@@ -353,7 +347,7 @@ fn panicking_cnn_is_contained_and_failed_probe_doubles_backoff() {
 
     // Backoff elapses but the fault persists: the probe fails, the
     // breaker reopens, and the backoff doubles.
-    clock_raw.fetch_add(OPEN_NS, Ordering::SeqCst);
+    clock.advance(OPEN_NS);
     let sel = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
     assert_eq!(sel.source, SelectionSource::Tree);
     let r = server.report();
@@ -363,7 +357,7 @@ fn panicking_cnn_is_contained_and_failed_probe_doubles_backoff() {
 
     // Fault clears; after the doubled backoff the probe succeeds.
     panicking.store(false, Ordering::SeqCst);
-    clock_raw.fetch_add(2 * OPEN_NS, Ordering::SeqCst);
+    clock.advance(2 * OPEN_NS);
     let sel = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
     assert_eq!(sel.source, SelectionSource::Cnn);
     assert_eq!(server.report().breaker.state, BreakerState::Closed);
@@ -377,7 +371,7 @@ fn panicking_cnn_is_contained_and_failed_probe_doubles_backoff() {
 #[test]
 fn hot_reload_rejects_corrupt_artefact_and_swaps_valid_one() {
     let (cnn, _, _) = fixture();
-    let (_, clock) = fake_clock();
+    let clock = ManualClock::new();
     let server: SelectorServer<f32> = SelectorServer::with_parts(
         full_service(),
         ServerConfig {
@@ -386,7 +380,7 @@ fn hot_reload_rejects_corrupt_artefact_and_swaps_valid_one() {
             ..ServerConfig::default()
         },
         ServeHooks::default(),
-        clock,
+        clock.as_clock_fn(),
     );
     let m = Arc::new(cnn_bound()[4].clone());
     let sel_before = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
@@ -529,7 +523,7 @@ fn rayon_stress_counters_sum_exactly() {
 #[test]
 fn metrics_snapshot_reproduces_server_report_exactly() {
     let (cnn, _, _) = fixture();
-    let (clock_raw, clock) = fake_clock();
+    let clock = ManualClock::new();
     let panicking = Arc::new(AtomicBool::new(false));
     let p_h = Arc::clone(&panicking);
     let hooks = ServeHooks {
@@ -549,7 +543,7 @@ fn metrics_snapshot_reproduces_server_report_exactly() {
             ..ServerConfig::default()
         },
         hooks,
-        clock,
+        clock.as_clock_fn(),
     );
     let m = Arc::new(cnn_bound()[5].clone());
     let serve_one = || server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
@@ -570,10 +564,10 @@ fn metrics_snapshot_reproduces_server_report_exactly() {
     }
     // Fault clears, backoff elapses: the probe restores the CNN.
     panicking.store(false, Ordering::SeqCst);
-    clock_raw.fetch_add(OPEN_NS, Ordering::SeqCst);
+    clock.advance(OPEN_NS);
     assert_eq!(serve_one().source, SelectionSource::Cnn);
     // In-queue deadline expiry.
-    clock_raw.fetch_add(10_000_000, Ordering::SeqCst);
+    clock.advance(10_000_000);
     assert_eq!(
         server
             .submit(Arc::clone(&m), Some(Duration::ZERO))
@@ -673,14 +667,19 @@ fn metrics_snapshot_reproduces_server_report_exactly() {
 #[test]
 fn cache_hits_repeat_worker_answers_and_reload_invalidates() {
     let (cnn, _, _) = fixture();
-    let (_, clock) = fake_clock();
+    let clock = ManualClock::new();
     let cfg = ServerConfig {
         workers: 1,
         queue_capacity: 16,
         cache: CacheConfig::enabled(64),
         ..ServerConfig::default()
     };
-    let server = SelectorServer::with_parts(full_service(), cfg, ServeHooks::default(), clock);
+    let server = SelectorServer::with_parts(
+        full_service(),
+        cfg,
+        ServeHooks::default(),
+        clock.as_clock_fn(),
+    );
     let m = Arc::new(cnn_bound()[6].clone());
 
     // Miss → worker answers via the CNN and populates the cache.
@@ -731,13 +730,18 @@ fn cache_hits_repeat_worker_answers_and_reload_invalidates() {
 /// equals the uncached one.
 #[test]
 fn periodic_hit_audit_counts_exactly_and_answers_like_a_miss() {
-    let (_, clock) = fake_clock();
+    let clock = ManualClock::new();
     let cfg = ServerConfig {
         workers: 1,
         cache: CacheConfig::enabled(64),
         ..ServerConfig::default()
     };
-    let server = SelectorServer::with_parts(full_service(), cfg, ServeHooks::default(), clock);
+    let server = SelectorServer::with_parts(
+        full_service(),
+        cfg,
+        ServeHooks::default(),
+        clock.as_clock_fn(),
+    );
     let uncached = full_service();
     let repeats = 3 * CACHE_AUDIT_PERIOD + 5;
     for i in [3, 7] {
@@ -787,8 +791,7 @@ fn hit_times(server: &SelectorServer<f32>, m: &Arc<dnnspmv::sparse::CooMatrix<f3
 /// never a degraded one — and nothing is judged or refreshed.
 #[test]
 fn audit_on_open_breaker_or_cnn_fault_returns_the_cached_answer() {
-    let (_, _, data) = fixture();
-    let (clock_raw, clock) = fake_clock();
+    let clock = ManualClock::new();
     let panicking = Arc::new(AtomicBool::new(false));
     let p_h = Arc::clone(&panicking);
     let hooks = ServeHooks {
@@ -805,7 +808,7 @@ fn audit_on_open_breaker_or_cnn_fault_returns_the_cached_answer() {
         cache: CacheConfig::enabled(64),
         ..ServerConfig::default()
     };
-    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
+    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock.as_clock_fn());
     let m = Arc::new(cnn_bound()[0].clone());
     let cached = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
     assert_eq!(cached.source, SelectionSource::Cnn);
@@ -814,7 +817,7 @@ fn audit_on_open_breaker_or_cnn_fault_returns_the_cached_answer() {
     // A panic storm on three misses opens the breaker.
     panicking.store(true, Ordering::SeqCst);
     for i in 1..4 {
-        let sel = server.select(&data.matrices[i]).unwrap();
+        let sel = server.select(&cnn_bound()[i]).unwrap();
         assert_eq!(sel.source, SelectionSource::Tree);
     }
     assert_eq!(server.report().breaker.state, BreakerState::Open);
@@ -827,7 +830,7 @@ fn audit_on_open_breaker_or_cnn_fault_returns_the_cached_answer() {
     // After the backoff the next audit is the half-open probe, and the
     // CNN still panics: the probe fails, the cached answer serves.
     hit_times(&server, &m, CACHE_AUDIT_PERIOD - 1);
-    clock_raw.fetch_add(OPEN_NS, Ordering::SeqCst);
+    clock.advance(OPEN_NS);
     assert_eq!(server.select(&m).unwrap(), cached);
     let r = server.report();
     assert_eq!(r.probes_failed, 1, "{r:?}");
@@ -854,8 +857,7 @@ fn audit_on_open_breaker_or_cnn_fault_returns_the_cached_answer() {
 /// `DeadlineExceeded`.
 #[test]
 fn audit_on_full_queue_or_past_deadline_returns_the_cached_answer() {
-    let (_, _, data) = fixture();
-    let (clock_raw, clock) = fake_clock();
+    let clock = ManualClock::new();
     // The worker parks inside the CNN-fault hook while `blocking` is set.
     let blocking = Arc::new(AtomicBool::new(false));
     let b_h = Arc::clone(&blocking);
@@ -881,14 +883,14 @@ fn audit_on_full_queue_or_past_deadline_returns_the_cached_answer() {
         cache: CacheConfig::enabled(64),
         ..ServerConfig::default()
     };
-    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
+    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock.as_clock_fn());
     let m = Arc::new(cnn_bound()[0].clone());
     let cached = server.submit(Arc::clone(&m), None).unwrap().wait().unwrap();
     // Parks the worker on a miss of matrix `i`, not cached before.
     let park_worker = |i: usize| {
         blocking.store(true, Ordering::SeqCst);
         let p = server
-            .submit(Arc::new(data.matrices[i].clone()), None)
+            .submit(Arc::new(cnn_bound()[i].clone()), None)
             .unwrap();
         entered_rx
             .recv_timeout(Duration::from_secs(30))
@@ -906,7 +908,7 @@ fn audit_on_full_queue_or_past_deadline_returns_the_cached_answer() {
     for i in 2..4 {
         pending.push(
             server
-                .submit(Arc::new(data.matrices[i].clone()), None)
+                .submit(Arc::new(cnn_bound()[i].clone()), None)
                 .unwrap(),
         );
     }
@@ -930,7 +932,7 @@ fn audit_on_full_queue_or_past_deadline_returns_the_cached_answer() {
         .submit(Arc::clone(&m), Some(Duration::from_nanos(10)))
         .unwrap();
     assert_eq!(server.report().cache.audited, 1, "the audit is queued");
-    clock_raw.fetch_add(1_000, Ordering::SeqCst);
+    clock.advance(1_000);
     release_worker();
     parked.wait().unwrap();
     assert_eq!(p.wait().unwrap(), cached);
@@ -946,46 +948,38 @@ fn audit_on_full_queue_or_past_deadline_returns_the_cached_answer() {
     assert!(r.path_accounted(), "{r:?}");
 }
 
-/// Tentpole stage B: a partial micro-batch is held open for exactly
-/// `max_batch_wait` of *injected* time (the worker polls the fake
-/// clock, so a frozen clock holds the gather window open indefinitely),
-/// and a batch that reaches `max_batch` departs with no wait at all.
+/// Tentpole stage B: a worker takes what is already queued, up to
+/// `max_batch`, without waiting for more: four requests queued behind a
+/// parked worker depart together as one full batch.
 #[test]
-fn micro_batch_departs_at_max_batch_wait_or_when_full() {
-    let (clock_raw, clock) = fake_clock();
+fn micro_batch_departs_when_full() {
+    let clock = ManualClock::new();
+    // Seq 0 parks the worker until released, so the next four queue up.
+    let (gate_tx, gate_rx) = mpsc::channel::<()>();
+    let (entered_tx, entered_rx) = mpsc::channel::<()>();
+    let gate_rx = Mutex::new(gate_rx);
+    let hooks = ServeHooks {
+        cnn_fault: Some(Arc::new(move |seq| {
+            if seq == 0 {
+                entered_tx.send(()).ok();
+                gate_rx.lock().unwrap().recv().ok();
+            }
+            CnnFault::None
+        })),
+    };
     let cfg = ServerConfig {
         workers: 1,
         queue_capacity: 16,
         max_batch: 4,
-        max_batch_wait: Duration::from_micros(100),
         ..ServerConfig::default()
     };
-    let server = SelectorServer::with_parts(full_service(), cfg, ServeHooks::default(), clock);
-
-    // Three submissions: fewer than max_batch, so the worker gathers
-    // them and holds the batch. With the clock frozen the gather window
-    // cannot close, no matter how much real time passes.
-    let pending: Vec<_> = (0..3)
-        .map(|i| {
-            server
-                .submit(Arc::new(cnn_bound()[i].clone()), None)
-                .unwrap()
-        })
-        .collect();
-    std::thread::sleep(Duration::from_millis(5));
-    assert_eq!(
-        server.report().served,
-        0,
-        "a partial batch must wait out max_batch_wait on the injected clock"
-    );
-    // Advance past the gather deadline: the batch of three departs.
-    clock_raw.fetch_add(200_000, Ordering::SeqCst);
-    for p in pending {
-        assert_eq!(p.wait().unwrap().source, SelectionSource::Cnn);
-    }
-    let r = server.report();
-    assert_eq!(r.batched_served, 3);
-    assert_eq!(r.single_served, 0);
+    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock.as_clock_fn());
+    let priming = server
+        .submit(Arc::new(cnn_bound()[0].clone()), None)
+        .unwrap();
+    entered_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("worker never dequeued the priming job");
 
     // Four submissions: the batch fills to max_batch and departs
     // without any clock advance.
@@ -996,11 +990,13 @@ fn micro_batch_departs_at_max_batch_wait_or_when_full() {
                 .unwrap()
         })
         .collect();
+    gate_tx.send(()).ok();
+    assert_eq!(priming.wait().unwrap().source, SelectionSource::Cnn);
     for p in pending {
         assert_eq!(p.wait().unwrap().source, SelectionSource::Cnn);
     }
     let r = server.report();
-    assert_eq!(r.batched_served, 7);
+    assert_eq!(r.batched_served, 4);
     assert!(r.path_accounted(), "{r:?}");
     let snap = server.metrics_snapshot();
     let bs = snap.histogram("serve_batch_size", &[]).expect("recorded");
@@ -1013,8 +1009,8 @@ fn micro_batch_departs_at_max_batch_wait_or_when_full() {
 /// mates still get CNN answers from the shared forward pass.
 #[test]
 fn member_deadline_expiring_mid_batch_cancels_only_that_member() {
-    let (clock_raw, clock) = fake_clock();
-    let advance = Arc::clone(&clock_raw);
+    let clock = ManualClock::new();
+    let hook_clock = Arc::clone(&clock);
     // Seq 0 parks the worker (priming request); seq 2 simulates a stall
     // by jumping the clock past its own deadline.
     let (gate_tx, gate_rx) = mpsc::channel::<()>();
@@ -1027,7 +1023,7 @@ fn member_deadline_expiring_mid_batch_cancels_only_that_member() {
                 gate_rx.lock().unwrap().recv().ok();
             }
             if seq == 2 {
-                advance.fetch_add(1_000_000, Ordering::SeqCst);
+                hook_clock.advance(1_000_000);
             }
             CnnFault::None
         })),
@@ -1038,7 +1034,7 @@ fn member_deadline_expiring_mid_batch_cancels_only_that_member() {
         max_batch: 4,
         ..ServerConfig::default()
     };
-    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
+    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock.as_clock_fn());
 
     // Prime: park the worker so the next three submissions queue up and
     // form one batch on release.
@@ -1080,14 +1076,41 @@ fn member_deadline_expiring_mid_batch_cancels_only_that_member() {
     assert!(r.path_accounted(), "{r:?}");
 }
 
+/// Parks the worker inside the serve tap on the answers with the given
+/// ordinals (counted from 0 in the order the tap sees them), each until
+/// released. Unlike the fault hook, the tap also sees answers whose CNN
+/// rung the breaker skipped, and it runs after the breaker has heard
+/// the answer's outcome.
+struct ParkAt {
+    ordinals: Vec<u64>,
+    seen: AtomicU64,
+    entered: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl ServeTap<f32> for ParkAt {
+    fn observe(&self, _m: &Arc<CooMatrix<f32>>, _sel: &Selection, _generation: u64) {
+        if self
+            .ordinals
+            .contains(&self.seen.fetch_add(1, Ordering::SeqCst))
+        {
+            self.entered.lock().unwrap().send(()).unwrap();
+            // Bounded, so a failing assertion cannot leave the worker
+            // parked while the server's drop joins it.
+            let release = self.release.lock().unwrap();
+            release.recv_timeout(Duration::from_secs(30)).ok();
+        }
+    }
+}
+
 /// Gathered batch × non-closed breaker: four requests gathered together
 /// after the open backoff elapsed are fed through the worker routine one
 /// at a time, so the window takes exactly one probe — the first member —
 /// and its success closes the breaker for the three behind it.
 #[test]
 fn gathered_batch_on_open_breaker_takes_exactly_one_probe() {
-    let (clock_raw, clock) = fake_clock();
-    let panicking = Arc::new(AtomicBool::new(true));
+    let clock = ManualClock::new();
+    let panicking = Arc::new(AtomicBool::new(false));
     let p_h = Arc::clone(&panicking);
     let hooks = ServeHooks {
         cnn_fault: Some(Arc::new(move |_seq| {
@@ -1098,16 +1121,29 @@ fn gathered_batch_on_open_breaker_takes_exactly_one_probe() {
             }
         })),
     };
-    // With the fake clock frozen the gather window never times out, so
-    // every batch below departs exactly when its fourth member arrives.
     let cfg = ServerConfig {
         workers: 1,
         queue_capacity: 16,
         max_batch: 4,
-        max_batch_wait: Duration::from_micros(100),
         ..ServerConfig::default()
     };
-    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
+    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock.as_clock_fn());
+    // The worker parks on the priming answer (0), so the first four
+    // queue behind it, and on the last answer of their batch (4), once
+    // the breaker has opened, so the next four queue too.
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    assert!(server.set_serve_tap(Arc::new(ParkAt {
+        ordinals: vec![0, 4],
+        seen: AtomicU64::new(0),
+        entered: Mutex::new(entered_tx),
+        release: Mutex::new(release_rx),
+    })));
+    let parked = || {
+        entered
+            .recv_timeout(Duration::from_secs(30))
+            .expect("worker never parked")
+    };
     let submit_four = |base: usize| -> Vec<_> {
         (0..4)
             .map(|i| {
@@ -1117,20 +1153,31 @@ fn gathered_batch_on_open_breaker_takes_exactly_one_probe() {
             })
             .collect()
     };
+    let priming = server
+        .submit(Arc::new(cnn_bound()[8].clone()), None)
+        .unwrap();
+    parked();
 
     // A panic storm through one shared pass: every member is still
     // answered (by the tree) and the third failure trips the breaker.
-    for p in submit_four(0) {
-        assert_eq!(p.wait().unwrap().source, SelectionSource::Tree);
-    }
+    panicking.store(true, Ordering::SeqCst);
+    let storm = submit_four(0);
+    release.send(()).unwrap();
+    parked();
     let r = server.report();
     assert_eq!(r.breaker.state, BreakerState::Open, "{r:?}");
     assert_eq!(r.batched_served, 4);
 
     // Fault clears, backoff elapses, four more arrive together.
     panicking.store(false, Ordering::SeqCst);
-    clock_raw.fetch_add(OPEN_NS, Ordering::SeqCst);
-    for p in submit_four(10) {
+    clock.advance(OPEN_NS);
+    let window = submit_four(10);
+    release.send(()).unwrap();
+    assert_eq!(priming.wait().unwrap().source, SelectionSource::Cnn);
+    for p in storm {
+        assert_eq!(p.wait().unwrap().source, SelectionSource::Tree);
+    }
+    for p in window {
         assert_eq!(p.wait().unwrap().source, SelectionSource::Cnn);
     }
     let r = server.report();
@@ -1138,15 +1185,19 @@ fn gathered_batch_on_open_breaker_takes_exactly_one_probe() {
     assert_eq!((r.breaker.to_half_open, r.breaker.to_closed), (1, 1));
     assert_eq!(r.breaker.state, BreakerState::Closed);
     assert_eq!(r.breaker_demoted, 0);
-    assert_eq!(r.single_served, 4, "members were fed one at a time");
+    assert_eq!(
+        r.single_served,
+        1 + 4,
+        "the priming request, then members fed one at a time"
+    );
     assert_eq!(r.accounted(), r.submitted);
     assert!(r.path_accounted(), "{r:?}");
     let snap = server.metrics_snapshot();
     let bs = snap.histogram("serve_batch_size", &[]).expect("recorded");
     assert_eq!(
         (bs.count, bs.max),
-        (2, 4),
-        "both batches were gathered whole"
+        (3, 4),
+        "the priming request alone, then both batches gathered whole"
     );
 }
 
@@ -1155,7 +1206,7 @@ fn gathered_batch_on_open_breaker_takes_exactly_one_probe() {
 /// there is nothing to coalesce.
 #[test]
 fn sequential_traffic_forms_batches_of_one_on_the_single_path() {
-    let (_, clock) = fake_clock();
+    let clock = ManualClock::new();
     let server = SelectorServer::with_parts(
         full_service(),
         ServerConfig {
@@ -1163,7 +1214,7 @@ fn sequential_traffic_forms_batches_of_one_on_the_single_path() {
             ..ServerConfig::default()
         },
         ServeHooks::default(),
-        clock,
+        clock.as_clock_fn(),
     );
     for i in 0..5 {
         let sel = server
