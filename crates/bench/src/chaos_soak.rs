@@ -305,7 +305,6 @@ fn run_episode_body(
         DriftConfig {
             window: 64,
             min_samples: 8,
-            threshold: 0.7,
         },
         server.registry(),
     ));
@@ -566,10 +565,7 @@ fn evolve_and_promote(ctx: &EvolveCtx<'_>) {
         ctx.drift,
         &candidate_path,
         &ctx.fixture.incumbent_path,
-        PromotionConfig {
-            margin: 0.1,
-            min_samples: 4,
-        },
+        PromotionConfig { min_samples: 4 },
     ) {
         Ok((mut guard, g)) => {
             if ctx.server.model_generation() != g {

@@ -30,7 +30,7 @@ use dnnspmv_core::{
 use dnnspmv_feedback::{
     evolve, replay, usable_samples, DriftConfig, DriftDetector, EvolveConfig, FeedbackSampler,
     GuardVerdict, JournalConfig, JournalWriter, ModelTimer, PromotionConfig, PromotionGuard,
-    SamplerConfig, ShadowReport,
+    SamplerConfig, ShadowReport, DRIFT_THRESHOLD,
 };
 use dnnspmv_nn::{Migration, TrainConfig};
 use dnnspmv_sparse::CooMatrix;
@@ -74,14 +74,10 @@ impl Default for ClosedLoopConfig {
             drift: DriftConfig {
                 window: 96,
                 min_samples: 24,
-                threshold: 0.7,
             },
             shadow_margin: 0.05,
             holdout_frac: 0.25,
-            guard: PromotionConfig {
-                margin: 0.1,
-                min_samples: 16,
-            },
+            guard: PromotionConfig { min_samples: 16 },
             seed: 41,
         }
     }
@@ -112,9 +108,7 @@ pub struct ClosedLoopReport {
     pub poisoned_rejected: bool,
     /// Rolling accuracy after promoting the honest candidate.
     pub recovered_accuracy: f64,
-    /// The trip threshold recovery is judged against.
-    pub drift_threshold: f64,
-    /// Recovery cleared the drift threshold.
+    /// Recovery cleared [`DRIFT_THRESHOLD`].
     pub recovered: bool,
     /// The guard rolled the forced bad promotion back.
     pub rollback: bool,
@@ -354,7 +348,7 @@ pub fn run_closed_loop(cfg: &ClosedLoopConfig) -> ClosedLoopReport {
     serve_phase(&server, matrices, cfg.rounds_per_phase);
     sampler.flush();
     let recovered_accuracy = drift.accuracy();
-    let recovered = recovered_accuracy >= cfg.drift.threshold;
+    let recovered = recovered_accuracy >= DRIFT_THRESHOLD;
     let healthy = guard.check(&server, &drift).expect("guard check");
     assert!(
         matches!(healthy, GuardVerdict::Healthy | GuardVerdict::Watching),
@@ -393,7 +387,6 @@ pub fn run_closed_loop(cfg: &ClosedLoopConfig) -> ClosedLoopReport {
         poisoned_accuracy,
         poisoned_rejected,
         recovered_accuracy,
-        drift_threshold: cfg.drift.threshold,
         recovered,
         rollback,
         rollback_baseline,

@@ -143,26 +143,6 @@ impl FormatSelector {
         self.net.predict(&channels)
     }
 
-    /// Predicts class labels for many matrices at once. All samples go
-    /// through [`Cnn::predict_batch`], so every network layer runs one
-    /// GEMM for the whole batch instead of one per matrix.
-    pub fn predict_labels_batch<S: Scalar>(&self, matrices: &[CooMatrix<S>]) -> Vec<usize> {
-        let channels: Vec<Vec<dnnspmv_nn::Tensor>> = matrices
-            .iter()
-            .map(|m| make_channels(m, self.config.repr, &self.config.repr_config))
-            .collect();
-        let refs: Vec<&[dnnspmv_nn::Tensor]> = channels.iter().map(|c| c.as_slice()).collect();
-        self.net.predict_batch(&refs)
-    }
-
-    /// Batched version of [`Self::predict`], parallel to `matrices`.
-    pub fn predict_batch<S: Scalar>(&self, matrices: &[CooMatrix<S>]) -> Vec<SparseFormat> {
-        self.predict_labels_batch(matrices)
-            .into_iter()
-            .map(|label| self.formats[label])
-            .collect()
-    }
-
     /// Per-format probabilities, parallel to [`Self::formats`].
     pub fn predict_proba<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Vec<f32> {
         let channels = make_channels(matrix, self.config.repr, &self.config.repr_config);
@@ -371,22 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_prediction_matches_per_matrix_calls() {
-        let data = small_dataset();
-        let platform = PlatformModel::intel_cpu();
-        let (sel, _) = FormatSelector::train_on_platform(&data.matrices, &platform, &test_config());
-        let subset = &data.matrices[..12];
-        let batched = sel.predict_batch(subset);
-        let labels = sel.predict_labels_batch(subset);
-        assert_eq!(batched.len(), subset.len());
-        for (i, m) in subset.iter().enumerate() {
-            assert_eq!(batched[i], sel.predict(m), "matrix {i}");
-            assert_eq!(labels[i], sel.predict_label(m), "matrix {i}");
-        }
-        assert!(sel.predict_batch::<f32>(&[]).is_empty());
-    }
-
-    #[test]
     fn prepare_always_yields_a_usable_matrix() {
         use dnnspmv_sparse::Spmv;
         let data = small_dataset();
@@ -415,6 +379,55 @@ mod tests {
         std::fs::remove_file(&p).ok();
         for m in data.matrices.iter().take(5) {
             assert_eq!(back.predict(m), sel.predict(m));
+        }
+    }
+
+    #[test]
+    fn artefact_with_retired_train_options_still_loads() {
+        // Selectors saved before the trainer's clipping, norm-threshold
+        // and checkpoint-interval options were retired carry them in
+        // `config.train`, at the defaults every caller used. Payload
+        // fields are looked up by name and unknown keys are ignored, so
+        // such a file loads under the same format version and predicts
+        // exactly as the selector that wrote it.
+        use dnnspmv_nn::serialize::{fnv1a64, FORMAT_VERSION};
+
+        let cfg = test_config();
+        let formats = PlatformModel::intel_cpu().formats().to_vec();
+        let shape = cfg.repr_config.channel_shape(cfg.repr);
+        let net = build_cnn(
+            cfg.merging,
+            cfg.repr.channels(),
+            shape,
+            formats.len(),
+            &cfg.cnn,
+        );
+        let sel = FormatSelector {
+            net,
+            formats,
+            config: cfg,
+        };
+        let payload = serde_json::to_string(&sel).unwrap().replacen(
+            r#""train":{"#,
+            r#""train":{"grad_clip":null,"divergence":{"max_grad_norm":null,"max_rollbacks":8,"lr_backoff":0.5},"checkpoint_every":1,"#,
+            1,
+        );
+        assert!(payload.contains("checkpoint_every"));
+        let envelope = format!(
+            r#"{{"magic":"dnnspmv","format_version":{FORMAT_VERSION},"kind":"{KIND_SELECTOR}","fingerprint":{},"checksum":{},"payload":{}}}"#,
+            model_fingerprint(&sel.net),
+            fnv1a64(payload.as_bytes()),
+            serde_json::to_string(&payload).unwrap(),
+        );
+        let p =
+            std::env::temp_dir().join(format!("dnnspmv_old_selector_{}.json", std::process::id()));
+        std::fs::write(&p, envelope).unwrap();
+        let back = FormatSelector::load(&p);
+        std::fs::remove_file(&p).ok();
+        let back = back.unwrap();
+        assert_eq!(back, sel);
+        for m in small_dataset().matrices.iter().take(8) {
+            assert_eq!(back.predict_proba(m), sel.predict_proba(m));
         }
     }
 

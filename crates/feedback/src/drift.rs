@@ -4,14 +4,17 @@
 //! measured-fastest one, so accuracy against ground truth is free. The
 //! detector keeps the last `window` comparisons in a ring, exports the
 //! rolling accuracy as a permille gauge (`feedback_drift_accuracy`),
-//! and latches a trip once accuracy sinks below the threshold with
-//! enough samples in the window. Tripping is edge-counted
+//! and latches a trip once accuracy sinks below [`DRIFT_THRESHOLD`]
+//! with enough samples in the window. Tripping is edge-counted
 //! (`feedback_drift_tripped_total`), so an operator can tell one long
 //! excursion from repeated flapping.
 
 use dnnspmv_obs::{Counter, Gauge, Registry};
 use std::collections::VecDeque;
 use std::sync::Mutex;
+
+/// Trip when rolling accuracy drops below this fraction.
+pub const DRIFT_THRESHOLD: f64 = 0.7;
 
 /// Drift-detector tuning.
 #[derive(Debug, Clone, Copy)]
@@ -21,8 +24,6 @@ pub struct DriftConfig {
     /// Minimum comparisons in the window before the trip threshold is
     /// armed — a two-sample window must not page anyone.
     pub min_samples: usize,
-    /// Trip when rolling accuracy drops below this fraction.
-    pub threshold: f64,
 }
 
 impl Default for DriftConfig {
@@ -30,7 +31,6 @@ impl Default for DriftConfig {
         Self {
             window: 256,
             min_samples: 32,
-            threshold: 0.7,
         }
     }
 }
@@ -87,7 +87,7 @@ impl DriftDetector {
         let acc = d.hits as f64 / d.ring.len() as f64;
         self.accuracy_gauge.set_permille(acc);
         self.samples_gauge.set(d.ring.len() as i64);
-        if !d.tripped && d.ring.len() >= self.cfg.min_samples && acc < self.cfg.threshold {
+        if !d.tripped && d.ring.len() >= self.cfg.min_samples && acc < DRIFT_THRESHOLD {
             d.tripped = true;
             self.tripped_total.inc();
         }
@@ -124,24 +124,18 @@ impl DriftDetector {
         self.accuracy_gauge.set_permille(1.0);
         self.samples_gauge.set(0);
     }
-
-    /// The configured trip threshold.
-    pub fn threshold(&self) -> f64 {
-        self.cfg.threshold
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn detector(window: usize, min: usize, threshold: f64) -> (DriftDetector, Registry) {
+    fn detector(window: usize, min: usize) -> (DriftDetector, Registry) {
         let reg = Registry::new();
         let d = DriftDetector::new(
             DriftConfig {
                 window,
                 min_samples: min,
-                threshold,
             },
             &reg,
         );
@@ -150,7 +144,7 @@ mod tests {
 
     #[test]
     fn trips_below_threshold_only_with_enough_samples() {
-        let (d, _reg) = detector(8, 4, 0.7);
+        let (d, _reg) = detector(8, 4);
         d.record(false);
         d.record(false);
         assert!(!d.tripped(), "below min_samples");
@@ -162,10 +156,13 @@ mod tests {
 
     #[test]
     fn window_slides_and_recovers_accuracy() {
-        let (d, _) = detector(4, 2, 0.5);
-        for _ in 0..4 {
-            d.record(false);
-        }
+        let (d, _) = detector(4, 2);
+        d.record(false);
+        assert!(!d.tripped(), "below min_samples");
+        d.record(false);
+        assert!(d.tripped(), "2 misses in a 2-sample window");
+        d.record(false);
+        d.record(false);
         for _ in 0..4 {
             d.record(true);
         }
@@ -179,7 +176,12 @@ mod tests {
 
     #[test]
     fn gauges_export_permille_and_trip_edges() {
-        let (d, reg) = detector(4, 2, 0.9);
+        let (d, reg) = detector(4, 2);
+        let trips = |r: &Registry| {
+            r.snapshot()
+                .counter("feedback_drift_tripped_total", &[])
+                .unwrap_or(0)
+        };
         d.record(true);
         d.record(false);
         let acc = reg
@@ -187,14 +189,10 @@ mod tests {
             .gauge("feedback_drift_accuracy", &[("unit", "permille")])
             .expect("accuracy gauge");
         assert_eq!(acc, 500);
+        assert_eq!(trips(&reg), 1, "0.5 in a 2-sample window trips");
         // Re-tripping without a reset does not re-count.
         d.record(false);
         d.record(false);
-        let trips = |r: &Registry| {
-            r.snapshot()
-                .counter("feedback_drift_tripped_total", &[])
-                .unwrap_or(0)
-        };
         assert_eq!(trips(&reg), 1);
         d.reset();
         for _ in 0..2 {

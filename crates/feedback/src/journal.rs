@@ -273,6 +273,11 @@ impl JournalWriter {
 
     /// Appends one record (length-prefixed, checksummed), rotating to a
     /// fresh segment afterwards if the size budget is exceeded.
+    ///
+    /// With [`JournalConfig::sync_each_append`], a failed fsync returns
+    /// `Err` after the frame was written: the record is not known to be
+    /// durable, but it is in the segment, and replay of a journal that
+    /// did not crash reads it.
     pub fn append(&mut self, record: &FeedbackRecord) -> Result<(), FeedbackError> {
         let payload = serde_json::to_string(record)
             .map_err(|e| FeedbackError::Serde(e.to_string()))?
@@ -298,6 +303,7 @@ impl JournalWriter {
         );
         self.file.write_all(&frame)?;
         self.file.flush()?;
+        self.segment_bytes += frame.len() as u64;
         if self.cfg.sync_each_append {
             dnnspmv_chaos::failpoint!(
                 dnnspmv_chaos::sites::JOURNAL_FSYNC,
@@ -307,7 +313,6 @@ impl JournalWriter {
             );
             self.file.sync_all()?;
         }
-        self.segment_bytes += frame.len() as u64;
         if self.segment_bytes > self.cfg.max_segment_bytes {
             self.rotate()?;
         }
@@ -385,6 +390,38 @@ mod tests {
             assert_eq!(r.seq, i as u64);
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sync_each_append_round_trips_records_across_rotation() {
+        let dir = tmp_dir("sync");
+        let mut w = JournalWriter::open(
+            &dir,
+            JournalConfig {
+                max_segment_bytes: 1,
+                sync_each_append: true,
+            },
+        )
+        .unwrap();
+        for i in 0..4 {
+            w.append(&sample_record(i)).unwrap();
+        }
+        assert_eq!(w.segment_index(), 4, "one rotation per record");
+        drop(w);
+        let (records, report) = replay(&dir).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(
+            report,
+            ReplayReport {
+                segments: 5,
+                records: 4,
+                ..ReplayReport::default()
+            }
+        );
+        assert_eq!(
+            records.iter().map(|r| r.seq).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
     }
 
     #[test]

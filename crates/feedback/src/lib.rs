@@ -34,10 +34,10 @@ pub mod promote;
 pub mod record;
 pub mod sampler;
 
-pub use drift::{DriftConfig, DriftDetector};
+pub use drift::{DriftConfig, DriftDetector, DRIFT_THRESHOLD};
 pub use error::FeedbackError;
 pub use evolve::{evolve, usable_samples, EvolveConfig, ShadowReport};
 pub use journal::{replay, JournalConfig, JournalWriter, ReplayReport, MAX_RECORD_BYTES};
-pub use promote::{GuardVerdict, PromotionConfig, PromotionGuard};
+pub use promote::{GuardVerdict, PromotionConfig, PromotionGuard, ROLLBACK_MARGIN};
 pub use record::FeedbackRecord;
 pub use sampler::{FeedbackSampler, ModelTimer, SamplerConfig, SpmvTimer};

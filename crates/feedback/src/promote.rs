@@ -6,8 +6,8 @@
 //! incumbent's rolling drift accuracy as the baseline, hot-reloads the
 //! candidate, resets the drift window, and from then on compares fresh
 //! post-promotion accuracy against the baseline. If the promoted model
-//! does *worse* than what it replaced (beyond the margin, with enough
-//! fresh samples), the guard reloads the previous artefact — at most
+//! does *worse* than what it replaced (by more than [`ROLLBACK_MARGIN`],
+//! with enough fresh samples), the guard reloads the previous artefact — at most
 //! once, so a flapping workload cannot ping-pong generations.
 
 use crate::drift::DriftDetector;
@@ -17,22 +17,20 @@ use dnnspmv_obs::Counter;
 use dnnspmv_sparse::Scalar;
 use std::path::{Path, PathBuf};
 
+/// Roll back when post-promotion accuracy falls below
+/// `baseline - ROLLBACK_MARGIN`.
+pub const ROLLBACK_MARGIN: f64 = 0.1;
+
 /// Guard tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct PromotionConfig {
-    /// Roll back when post-promotion accuracy falls below
-    /// `baseline - margin`.
-    pub margin: f64,
     /// Fresh comparisons required before the guard judges at all.
     pub min_samples: usize,
 }
 
 impl Default for PromotionConfig {
     fn default() -> Self {
-        Self {
-            margin: 0.1,
-            min_samples: 16,
-        }
+        Self { min_samples: 16 }
     }
 }
 
@@ -43,8 +41,8 @@ pub enum GuardVerdict {
     Watching,
     /// Post-promotion accuracy is holding up.
     Healthy,
-    /// Accuracy fell below the baseline by more than the margin; the
-    /// previous generation was reloaded.
+    /// Accuracy fell below the baseline by more than
+    /// [`ROLLBACK_MARGIN`]; the previous generation was reloaded.
     RolledBack {
         /// Pre-promotion rolling accuracy.
         baseline: f64,
@@ -101,7 +99,7 @@ impl PromotionGuard {
 
     /// Judges the promotion against fresh drift evidence, rolling back
     /// (once) if the promoted model is doing worse than the baseline
-    /// by more than the margin. Call this periodically — e.g. from the
+    /// by more than [`ROLLBACK_MARGIN`]. Call this periodically — e.g. from the
     /// same cadence that reads the drift gauges.
     pub fn check<S: Scalar>(
         &mut self,
@@ -115,7 +113,7 @@ impl PromotionGuard {
             return Ok(GuardVerdict::Watching);
         }
         let current = drift.accuracy();
-        if current >= self.baseline - self.cfg.margin {
+        if current >= self.baseline - ROLLBACK_MARGIN {
             return Ok(GuardVerdict::Healthy);
         }
         server

@@ -1,6 +1,7 @@
 //! Failpoint-driven fault tests for the feedback lane: a full disk
 //! sheds samples (counted, typed), the journal replays exactly the
-//! successful appends, and dropped drift comparisons only slow the
+//! successful appends, a failed per-append fsync is reported without
+//! losing the record, and dropped drift comparisons only slow the
 //! accumulation of evidence. Compiled only with the `chaos` feature;
 //! the registry is process-global, so tests serialise on a mutex.
 #![cfg(feature = "chaos")]
@@ -10,6 +11,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use dnnspmv_core::{Selection, SelectionSource};
+use dnnspmv_feedback::journal::SEGMENT_MAGIC;
 use dnnspmv_feedback::{
     replay, DriftConfig, DriftDetector, FeedbackError, FeedbackRecord, FeedbackSampler,
     JournalConfig, JournalWriter, ModelTimer, SamplerConfig,
@@ -104,6 +106,60 @@ fn journal_replays_exactly_the_successful_appends() {
     assert_eq!(report.torn_segments, 0);
 }
 
+/// Bytes of a journal's first segment.
+fn first_segment_len(dir: &Path) -> u64 {
+    std::fs::metadata(dir.join("segment-000000.dnj"))
+        .unwrap()
+        .len()
+}
+
+#[test]
+fn failed_fsync_at_append_is_io_and_the_record_still_replays() {
+    // Every `record(seq)` below frames to the same length; measure it
+    // on a journal no fault touches, with the registry held.
+    let guard = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
+    let probe = TmpDir::new("fsync-probe");
+    let mut writer = JournalWriter::open(&probe, JournalConfig::default()).unwrap();
+    writer.append(&record(0)).unwrap();
+    drop(writer);
+    let magic = SEGMENT_MAGIC.len() as u64;
+    let frame = first_segment_len(&probe) - magic;
+
+    // A budget one record fits in and a second overshoots: every
+    // segment rotates after its second record.
+    dnnspmv_chaos::configure_str(53, "feedback.journal.fsync=errx1").expect("schedule parses");
+    let dir = TmpDir::new("fsync-append");
+    let cfg = JournalConfig {
+        max_segment_bytes: magic + frame + frame / 2,
+        sync_each_append: true,
+    };
+    let mut writer = JournalWriter::open(&dir, cfg).unwrap();
+    match writer.append(&record(0)) {
+        Err(FeedbackError::Io(_)) => {}
+        other => panic!("an injected fsync failure must be a typed Io error, got {other:?}"),
+    }
+    for seq in 1..4 {
+        writer.append(&record(seq)).unwrap();
+    }
+    drop(writer);
+    dnnspmv_chaos::deactivate();
+    drop(guard);
+
+    // The frame whose fsync failed was written, and it counts toward
+    // the segment budget like any other: segment 0 holds records 0
+    // and 1, not three records.
+    assert_eq!(first_segment_len(&dir), magic + 2 * frame);
+    let (records, report) = replay(&dir).unwrap();
+    assert_eq!(
+        records.iter().map(|r| r.seq).collect::<Vec<_>>(),
+        vec![0, 1, 2, 3],
+        "replay reads the record whose fsync failed, in order"
+    );
+    assert_eq!(report.corrupt_records, 0);
+    assert_eq!(report.torn_tail_bytes, 0);
+    assert_eq!(report.torn_segments, 0);
+}
+
 #[test]
 fn sampler_sheds_and_counts_when_the_disk_fills() {
     // The append failpoint fires on the sampler's worker thread — the
@@ -157,7 +213,6 @@ fn dropped_drift_comparisons_only_slow_evidence() {
         DriftConfig {
             window: 16,
             min_samples: 4,
-            threshold: 0.7,
         },
         &reg,
     );

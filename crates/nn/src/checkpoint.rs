@@ -9,7 +9,7 @@
 //! keeps the checkpoint small and the resumed batch order bit-identical
 //! to the uninterrupted run.
 //!
-//! Checkpoints ride in the same envelope as models
+//! Checkpoints ride in the same envelope as selectors
 //! ([`crate::serialize`]): versioned, checksummed, written atomically
 //! via temp-file-and-rename. The envelope fingerprint binds a
 //! checkpoint to the run that wrote it ([`train_fingerprint`]), so

@@ -55,7 +55,7 @@ pub use optimizer::{Optimizer, OptimizerKind};
 pub use structures::{build_cnn, describe_structure, CnnConfig, Merging};
 pub use tensor::Tensor;
 pub use train::{
-    evaluate, train, train_reference, train_step, train_with_hooks, BatchTrainState,
-    DivergenceConfig, RecoveryStats, StepTimeStats, TrainConfig, TrainHooks, TrainReport,
+    evaluate, train, train_reference, train_step, train_with_hooks, BatchTrainState, RecoveryStats,
+    StepTimeStats, TrainConfig, TrainHooks, TrainReport,
 };
 pub use transfer::{migrate, Migration};

@@ -1095,9 +1095,9 @@ impl Cnn {
     /// shapes, layer ordering) with panics — fine for networks built by
     /// [`crate::structures::build_cnn`], fatal for networks read from
     /// disk. This walks every invariant those asserts rely on and
-    /// reports the first violation as `Err`, so `load_model` can reject
-    /// a corrupted or hand-mangled file up front and inference never
-    /// panics on artefact contents.
+    /// reports the first violation as `Err`, so the checkpoint and
+    /// selector loaders can reject a corrupted or hand-mangled file up
+    /// front and inference never panics on artefact contents.
     pub fn validate(&self) -> Result<(), String> {
         self.validated_out_shape().map(|_| ())
     }

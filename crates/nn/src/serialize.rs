@@ -1,23 +1,29 @@
-//! Model persistence: versioned, checksummed JSON envelopes.
+//! Artefact persistence: versioned, checksummed JSON envelopes.
 //!
 //! The trained selector is a one-time artefact per platform (the paper
-//! reports ~27 min of training), so models are saved and shipped; JSON
-//! keeps the format debuggable and dependency-light. Every artefact —
-//! model, checkpoint, selector — is wrapped in an `Envelope`:
+//! reports ~27 min of training), so it is saved and shipped; JSON keeps
+//! the format debuggable and dependency-light. Both artefacts that
+//! carry a network — a training checkpoint
+//! ([`crate::checkpoint::KIND_CHECKPOINT`]) and a format selector
+//! (`dnnspmv-core`'s `"format-selector"`) — are wrapped in an
+//! `Envelope`:
 //!
 //! ```text
 //! { "magic": "dnnspmv",
 //!   "format_version": 2,        // bumped on layout changes
-//!   "kind": "cnn-model",        // what the payload is
+//!   "kind": "train-checkpoint", // what the payload is
 //!   "fingerprint": <u64>,       // structural/config hash
 //!   "checksum": <u64>,          // FNV-1a over the payload bytes
 //!   "payload": "<inner JSON>" }
 //! ```
 //!
-//! Loading checks, in order: envelope JSON → kind tag → format version
-//! → payload checksum → payload JSON → structural validation
-//! ([`Cnn::validate`]) → fingerprint. Each failure maps to a distinct
+//! [`read_envelope`] checks, in order: envelope JSON → magic → format
+//! version → kind tag → payload checksum → payload JSON. Each loader
+//! then validates the network it carries ([`Cnn::validate`]) and
+//! compares the fingerprint. Each failure maps to a distinct
 //! [`NnError`] variant; no panic is reachable from file contents.
+//! Payload fields are looked up by name and unknown keys are ignored,
+//! so an artefact that still carries a since-removed field loads.
 //! Writes to a path go through a temp file in the same directory and an
 //! atomic rename, so a crash mid-write never leaves a truncated
 //! artefact under the final name.
@@ -36,9 +42,6 @@ use std::path::Path;
 /// selector class heads and per-format tables, so v1 artefacts must be
 /// retrained rather than silently reinterpreted.
 pub const FORMAT_VERSION: u32 = 2;
-
-/// Envelope kind tag for whole networks.
-pub const KIND_MODEL: &str = "cnn-model";
 
 /// FNV-1a 64-bit hash — the envelope checksum. Not cryptographic;
 /// catches truncation and bit rot, which is all an integrity check on
@@ -180,7 +183,7 @@ pub fn read_envelope_path<T: Deserialize, P: AsRef<Path>>(
 }
 
 /// Structural fingerprint of a network: its layer schedule plus input
-/// contract. Stored in the model envelope and re-derived at load time,
+/// contract. Stored in a selector's envelope and re-derived at load time,
 /// so an envelope whose payload was swapped for a differently shaped
 /// network is rejected even when both halves are individually valid.
 pub fn model_fingerprint(net: &Cnn) -> u64 {
@@ -194,44 +197,18 @@ pub fn model_fingerprint(net: &Cnn) -> u64 {
     fnv1a64(desc.as_bytes())
 }
 
-/// Serialises a network to a writer as an enveloped JSON artefact.
-pub fn save_model<W: Write>(net: &Cnn, w: W) -> Result<(), NnError> {
-    write_envelope(KIND_MODEL, model_fingerprint(net), net, w)
-}
-
-/// Deserialises and validates a network from a reader.
-///
-/// Corrupted, truncated or shape-mangled files yield a typed `Err`;
-/// a returned network has passed [`Cnn::validate`] and is safe to run
-/// inference on without hitting the forward paths' shape asserts.
-pub fn load_model<R: Read>(r: R) -> Result<Cnn, NnError> {
-    let (net, fingerprint): (Cnn, u64) = read_envelope(KIND_MODEL, r)?;
-    net.validate().map_err(NnError::InvalidModel)?;
-    let derived = model_fingerprint(&net);
-    if derived != fingerprint {
-        return Err(NnError::ConfigMismatch(format!(
-            "model fingerprint {fingerprint:#018x} does not match its structure ({derived:#018x})"
-        )));
-    }
-    Ok(net)
-}
-
-/// Saves a network to a file path (atomic write-and-rename).
-pub fn save_model_path<P: AsRef<Path>>(net: &Cnn, path: P) -> Result<(), NnError> {
-    write_envelope_atomic(KIND_MODEL, model_fingerprint(net), net, path)
-}
-
-/// Loads a network from a file path.
-pub fn load_model_path<P: AsRef<Path>>(path: P) -> Result<Cnn, NnError> {
-    let f = std::fs::File::open(path)?;
-    load_model(std::io::BufReader::new(f))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{load_checkpoint, save_checkpoint, TrainCheckpoint, KIND_CHECKPOINT};
+    use crate::optimizer::{Optimizer, OptimizerKind};
     use crate::structures::{build_cnn, CnnConfig, Merging};
     use crate::tensor::Tensor;
+    use crate::train::TrainReport;
+    use std::path::PathBuf;
+
+    /// Kind tag the envelope tests write and read under.
+    const KIND_TEST: &str = "test-network";
 
     fn tiny() -> Cnn {
         build_cnn(
@@ -247,18 +224,58 @@ mod tests {
         )
     }
 
-    #[test]
-    fn round_trip_preserves_network_exactly() {
-        let net = tiny();
+    /// A file path of this process, removed when dropped (a failed
+    /// assertion included).
+    struct TmpFile(PathBuf);
+
+    impl TmpFile {
+        fn new(tag: &str) -> Self {
+            let name = format!("dnnspmv_serialize_{tag}_{}.json", std::process::id());
+            Self(std::env::temp_dir().join(name))
+        }
+    }
+
+    impl Drop for TmpFile {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+
+    /// `net` at epoch 0 of a run, as the trainer would checkpoint it.
+    fn checkpoint_of(mut net: Cnn) -> TrainCheckpoint {
+        let opt = Optimizer::new(&mut net, OptimizerKind::adam(), 1e-3, false);
+        TrainCheckpoint {
+            epoch: 0,
+            step_counter: 0,
+            samples_len: 4,
+            net,
+            opt,
+            report: TrainReport::empty(),
+            time_steps: 0,
+            total_s: 0.0,
+            min_s: 0.0,
+            max_s: 0.0,
+        }
+    }
+
+    fn envelope_bytes(net: &Cnn) -> Vec<u8> {
         let mut buf = Vec::new();
-        save_model(&net, &mut buf).unwrap();
-        let back = load_model(buf.as_slice()).unwrap();
-        assert_eq!(back, net);
+        write_envelope(KIND_TEST, model_fingerprint(net), net, &mut buf).unwrap();
+        buf
+    }
+
+    fn read_net(bytes: &[u8]) -> Result<Cnn, NnError> {
+        read_envelope::<Cnn, _>(KIND_TEST, bytes).map(|(net, _)| net)
     }
 
     #[test]
-    fn round_trip_preserves_predictions() {
+    fn path_round_trip_preserves_network_and_predictions() {
         let net = tiny();
+        let file = TmpFile::new("round_trip");
+        write_envelope_atomic(KIND_TEST, model_fingerprint(&net), &net, &file.0).unwrap();
+        let (back, fingerprint): (Cnn, u64) = read_envelope_path(KIND_TEST, &file.0).unwrap();
+        assert_eq!(back, net);
+        assert_eq!(fingerprint, model_fingerprint(&net));
         let channels: Vec<Tensor> = (0..2)
             .map(|c| {
                 Tensor::from_vec(
@@ -267,66 +284,50 @@ mod tests {
                 )
             })
             .collect();
-        let mut buf = Vec::new();
-        save_model(&net, &mut buf).unwrap();
-        let back = load_model(buf.as_slice()).unwrap();
         assert_eq!(back.forward(&channels), net.forward(&channels));
     }
 
     #[test]
-    fn path_round_trip() {
-        let net = tiny();
-        let dir = std::env::temp_dir().join("dnnspmv_nn_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("model.json");
-        save_model_path(&net, &p).unwrap();
-        let back = load_model_path(&p).unwrap();
-        assert_eq!(back, net);
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
     fn garbage_input_errors_cleanly() {
-        let e = load_model("not json at all".as_bytes()).unwrap_err();
+        let e = read_net("not json at all".as_bytes()).unwrap_err();
         assert!(matches!(e, NnError::Serde(_)), "{e}");
     }
 
     #[test]
     fn truncated_file_errors_cleanly() {
-        let net = tiny();
-        let mut buf = Vec::new();
-        save_model(&net, &mut buf).unwrap();
-        let e = load_model(&buf[..buf.len() / 2]).unwrap_err();
+        let buf = envelope_bytes(&tiny());
+        let e = read_net(&buf[..buf.len() / 2]).unwrap_err();
         assert!(matches!(e, NnError::Serde(_)), "{e}");
     }
 
     #[test]
     fn corrupted_payload_fails_checksum() {
-        let net = tiny();
-        let mut buf = Vec::new();
-        save_model(&net, &mut buf).unwrap();
+        let s = String::from_utf8(envelope_bytes(&tiny())).unwrap();
         // Flip a digit inside the payload without breaking the JSON.
-        let s = String::from_utf8(buf).unwrap();
         let pos = s.find("0.0").expect("a zero bias value is serialised");
         let mangled = format!("{}9.9{}", &s[..pos], &s[pos + 3..]);
-        let e = load_model(mangled.as_bytes()).unwrap_err();
+        let e = read_net(mangled.as_bytes()).unwrap_err();
         assert!(matches!(e, NnError::ChecksumMismatch { .. }), "{e}");
+    }
+
+    /// An envelope around `net`'s JSON with the given header fields.
+    fn envelope_with(net: &Cnn, format_version: u32, kind: &str) -> String {
+        let payload = serde_json::to_string(net).unwrap();
+        let env = Envelope {
+            magic: "dnnspmv".into(),
+            format_version,
+            kind: kind.into(),
+            fingerprint: model_fingerprint(net),
+            checksum: fnv1a64(payload.as_bytes()),
+            payload,
+        };
+        serde_json::to_string(&env).unwrap()
     }
 
     #[test]
     fn future_format_version_is_rejected() {
-        let net = tiny();
-        let payload = serde_json::to_string(&net).unwrap();
-        let env = Envelope {
-            magic: "dnnspmv".into(),
-            format_version: FORMAT_VERSION + 1,
-            kind: KIND_MODEL.into(),
-            fingerprint: model_fingerprint(&net),
-            checksum: fnv1a64(payload.as_bytes()),
-            payload,
-        };
-        let buf = serde_json::to_string(&env).unwrap();
-        let e = load_model(buf.as_bytes()).unwrap_err();
+        let buf = envelope_with(&tiny(), FORMAT_VERSION + 1, KIND_TEST);
+        let e = read_net(buf.as_bytes()).unwrap_err();
         assert!(matches!(e, NnError::FormatVersion { .. }), "{e}");
     }
 
@@ -335,18 +336,8 @@ mod tests {
         // A v1-era artefact was trained against the 7-format universe;
         // its class labels would silently change meaning if loaded, so
         // it must fail typed, not parse.
-        let net = tiny();
-        let payload = serde_json::to_string(&net).unwrap();
-        let env = Envelope {
-            magic: "dnnspmv".into(),
-            format_version: FORMAT_VERSION - 1,
-            kind: KIND_MODEL.into(),
-            fingerprint: model_fingerprint(&net),
-            checksum: fnv1a64(payload.as_bytes()),
-            payload,
-        };
-        let buf = serde_json::to_string(&env).unwrap();
-        let e = load_model(buf.as_bytes()).unwrap_err();
+        let buf = envelope_with(&tiny(), FORMAT_VERSION - 1, KIND_TEST);
+        let e = read_net(buf.as_bytes()).unwrap_err();
         assert!(
             matches!(
                 e,
@@ -361,31 +352,21 @@ mod tests {
 
     #[test]
     fn wrong_kind_is_rejected() {
-        let net = tiny();
-        let payload = serde_json::to_string(&net).unwrap();
-        let env = Envelope {
-            magic: "dnnspmv".into(),
-            format_version: FORMAT_VERSION,
-            kind: "train-checkpoint".into(),
-            fingerprint: model_fingerprint(&net),
-            checksum: fnv1a64(payload.as_bytes()),
-            payload,
-        };
-        let buf = serde_json::to_string(&env).unwrap();
-        let e = load_model(buf.as_bytes()).unwrap_err();
+        let buf = envelope_with(&tiny(), FORMAT_VERSION, KIND_CHECKPOINT);
+        let e = read_net(buf.as_bytes()).unwrap_err();
         assert!(matches!(e, NnError::WrongKind { .. }), "{e}");
     }
 
     #[test]
-    fn shape_mangled_model_errors_instead_of_panicking() {
+    fn shape_mangled_network_errors_instead_of_panicking() {
         // Mangle the struct (declared channel count no longer matches
-        // the tower layout), re-envelope with a *valid* checksum so the
+        // the tower layout) and save it with a *valid* checksum, so the
         // corruption can only be caught by structural validation.
         let mut net = tiny();
         net.num_channels = 5;
-        let mut buf = Vec::new();
-        save_model(&net, &mut buf).unwrap();
-        let e = load_model(buf.as_slice()).unwrap_err();
+        let file = TmpFile::new("shape_mangled");
+        save_checkpoint(&checkpoint_of(net), 0, &file.0).unwrap();
+        let e = load_checkpoint(&file.0).unwrap_err();
         assert!(matches!(e, NnError::InvalidModel(_)), "{e}");
     }
 
@@ -394,21 +375,21 @@ mod tests {
         // Rewrite a weight tensor's declared shape inside the payload
         // (a corruption serde's derived Deserialize accepts verbatim)
         // and recompute the checksum: only Cnn::validate can catch it.
-        let net = tiny();
-        let payload = serde_json::to_string(&net).unwrap();
+        let payload = serde_json::to_string(&checkpoint_of(tiny())).unwrap();
         let needle = "\"shape\":[4,2,3,3]";
         assert!(payload.contains(needle), "expected a conv weight shape");
         let mangled = payload.replacen(needle, "\"shape\":[4,2,3,4]", 1);
         let env = Envelope {
             magic: "dnnspmv".into(),
             format_version: FORMAT_VERSION,
-            kind: KIND_MODEL.into(),
-            fingerprint: model_fingerprint(&net),
+            kind: KIND_CHECKPOINT.into(),
+            fingerprint: 0,
             checksum: fnv1a64(mangled.as_bytes()),
             payload: mangled,
         };
-        let buf = serde_json::to_string(&env).unwrap();
-        let e = load_model(buf.as_bytes()).unwrap_err();
+        let file = TmpFile::new("tensor_shape");
+        std::fs::write(&file.0, serde_json::to_string(&env).unwrap()).unwrap();
+        let e = load_checkpoint(&file.0).unwrap_err();
         assert!(matches!(e, NnError::InvalidModel(_)), "{e}");
     }
 

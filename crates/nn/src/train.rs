@@ -15,20 +15,17 @@
 //! # Fault tolerance
 //!
 //! Every gradient set passes a `StepGuard` before the optimiser sees
-//! it. Non-finite losses or gradients and (optionally) exploding
-//! global norms mark the step *divergent*: the update is skipped, the
-//! epoch is abandoned, and training rolls back to an in-memory snapshot
-//! of the last epoch boundary — re-shuffling from the restored RNG
-//! state, so the retry replays the exact same batches. Repeated
-//! divergence on one epoch halves the learning rate
-//! ([`DivergenceConfig::lr_backoff`]); exhausting
-//! [`DivergenceConfig::max_rollbacks`] aborts with
-//! [`NnError::Diverged`]. Finite but large gradients can instead be
-//! clipped to [`TrainConfig::grad_clip`] by global norm.
+//! it. A non-finite loss or gradient marks the step *divergent*: the
+//! update is skipped, the epoch is abandoned, and training rolls back
+//! to an in-memory snapshot of the last epoch boundary — re-shuffling
+//! from the restored RNG state, so the retry replays the exact same
+//! batches. Repeated divergence on one epoch multiplies the learning
+//! rate by [`LR_BACKOFF`]; more than [`MAX_ROLLBACKS`] rollbacks abort
+//! the run with [`NnError::Diverged`].
 //!
 //! With [`TrainConfig::checkpoint_dir`] set, an on-disk
-//! [`crate::checkpoint::TrainCheckpoint`] is written atomically at
-//! epoch boundaries; [`TrainConfig::resume_from`] continues a killed
+//! [`crate::checkpoint::TrainCheckpoint`] is written atomically after
+//! every epoch; [`TrainConfig::resume_from`] continues a killed
 //! run bit-identically — the resumed loss history matches an
 //! uninterrupted run's. [`TrainHooks`] expose the seams the
 //! fault-injection tests drive: a per-step gradient hook (poison a
@@ -51,31 +48,14 @@ use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// Divergence detection and recovery policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DivergenceConfig {
-    /// Reject steps whose effective gradient global norm exceeds this
-    /// (`None` = only non-finite losses/gradients count as divergent).
-    /// An `Option` rather than an infinity default because JSON cannot
-    /// represent `inf` — it would round-trip as `null`/NaN.
-    pub max_grad_norm: Option<f32>,
-    /// Abort with [`NnError::Diverged`] after this many rollbacks.
-    pub max_rollbacks: usize,
-    /// Learning-rate multiplier applied when the *same* epoch diverges
-    /// twice in a row (the first retry replays at the current rate, in
-    /// case the divergence was transient).
-    pub lr_backoff: f32,
-}
+/// Rollbacks a run may take before it aborts with
+/// [`NnError::Diverged`].
+pub const MAX_ROLLBACKS: usize = 8;
 
-impl Default for DivergenceConfig {
-    fn default() -> Self {
-        Self {
-            max_grad_norm: None,
-            max_rollbacks: 8,
-            lr_backoff: 0.5,
-        }
-    }
-}
+/// Learning-rate multiplier applied when the *same* epoch diverges
+/// twice in a row (the first retry replays at the current rate, in
+/// case the divergence was transient).
+pub const LR_BACKOFF: f32 = 0.5;
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -92,15 +72,8 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Only update the head (top evolvement).
     pub freeze_towers: bool,
-    /// Clip gradients to this global norm (`None` disables clipping).
-    pub grad_clip: Option<f32>,
-    /// Divergence detection and rollback policy.
-    pub divergence: DivergenceConfig,
-    /// Write a checkpoint into this directory at epoch boundaries.
+    /// Write a checkpoint into this directory after every epoch.
     pub checkpoint_dir: Option<String>,
-    /// Checkpoint every N completed epochs (the final epoch always
-    /// checkpoints when a directory is set; values < 1 behave as 1).
-    pub checkpoint_every: usize,
     /// Resume from this checkpoint file before the first epoch.
     pub resume_from: Option<String>,
     /// GEMM threading policy installed for the duration of the run
@@ -121,10 +94,7 @@ impl Default for TrainConfig {
             optimizer: OptimizerKind::adam(),
             seed: 7,
             freeze_towers: false,
-            grad_clip: None,
-            divergence: DivergenceConfig::default(),
             checkpoint_dir: None,
-            checkpoint_every: 1,
             resume_from: None,
             gemm_threading: GemmThreading::default(),
         }
@@ -150,12 +120,9 @@ pub struct StepTimeStats {
 pub struct RecoveryStats {
     /// Epochs abandoned and replayed from the last good state.
     pub rollbacks: usize,
-    /// Steps rejected by the guard (non-finite or exploding).
+    /// Steps rejected by the guard (non-finite loss or gradients).
     pub divergent_steps: usize,
-    /// Steps whose gradients were clipped to [`TrainConfig::grad_clip`].
-    pub clipped_steps: usize,
-    /// Times the learning rate was multiplied by
-    /// [`DivergenceConfig::lr_backoff`].
+    /// Times the learning rate was multiplied by [`LR_BACKOFF`].
     pub lr_backoffs: usize,
     /// Epoch index a resumed run continued from, if it resumed.
     pub resumed_at_epoch: Option<usize>,
@@ -180,7 +147,7 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             loss_history: Vec::new(),
             epoch_train_acc: Vec::new(),
@@ -260,7 +227,7 @@ pub fn train_with_hooks(
         move |net, samples, batch, opt, guard| {
             let loss =
                 batched_forward_backward(net, samples, batch, opt.freeze_towers(), &mut state);
-            let admitted = guard.admit(loss, &mut state.grads, 1.0);
+            let admitted = guard.admit(loss, &mut state.grads);
             if admitted {
                 opt.step(net, &state.grads, 1.0);
             }
@@ -287,10 +254,7 @@ pub fn train_reference(net: &mut Cnn, samples: &[Sample], cfg: &TrainConfig) -> 
             let lsum = reference_forward_backward(net, samples, batch, &mut accum);
             let scale = 1.0 / batch.len() as f32;
             let loss = lsum * scale;
-            // The accumulator holds the batch *sum*; `scale` makes the
-            // guard's norm test and clipping act on the effective mean
-            // gradient, matching the batched path bit-for-bit in intent.
-            let admitted = guard.admit(loss, &mut accum, scale);
+            let admitted = guard.admit(loss, &mut accum);
             if admitted {
                 opt.step(net, &accum, scale);
             }
@@ -301,36 +265,25 @@ pub fn train_reference(net: &mut Cnn, samples: &[Sample], cfg: &TrainConfig) -> 
 }
 
 /// Per-step gatekeeper between backward and the optimiser: fires the
-/// gradient hook, rejects non-finite or exploding steps, clips large
-/// ones. `scale` is the factor the optimiser will apply to the raw
-/// gradient set (1 for the batched path, 1/batch for the reference
-/// path), so thresholds always compare against the *effective* update.
+/// gradient hook, then rejects steps whose loss or gradients are not
+/// finite.
 struct StepGuard<'h> {
     step_counter: u64,
-    grad_clip: Option<f32>,
-    max_grad_norm: Option<f32>,
     grad_hook: Option<GradHook<'h>>,
     divergent_steps: usize,
-    clipped_steps: usize,
 }
 
 impl<'h> StepGuard<'h> {
-    fn new(cfg: &TrainConfig, hooks: TrainHooks<'h>) -> Self {
+    fn new(hooks: TrainHooks<'h>) -> Self {
         Self {
             step_counter: 0,
-            grad_clip: cfg.grad_clip,
-            max_grad_norm: cfg.divergence.max_grad_norm,
             grad_hook: hooks.grad_hook,
             divergent_steps: 0,
-            clipped_steps: 0,
         }
     }
 
-    /// Returns whether the optimiser may apply this step. Divergent
-    /// steps (non-finite loss/gradients, or effective norm above
-    /// `max_grad_norm`) are rejected; finite norms above `grad_clip`
-    /// are scaled down in place.
-    fn admit(&mut self, loss: f32, grads: &mut CnnGrads, scale: f32) -> bool {
+    /// Returns whether the optimiser may apply this step.
+    fn admit(&mut self, loss: f32, grads: &mut CnnGrads) -> bool {
         self.step_counter += 1;
         if let Some(hook) = self.grad_hook.as_mut() {
             hook(self.step_counter, grads);
@@ -342,22 +295,9 @@ impl<'h> StepGuard<'h> {
             // recovery — chaos drives the guard, it does not bypass it.
             grads.scale(f32::NAN);
         }
-        let norm = grads.global_norm() * scale as f64;
-        if !loss.is_finite() || !norm.is_finite() {
+        if !loss.is_finite() || !grads.global_norm().is_finite() {
             self.divergent_steps += 1;
             return false;
-        }
-        if let Some(max) = self.max_grad_norm {
-            if norm > max as f64 {
-                self.divergent_steps += 1;
-                return false;
-            }
-        }
-        if let Some(clip) = self.grad_clip {
-            if norm > clip as f64 {
-                grads.scale((clip as f64 / norm) as f32);
-                self.clipped_steps += 1;
-            }
         }
         true
     }
@@ -446,7 +386,7 @@ fn train_loop(
         return Ok(report);
     }
     let abort_after_epoch = hooks.abort_after_epoch;
-    let mut guard = StepGuard::new(cfg, hooks);
+    let mut guard = StepGuard::new(hooks);
     let mut opt = Optimizer::new(net, cfg.optimizer, cfg.lr, cfg.freeze_towers);
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -476,7 +416,6 @@ fn train_loop(
         report.recovery.resumed_at_epoch = Some(ck.epoch);
         guard.step_counter = ck.step_counter;
         guard.divergent_steps = report.recovery.divergent_steps;
-        guard.clipped_steps = report.recovery.clipped_steps;
         time_steps = ck.time_steps;
         total_s = ck.total_s;
         min_s = if ck.time_steps > 0 {
@@ -537,14 +476,13 @@ fn train_loop(
             report.recovery.rollbacks += 1;
             obs_rollbacks.inc();
             consecutive_rollbacks += 1;
-            if report.recovery.rollbacks > cfg.divergence.max_rollbacks {
+            if report.recovery.rollbacks > MAX_ROLLBACKS {
                 return Err(NnError::Diverged(format!(
-                    "epoch {epoch} diverged and the rollback budget ({}) is exhausted",
-                    cfg.divergence.max_rollbacks
+                    "epoch {epoch} diverged and the rollback budget ({MAX_ROLLBACKS}) is exhausted"
                 )));
             }
             if consecutive_rollbacks >= 2 {
-                cur_lr *= cfg.divergence.lr_backoff;
+                cur_lr *= LR_BACKOFF;
                 report.recovery.lr_backoffs += 1;
                 obs_lr_backoffs.inc();
             }
@@ -563,41 +501,37 @@ fn train_loop(
         report.epoch_train_acc.push(evaluate(net, samples));
         epoch += 1;
         report.recovery.divergent_steps = guard.divergent_steps;
-        report.recovery.clipped_steps = guard.clipped_steps;
         if let Some(dir) = &cfg.checkpoint_dir {
-            let every = cfg.checkpoint_every.max(1);
-            if epoch.is_multiple_of(every) || epoch == cfg.epochs {
-                let ck = TrainCheckpoint {
-                    epoch,
-                    step_counter: guard.step_counter,
-                    samples_len: samples.len(),
-                    net: net.clone(),
-                    opt: opt.clone(),
-                    report: report.clone(),
-                    time_steps,
-                    total_s,
-                    min_s: if time_steps > 0 { min_s } else { 0.0 },
-                    max_s,
-                };
-                // A failed checkpoint write must not abort training:
-                // the atomic write protocol guarantees the previous
-                // checkpoint is still intact under the final name, so
-                // a full disk costs resumability-freshness, not the
-                // run. Count it and keep going.
-                let written = (|| -> Result<(), NnError> {
-                    dnnspmv_chaos::failpoint!(
-                        dnnspmv_chaos::sites::TRAIN_CHECKPOINT,
-                        Err(NnError::StorageFull(
-                            "chaos: injected checkpoint write failure".into()
-                        ))
-                    );
-                    std::fs::create_dir_all(dir)?;
-                    save_checkpoint(&ck, fingerprint, checkpoint_path(dir))
-                })();
-                match written {
-                    Ok(()) => obs_checkpoints.inc(),
-                    Err(_) => obs_checkpoint_failures.inc(),
-                }
+            let ck = TrainCheckpoint {
+                epoch,
+                step_counter: guard.step_counter,
+                samples_len: samples.len(),
+                net: net.clone(),
+                opt: opt.clone(),
+                report: report.clone(),
+                time_steps,
+                total_s,
+                min_s: if time_steps > 0 { min_s } else { 0.0 },
+                max_s,
+            };
+            // A failed checkpoint write must not abort training:
+            // the atomic write protocol guarantees the previous
+            // checkpoint is still intact under the final name, so
+            // a full disk costs resumability-freshness, not the
+            // run. Count it and keep going.
+            let written = (|| -> Result<(), NnError> {
+                dnnspmv_chaos::failpoint!(
+                    dnnspmv_chaos::sites::TRAIN_CHECKPOINT,
+                    Err(NnError::StorageFull(
+                        "chaos: injected checkpoint write failure".into()
+                    ))
+                );
+                std::fs::create_dir_all(dir)?;
+                save_checkpoint(&ck, fingerprint, checkpoint_path(dir))
+            })();
+            match written {
+                Ok(()) => obs_checkpoints.inc(),
+                Err(_) => obs_checkpoint_failures.inc(),
             }
         }
         if abort_after_epoch == Some(epoch) {
@@ -605,7 +539,6 @@ fn train_loop(
         }
     }
     report.recovery.divergent_steps = guard.divergent_steps;
-    report.recovery.clipped_steps = guard.clipped_steps;
     report.step_time = if time_steps > 0 {
         StepTimeStats {
             steps: time_steps,
@@ -974,19 +907,21 @@ mod tests {
     #[test]
     fn persistent_divergence_errs_after_rollback_budget() {
         // A hook that poisons *every* step can never make progress:
-        // training must give up with NnError::Diverged, not loop.
+        // training must give up with NnError::Diverged, not loop. Each
+        // attempt at epoch 0 diverges on its first step, so the guard
+        // sees exactly one attempt more than the rollback budget.
         let samples = toy_samples(8, 3);
         let mut net = toy_net(4);
         let cfg = TrainConfig {
             epochs: 2,
             batch_size: 4,
-            divergence: DivergenceConfig {
-                max_rollbacks: 3,
-                ..DivergenceConfig::default()
-            },
             ..TrainConfig::default()
         };
-        let mut poison = |_step: u64, grads: &mut CnnGrads| poison_grads(grads);
+        let mut attempts = 0usize;
+        let mut poison = |_step: u64, grads: &mut CnnGrads| {
+            attempts += 1;
+            poison_grads(grads);
+        };
         let err = train_with_hooks(
             &mut net,
             &samples,
@@ -998,6 +933,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, NnError::Diverged(_)), "{err}");
+        assert_eq!(attempts, MAX_ROLLBACKS + 1);
     }
 
     #[test]
@@ -1032,45 +968,6 @@ mod tests {
         assert_eq!(report.recovery.rollbacks, 3);
         assert!(report.recovery.lr_backoffs >= 1, "{:?}", report.recovery);
         assert_eq!(report.epoch_train_acc.len(), cfg.epochs);
-    }
-
-    #[test]
-    fn exploding_norm_threshold_trips_guard() {
-        let samples = toy_samples(8, 7);
-        let mut net = toy_net(8);
-        let cfg = TrainConfig {
-            epochs: 1,
-            batch_size: 4,
-            divergence: DivergenceConfig {
-                // Any real gradient exceeds this.
-                max_grad_norm: Some(1e-12),
-                max_rollbacks: 1,
-                ..DivergenceConfig::default()
-            },
-            ..TrainConfig::default()
-        };
-        let err = train_with_hooks(&mut net, &samples, &cfg, TrainHooks::default()).unwrap_err();
-        assert!(matches!(err, NnError::Diverged(_)), "{err}");
-    }
-
-    #[test]
-    fn gradient_clipping_caps_update_norm_and_still_converges() {
-        let samples = toy_samples(40, 1);
-        let mut net = toy_net(2);
-        let report = train(
-            &mut net,
-            &samples,
-            &TrainConfig {
-                epochs: 8,
-                batch_size: 8,
-                lr: 3e-3,
-                grad_clip: Some(0.05),
-                ..TrainConfig::default()
-            },
-        );
-        assert!(report.recovery.clipped_steps > 0, "{:?}", report.recovery);
-        let after = evaluate(&net, &samples);
-        assert!(after >= 0.95, "clipped-run accuracy only {after}");
     }
 
     #[test]

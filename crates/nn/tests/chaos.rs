@@ -1,20 +1,25 @@
-//! Failpoint-driven storage-fault tests for model persistence and
+//! Failpoint-driven storage-fault tests for artefact envelopes and
 //! checkpointing. Compiled only with the `chaos` feature; each test
 //! arms the process-global registry with a deterministic schedule, so
 //! they serialise on a shared mutex.
 #![cfg(feature = "chaos")]
 
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 use dnnspmv_nn::error::NnError;
 use dnnspmv_nn::network::Sample;
-use dnnspmv_nn::serialize::{load_model_path, save_model_path};
+use dnnspmv_nn::serialize::{model_fingerprint, read_envelope_path, write_envelope_atomic};
 use dnnspmv_nn::structures::{build_cnn, CnnConfig, Merging};
 use dnnspmv_nn::tensor::Tensor;
 use dnnspmv_nn::train::{train_with_hooks, TrainConfig, TrainHooks};
 use dnnspmv_nn::{Cnn, GemmThreading};
 
 static CHAOS: Mutex<()> = Mutex::new(());
+
+/// Kind tag the envelope tests write and read under.
+const KIND_TEST: &str = "test-network";
 
 /// Locks the registry for one test and arms it with `schedule`.
 /// The guard must be held until after `dnnspmv_chaos::deactivate()`.
@@ -57,15 +62,39 @@ fn toy_samples(n: usize) -> Vec<Sample> {
         .collect()
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dnnspmv_chaos_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A directory of this process, removed when dropped (a failed
+/// assertion included), so a run leaves nothing under the temp dir.
+struct TmpDir(PathBuf);
+
+impl TmpDir {
+    fn new(tag: &str) -> Self {
+        let d = std::env::temp_dir().join(format!("dnnspmv_chaos_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        std::fs::create_dir_all(&d).unwrap();
+        Self(d)
+    }
+}
+
+impl Deref for TmpDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn save_net(net: &Cnn, path: &Path) -> Result<(), NnError> {
+    write_envelope_atomic(KIND_TEST, model_fingerprint(net), net, path)
 }
 
 /// Files currently present in `dir` (names only, sorted).
-fn listing(dir: &std::path::Path) -> Vec<String> {
+fn listing(dir: &Path) -> Vec<String> {
     let mut v: Vec<String> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -77,11 +106,11 @@ fn listing(dir: &std::path::Path) -> Vec<String> {
 #[test]
 fn short_write_is_storage_full_and_leaves_no_artefact() {
     let guard = armed(11, "nn.envelope.write=err");
-    let dir = temp_dir("short_write");
+    let dir = TmpDir::new("short_write");
     let path = dir.join("model.json");
     let net = toy_net(3);
 
-    let err = save_model_path(&net, &path).unwrap_err();
+    let err = save_net(&net, &path).unwrap_err();
     assert!(
         matches!(err, NnError::StorageFull(_)),
         "ENOSPC mid-write must surface as the typed StorageFull class, got {err:?}"
@@ -94,23 +123,23 @@ fn short_write_is_storage_full_and_leaves_no_artefact() {
     // Disarm and retry: the same path now round-trips.
     dnnspmv_chaos::deactivate();
     drop(guard);
-    save_model_path(&net, &path).unwrap();
-    let loaded = load_model_path(&path).unwrap();
-    assert_eq!(loaded.num_channels, net.num_channels);
+    save_net(&net, &path).unwrap();
+    let (loaded, _): (Cnn, u64) = read_envelope_path(KIND_TEST, &path).unwrap();
+    assert_eq!(loaded, net);
 }
 
 #[test]
 fn fsync_and_rename_failures_leave_old_artefact_intact() {
-    let dir = temp_dir("fsync_rename");
+    let dir = TmpDir::new("fsync_rename");
     let path = dir.join("model.json");
     let net = toy_net(5);
     // Establish a good artefact first, then fail each late stage once.
-    save_model_path(&net, &path).unwrap();
+    save_net(&net, &path).unwrap();
     let good = std::fs::read(&path).unwrap();
 
     for schedule in ["nn.envelope.fsync=errx1", "nn.envelope.rename=errx1"] {
         let guard = armed(17, schedule);
-        let err = save_model_path(&net, &path).unwrap_err();
+        let err = save_net(&net, &path).unwrap_err();
         assert!(
             matches!(err, NnError::Io(_)),
             "{schedule}: late-stage failures are plain Io, got {err:?}"
@@ -133,7 +162,7 @@ fn fsync_and_rename_failures_leave_old_artefact_intact() {
 #[test]
 fn checkpoint_write_failure_does_not_abort_training() {
     let guard = armed(23, "nn.train.checkpoint=err");
-    let dir = temp_dir("ck_fail");
+    let dir = TmpDir::new("ck_fail");
     let failures = dnnspmv_obs::global().counter("train_checkpoint_failures_total", &[]);
     let before = failures.get();
 
@@ -167,7 +196,7 @@ fn checkpoint_failure_keeps_last_good_checkpoint() {
     // First epoch checkpoints cleanly; the second write fails. The
     // epoch-1 checkpoint must survive under the final name.
     let guard = armed(29, "nn.train.checkpoint=err@after(1)");
-    let dir = temp_dir("ck_keep");
+    let dir = TmpDir::new("ck_keep");
     let mut net = toy_net(13);
     let cfg = TrainConfig {
         epochs: 2,
@@ -181,7 +210,7 @@ fn checkpoint_failure_keeps_last_good_checkpoint() {
     dnnspmv_chaos::deactivate();
     drop(guard);
 
-    let ck_file = dnnspmv_nn::checkpoint_path(&dir);
+    let ck_file = dnnspmv_nn::checkpoint_path(&*dir);
     let (ck, _) = dnnspmv_nn::load_checkpoint(&ck_file).expect("last good checkpoint readable");
     assert_eq!(ck.epoch, 1, "epoch-1 checkpoint survived");
 }
@@ -226,7 +255,7 @@ fn train_step_failpoint_fires_under_threaded_gemm() {
 #[test]
 fn resume_read_failure_is_typed_not_a_panic() {
     // Write a real checkpoint, then inject a read failure on resume.
-    let dir = temp_dir("resume_fail");
+    let dir = TmpDir::new("resume_fail");
     let mut net = toy_net(19);
     let cfg = TrainConfig {
         epochs: 1,
@@ -238,7 +267,7 @@ fn resume_read_failure_is_typed_not_a_panic() {
     };
     let samples = toy_samples(16);
     train_with_hooks(&mut net, &samples, &cfg, TrainHooks::default()).unwrap();
-    let ck_file = dnnspmv_nn::checkpoint_path(&dir);
+    let ck_file = dnnspmv_nn::checkpoint_path(&*dir);
     assert!(ck_file.exists());
 
     let guard = armed(31, "nn.train.resume=err");

@@ -3,9 +3,11 @@
 
 use dnnspmv_nn::checkpoint::{
     checkpoint_path, load_checkpoint, save_checkpoint, train_fingerprint, TrainCheckpoint,
+    KIND_CHECKPOINT,
 };
 use dnnspmv_nn::error::NnError;
 use dnnspmv_nn::network::Sample;
+use dnnspmv_nn::serialize::{fnv1a64, FORMAT_VERSION};
 use dnnspmv_nn::structures::{build_cnn, CnnConfig, Merging};
 use dnnspmv_nn::tensor::Tensor;
 use dnnspmv_nn::train::{train_with_hooks, TrainConfig, TrainHooks};
@@ -298,6 +300,56 @@ fn corrupted_checkpoint_file_is_a_typed_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn checkpoint_with_retired_recovery_field_still_loads() {
+    // Checkpoints written before gradient clipping was retired carry
+    // its step counter in the report's recovery stats. Payload fields
+    // are looked up by name and unknown keys are ignored, so such a
+    // file loads under the same format version and resumes.
+    let samples = toy_samples(16, 3);
+    let dir = temp_dir("retired_field");
+    let cfg = TrainConfig {
+        epochs: 1,
+        batch_size: 8,
+        checkpoint_dir: Some(dir.to_string_lossy().into_owned()),
+        ..TrainConfig::default()
+    };
+    let mut net = toy_net(1);
+    train_with_hooks(&mut net, &samples, &cfg, TrainHooks::default()).unwrap();
+    let path = checkpoint_path(&dir);
+    let (ck, fingerprint) = load_checkpoint(&path).unwrap();
+
+    let payload = serde_json::to_string(&ck).unwrap().replacen(
+        r#""recovery":{"#,
+        r#""recovery":{"clipped_steps":0,"#,
+        1,
+    );
+    assert!(payload.contains("clipped_steps"));
+    let envelope = format!(
+        r#"{{"magic":"dnnspmv","format_version":{FORMAT_VERSION},"kind":"{KIND_CHECKPOINT}","fingerprint":{fingerprint},"checksum":{},"payload":{}}}"#,
+        fnv1a64(payload.as_bytes()),
+        serde_json::to_string(&payload).unwrap(),
+    );
+    std::fs::write(&path, envelope).unwrap();
+    let (back, stored) = load_checkpoint(&path).unwrap();
+    assert_eq!(stored, fingerprint);
+    assert_eq!(back, ck);
+
+    let resume = TrainConfig {
+        epochs: 2,
+        checkpoint_dir: None,
+        resume_from: Some(path.to_string_lossy().into_owned()),
+        ..cfg
+    };
+    let mut resumed_net = toy_net(1);
+    let report =
+        train_with_hooks(&mut resumed_net, &samples, &resume, TrainHooks::default()).unwrap();
+    assert_eq!(report.recovery.resumed_at_epoch, Some(1));
+    assert_eq!(report.epoch_train_acc.len(), 2);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -341,6 +393,6 @@ proptest! {
         let (back, stored_fp) = load_checkpoint(&path).unwrap();
         prop_assert_eq!(stored_fp, fp);
         prop_assert_eq!(back, ck);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

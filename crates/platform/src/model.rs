@@ -181,13 +181,6 @@ impl PlatformModel {
         &self.formats
     }
 
-    /// Replaces the candidate set (for ablations).
-    pub fn with_formats(mut self, formats: Vec<SparseFormat>) -> Self {
-        assert!(!formats.is_empty(), "need at least one format");
-        self.formats = formats;
-        self
-    }
-
     fn bias_of(&self, f: SparseFormat) -> f64 {
         self.bias[f
             .label_in(&SparseFormat::ALL)

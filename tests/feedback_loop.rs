@@ -10,7 +10,7 @@
 //! `#[ignore]`d and runs `--release` in the CI soak job.
 
 use dnnspmv_bench::closed_loop::{overhead_probe, run_closed_loop, ClosedLoopConfig};
-use dnnspmv_feedback::DriftConfig;
+use dnnspmv_feedback::{DriftConfig, DRIFT_THRESHOLD};
 
 fn config() -> ClosedLoopConfig {
     ClosedLoopConfig {
@@ -21,7 +21,6 @@ fn config() -> ClosedLoopConfig {
         drift: DriftConfig {
             window: 64,
             min_samples: 16,
-            threshold: 0.7,
         },
         ..ClosedLoopConfig::default()
     }
@@ -34,14 +33,14 @@ fn closed_loop_drifts_evolves_promotes_and_rolls_back() {
     // Steady phase: the selector agrees with the (unrotated) measured
     // labels and the detector stays quiet.
     assert!(
-        report.steady_accuracy >= report.drift_threshold,
+        report.steady_accuracy >= DRIFT_THRESHOLD,
         "steady accuracy {:.3} below threshold",
         report.steady_accuracy
     );
     // The environment change must trip the detector...
     assert!(report.drift_tripped, "drift never tripped");
     assert!(
-        report.drifted_accuracy < report.drift_threshold,
+        report.drifted_accuracy < DRIFT_THRESHOLD,
         "drifted accuracy {:.3} did not collapse",
         report.drifted_accuracy
     );
@@ -65,14 +64,14 @@ fn closed_loop_drifts_evolves_promotes_and_rolls_back() {
     assert!(
         report.recovered,
         "post-promotion accuracy {:.3} below threshold {:.3}",
-        report.recovered_accuracy, report.drift_threshold
+        report.recovered_accuracy, DRIFT_THRESHOLD
     );
     // ...and the forced bad promotion must roll back, after which the
     // good generation serves again.
     assert!(report.rollback, "bad promotion was not rolled back");
     assert_eq!(report.rollback_total, 1);
     assert!(
-        report.post_rollback_accuracy >= report.drift_threshold,
+        report.post_rollback_accuracy >= DRIFT_THRESHOLD,
         "post-rollback accuracy {:.3} did not recover",
         report.post_rollback_accuracy
     );
