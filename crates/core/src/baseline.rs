@@ -148,6 +148,31 @@ mod tests {
         assert!(acc > 0.8, "in-sample accuracy only {acc}");
     }
 
+    /// Labelling and training on a fixed corpus serialise to pinned
+    /// bytes, on the CPU and the GPU format sets. The labels read every
+    /// `MatrixStats` field through the cost model and the tree reads
+    /// every feature, so a change in how either is counted that moves
+    /// one bit moves the pin.
+    #[test]
+    fn training_on_a_fixed_corpus_serialises_to_pinned_bytes() {
+        let data = Dataset::generate(&DatasetSpec {
+            n_base: 120,
+            dim_min: 48,
+            dim_max: 256,
+            ..DatasetSpec::tiny(5)
+        });
+        let pinned = [
+            (PlatformModel::intel_cpu(), 616, 0x6673_032f_b13b_6d67),
+            (PlatformModel::nvidia_gpu(), 1450, 0x226c_6165_da15_18ab),
+        ];
+        for (platform, len, hash) in pinned {
+            let labels = label_dataset(&data.matrices, &platform);
+            let dt = DtSelector::train(&data.matrices, &labels, platform.formats().to_vec());
+            let json = serde_json::to_string(&dt).unwrap();
+            assert_eq!((json.len(), fnv1a64(json.as_bytes())), (len, hash));
+        }
+    }
+
     #[test]
     fn predictions_come_from_the_format_set() {
         let data = Dataset::generate(&DatasetSpec {

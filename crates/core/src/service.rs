@@ -51,9 +51,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// tree is asked first only when `(nnz + nrows + ncols) ·
 /// TREE_UNIT_MACS ≤ Cnn::macs(1)`, i.e. when its feature pass is
 /// estimated to be cheaper than one forward. Measured on a 2-core x86
-/// host (DESIGN §4.4): the feature pass (`MatrixStats::compute`) costs
-/// about 1.8 ns per unit and a batch-of-one forward 0.08–0.10 ns per
-/// MAC, so one unit is worth about 20 MACs.
+/// host (DESIGN §4.4): the feature pass (one store-only sweep,
+/// `StructureCounts::count`) costs about 0.7–1.0 ns per unit and a
+/// batch-of-one forward 0.06–0.12 ns per MAC, so one unit is worth
+/// 6–17 MACs. The constant is conservative: it was set when the pass
+/// cost 1.8 ns per unit, and is kept because any value from 6 to 72
+/// splits the benchmark's workloads the same way.
 pub const TREE_UNIT_MACS: u64 = 20;
 
 /// Which rung of the ladder produced a [`Selection`].

@@ -18,9 +18,10 @@
 //!   frame. [`replay`] stops a segment at the first incomplete frame
 //!   and reports the bytes it ignored; [`JournalWriter::open`]
 //!   truncates the same tail so new records never append behind
-//!   garbage. A *complete* frame whose checksum mismatches (bit rot)
-//!   is skipped and counted — framing is intact, so later records are
-//!   still recovered.
+//!   garbage, and a write that fails part-way is cut off at once by the
+//!   writer itself (see [`JournalWriter::append`]). A *complete* frame
+//!   whose checksum mismatches (bit rot) is skipped and counted —
+//!   framing is intact, so later records are still recovered.
 //!
 //! Replay never panics on any byte sequence: every malformed shape maps
 //! to a counter in [`ReplayReport`].
@@ -213,6 +214,9 @@ pub struct JournalWriter {
     segment_bytes: u64,
     /// Torn-tail bytes truncated while opening (0 on a clean open).
     repaired_bytes: u64,
+    /// A failed write left bytes past `segment_bytes` that could not be
+    /// truncated; appends fail until a rotate or reopen.
+    poisoned: bool,
 }
 
 impl JournalWriter {
@@ -258,6 +262,7 @@ impl JournalWriter {
             segment_index,
             segment_bytes: keep,
             repaired_bytes: repaired,
+            poisoned: false,
         })
     }
 
@@ -274,11 +279,24 @@ impl JournalWriter {
     /// Appends one record (length-prefixed, checksummed), rotating to a
     /// fresh segment afterwards if the size budget is exceeded.
     ///
+    /// A write that fails part-way (a full disk mid-frame) costs only its
+    /// own record: the segment is truncated back to its last good length
+    /// and the writer seeks there, so every record acknowledged before or
+    /// after it replays. If that truncate fails too, the writer is
+    /// poisoned: every append returns [`FeedbackError::Io`] until a
+    /// [`Self::rotate`] succeeds or the journal is reopened (which cuts
+    /// the torn tail).
+    ///
     /// With [`JournalConfig::sync_each_append`], a failed fsync returns
     /// `Err` after the frame was written: the record is not known to be
     /// durable, but it is in the segment, and replay of a journal that
     /// did not crash reads it.
     pub fn append(&mut self, record: &FeedbackRecord) -> Result<(), FeedbackError> {
+        if self.poisoned {
+            return Err(FeedbackError::Io(std::io::Error::other(
+                "journal segment ends in a torn frame that could not be cut; rotate or reopen",
+            )));
+        }
         let payload = serde_json::to_string(record)
             .map_err(|e| FeedbackError::Serde(e.to_string()))?
             .into_bytes();
@@ -295,14 +313,14 @@ impl JournalWriter {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
-        dnnspmv_chaos::failpoint!(
-            dnnspmv_chaos::sites::JOURNAL_APPEND,
-            Err(FeedbackError::StorageFull(
-                "chaos: injected ENOSPC on journal append".into()
-            ))
-        );
-        self.file.write_all(&frame)?;
-        self.file.flush()?;
+        if let Err(e) = self.write_frame(&frame) {
+            let keep = self.segment_bytes;
+            let cut = self.file.set_len(keep);
+            self.poisoned = cut
+                .and_then(|()| self.file.seek(SeekFrom::Start(keep)))
+                .is_err();
+            return Err(e);
+        }
         self.segment_bytes += frame.len() as u64;
         if self.cfg.sync_each_append {
             dnnspmv_chaos::failpoint!(
@@ -316,6 +334,21 @@ impl JournalWriter {
         if self.segment_bytes > self.cfg.max_segment_bytes {
             self.rotate()?;
         }
+        Ok(())
+    }
+
+    fn write_frame(&mut self, frame: &[u8]) -> Result<(), FeedbackError> {
+        #[cfg(feature = "chaos")]
+        if dnnspmv_chaos::should_fail(dnnspmv_chaos::sites::JOURNAL_APPEND) {
+            // ENOSPC mid-frame: half the frame lands, then the device is
+            // full, as a real short write leaves it.
+            self.file.write_all(&frame[..frame.len() / 2])?;
+            return Err(FeedbackError::StorageFull(
+                "chaos: injected ENOSPC half-way through a journal frame".into(),
+            ));
+        }
+        self.file.write_all(frame)?;
+        self.file.flush()?;
         Ok(())
     }
 
@@ -350,6 +383,7 @@ impl JournalWriter {
         file.seek(SeekFrom::End(0))?;
         self.file = file;
         self.segment_bytes = SEGMENT_MAGIC.len() as u64;
+        self.poisoned = false;
         Ok(())
     }
 }
@@ -440,6 +474,34 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(report.segments, 1, "no spurious rotation on reopen");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_cut_poisons_the_writer_until_a_rotate() {
+        let dir = tmp_dir("poison");
+        let mut w = JournalWriter::open(&dir, JournalConfig::default()).unwrap();
+        w.append(&sample_record(0)).unwrap();
+        // A read-only handle on the segment: the write fails, and so does
+        // cutting the segment back.
+        w.file = File::open(dir.join(segment_name(0))).unwrap();
+        assert!(matches!(
+            w.append(&sample_record(1)),
+            Err(FeedbackError::Io(_))
+        ));
+        match w.append(&sample_record(2)) {
+            Err(FeedbackError::Io(e)) => assert!(e.to_string().contains("rotate or reopen"), "{e}"),
+            other => panic!("a poisoned writer must refuse with Io, got {other:?}"),
+        }
+        w.rotate().unwrap();
+        w.append(&sample_record(3)).unwrap();
+        drop(w);
+        let (records, report) = replay(&dir).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(
+            records.iter().map(|r| r.seq).collect::<Vec<_>>(),
+            vec![0, 3]
+        );
+        assert_eq!(report.corrupt_records + report.torn_segments, 0);
     }
 
     #[test]

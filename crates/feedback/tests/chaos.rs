@@ -106,6 +106,47 @@ fn journal_replays_exactly_the_successful_appends() {
     assert_eq!(report.torn_segments, 0);
 }
 
+#[test]
+fn half_frame_writes_lose_no_acknowledged_record() {
+    // The append site writes half a frame before reporting the full
+    // disk. Every append that returned `Ok` must replay, in order, and a
+    // reopen must find no torn tail to cut (which would take the
+    // records behind the torn frame with it).
+    let guard = armed(59, "feedback.journal.append=err@every(3)");
+    let dir = TmpDir::new("half-frame");
+    let mut writer = JournalWriter::open(&dir, JournalConfig::default()).unwrap();
+    let mut acked = Vec::new();
+    for seq in 0..12 {
+        match writer.append(&record(seq)) {
+            Ok(()) => acked.push(seq),
+            Err(FeedbackError::StorageFull(_)) => {}
+            Err(other) => panic!("a short write must stay typed as a full disk, got {other:?}"),
+        }
+    }
+    assert_eq!(acked.len(), 8, "every(3) fails every third append");
+    drop(writer);
+    dnnspmv_chaos::deactivate();
+    drop(guard);
+
+    let replayed = |dir: &Path| {
+        let (records, report) = replay(dir).unwrap();
+        assert_eq!(report.corrupt_records, 0, "no frame swallowed another");
+        assert_eq!(report.torn_tail_bytes, 0, "no half frame left behind");
+        records.iter().map(|r| r.seq).collect::<Vec<_>>()
+    };
+    assert_eq!(
+        replayed(&dir),
+        acked,
+        "replay reads every acknowledged record, in order"
+    );
+    let mut writer = JournalWriter::open(&dir, JournalConfig::default()).unwrap();
+    assert_eq!(writer.repaired_bytes(), 0);
+    writer.append(&record(12)).unwrap();
+    drop(writer);
+    acked.push(12);
+    assert_eq!(replayed(&dir), acked);
+}
+
 /// Bytes of a journal's first segment.
 fn first_segment_len(dir: &Path) -> u64 {
     std::fs::metadata(dir.join("segment-000000.dnj"))

@@ -49,12 +49,6 @@ impl<S: Scalar> DenseMatrix<S> {
         self.data[r * self.ncols + c]
     }
 
-    /// Mutable element accessor.
-    #[inline]
-    pub fn get_mut(&mut self, r: usize, c: usize) -> &mut S {
-        &mut self.data[r * self.ncols + c]
-    }
-
     /// Raw row-major data.
     #[inline]
     pub fn data(&self) -> &[S] {
@@ -104,11 +98,11 @@ mod tests {
     }
 
     #[test]
-    fn get_and_set_round_trip() {
-        let mut d = DenseMatrix::<f32>::zeros(2, 2);
-        *d.get_mut(1, 0) = 4.5;
+    fn get_reads_row_major() {
+        let d = DenseMatrix::<f32>::from_row_major(2, 2, vec![0.0, 0.0, 4.5, 0.0]);
         assert_eq!(d.get(1, 0), 4.5);
         assert_eq!(d.get(0, 0), 0.0);
+        assert_eq!(DenseMatrix::<f32>::zeros(2, 2).data(), &[0.0; 4]);
     }
 
     #[test]

@@ -116,15 +116,6 @@ impl<S: Scalar> DiaMatrix<S> {
         &self.offsets
     }
 
-    /// Fraction of the materialised lanes that holds real nonzeros;
-    /// DIA is competitive only when this is close to 1.
-    pub fn fill_ratio(&self) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        self.nnz as f64 / self.data.len() as f64
-    }
-
     /// Bytes occupied by offsets plus lane data.
     pub fn storage_bytes(&self) -> usize {
         self.offsets.len() * 8 + self.data.len() * S::BYTES
@@ -240,11 +231,11 @@ mod tests {
         let t: Vec<_> = (0..8).map(|i| (i, i, 1.0)).collect();
         let coo = CooMatrix::from_triplets(8, 8, &t).unwrap();
         let dia = DiaMatrix::from_coo(&coo).unwrap();
-        assert_eq!(dia.fill_ratio(), 1.0);
+        assert_eq!(dia.data.len(), dia.nnz, "every lane slot used");
         // Single off-corner entry: 1 of 8 slots used.
         let coo = CooMatrix::from_triplets(8, 8, &[(7, 0, 1.0)]).unwrap();
         let dia = DiaMatrix::from_coo(&coo).unwrap();
-        assert_eq!(dia.fill_ratio(), 1.0 / 8.0);
+        assert_eq!((dia.nnz, dia.data.len()), (1, 8), "1 of 8 lane slots used");
     }
 
     #[test]

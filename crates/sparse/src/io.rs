@@ -249,15 +249,6 @@ pub fn write_matrix_market<S: Scalar, W: Write>(
     Ok(())
 }
 
-/// Writes a MatrixMarket file to disk.
-pub fn write_matrix_market_path<S: Scalar, P: AsRef<Path>>(
-    matrix: &CooMatrix<S>,
-    path: P,
-) -> Result<(), SparseError> {
-    let f = std::fs::File::create(path)?;
-    write_matrix_market(matrix, std::io::BufWriter::new(f))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,7 +414,7 @@ mod tests {
         let dir = std::env::temp_dir().join("dnnspmv_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.mtx");
-        write_matrix_market_path(&m, &p).unwrap();
+        write_matrix_market(&m, std::fs::File::create(&p).unwrap()).unwrap();
         let back: CooMatrix<f64> = read_matrix_market_path(&p).unwrap();
         assert_eq!(back, m);
         std::fs::remove_file(&p).ok();

@@ -6,7 +6,8 @@
 //! from the GPU side (the cuSPARSE set), and SELL-C-σ from the
 //! follow-on many-core literature (arXiv:1805.11938) — together with one
 //! sparse matrix–vector multiplication (SpMV) kernel per format, format
-//! conversions, single-pass structural statistics, and MatrixMarket I/O.
+//! conversions, structural statistics from one store-only sweep, and
+//! MatrixMarket I/O.
 //!
 //! BSR and CSR5 (GPU set) and merge-path CSR (many-core set) are names
 //! only: they stay [`SparseFormat`] variants so the cost models can
@@ -70,4 +71,4 @@ pub use hyb::HybMatrix;
 pub use scalar::Scalar;
 pub use sell::SellMatrix;
 pub use spmv::Spmv;
-pub use stats::MatrixStats;
+pub use stats::{MatrixStats, StructureCounts};

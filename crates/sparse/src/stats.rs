@@ -1,8 +1,10 @@
-//! Single-pass structural statistics of a sparse matrix.
+//! Structural statistics of a sparse matrix, from one store-only sweep.
 //!
-//! These drive both the analytic platform cost models (which formats
-//! pay for padding, imbalance, and irregularity) and the SMAT-style
-//! feature vector of the decision-tree baseline.
+//! [`StructureCounts::count`] is the only place row lengths and diagonal
+//! occupancy are counted: it reads the index arrays once, never the
+//! values, and is all the decision-tree baseline's SMAT features need.
+//! [`MatrixStats::compute`] adds one loop for what only the analytic
+//! cost models read (bandwidth, diagonal distance, 4x4 block fill).
 
 use crate::coo::CooMatrix;
 use crate::scalar::Scalar;
@@ -12,6 +14,105 @@ use serde::{Deserialize, Serialize};
 /// GPU experiments price BSR with `4 x 4` blocks. BSR has no storage
 /// type, so this is the one place the edge is set.
 const STAT_BLOCK: usize = 4;
+
+/// Row lengths and diagonal occupancy; the ratios derived from them are
+/// the same-named [`MatrixStats`] fields. `row_len_sq_sum` is exact, and
+/// converted once equals a row-by-row `f64` sum while below 2^53.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StructureCounts {
+    /// Number of rows.
+    pub nrows: usize,
+    /// Number of columns.
+    pub ncols: usize,
+    /// Number of stored nonzeros.
+    pub nnz: usize,
+    /// Shortest row (in nonzeros).
+    pub row_min: usize,
+    /// Longest row (in nonzeros).
+    pub row_max: usize,
+    /// Rows with no nonzeros at all.
+    pub empty_rows: usize,
+    /// Sum over rows of the squared row length.
+    pub row_len_sq_sum: u128,
+    /// Number of distinct occupied diagonals.
+    pub ndiags: usize,
+}
+
+impl StructureCounts {
+    /// Counts the structure: O(nrows + ncols + nnz) time, two tables.
+    pub fn count<S: Scalar>(coo: &CooMatrix<S>) -> Self {
+        let (nrows, ncols) = (coo.nrows(), coo.ncols());
+        // Two plain stores per nonzero: rows are sorted, so a row's last
+        // nonzero leaves the row's end behind (0 marks an empty row), and
+        // any nonzero on a diagonal (offsets -(nrows-1) ..= ncols-1) sets it.
+        let mut row_end = vec![0usize; nrows];
+        let mut diag_seen = vec![false; nrows + ncols - 1];
+        let rows_cols = coo.row_indices().iter().zip(coo.col_indices());
+        for (i, (&r, &c)) in rows_cols.enumerate() {
+            row_end[r as usize] = i + 1;
+            diag_seen[c as usize + nrows - 1 - r as usize] = true;
+        }
+        let mut row_min = if nrows == 0 { 0 } else { usize::MAX };
+        let (mut row_max, mut empty_rows, mut row_len_sq_sum) = (0, 0, 0u128);
+        let mut start = 0;
+        for &end in &row_end {
+            // An empty row (0) ends where the row before it did: a mask,
+            // not a branch, which mispredicts on scattered rows.
+            let end = end | (start & usize::from(end == 0).wrapping_neg());
+            let len = end - start;
+            start = end;
+            row_min = row_min.min(len);
+            row_max = row_max.max(len);
+            empty_rows += usize::from(len == 0);
+            row_len_sq_sum += (len * len) as u128;
+        }
+        Self {
+            nrows,
+            ncols,
+            nnz: coo.nnz(),
+            row_min,
+            row_max,
+            empty_rows,
+            row_len_sq_sum,
+            ndiags: diag_seen.iter().filter(|&&seen| seen).count(),
+        }
+    }
+
+    /// `nnz / (nrows * ncols)`.
+    pub fn density(&self) -> f64 {
+        self.nnz as f64 / (self.nrows as f64 * self.ncols as f64)
+    }
+
+    /// Mean, standard deviation and coefficient of variation of the row
+    /// lengths (the CV is 0 for an empty matrix).
+    pub fn row_moments(&self) -> (f64, f64, f64) {
+        let rows = self.nrows as f64;
+        let mean = self.nnz as f64 / rows;
+        let std = (self.row_len_sq_sum as f64 / rows - mean * mean)
+            .max(0.0)
+            .sqrt();
+        (mean, std, if mean > 0.0 { std / mean } else { 0.0 })
+    }
+
+    /// `nnz / (ndiags * nrows)`, 0 without diagonals.
+    pub fn dia_fill(&self) -> f64 {
+        fill(self.nnz, self.ndiags as f64 * self.nrows as f64)
+    }
+
+    /// `nnz / (nrows * row_max)`, 0 without nonzeros.
+    pub fn ell_fill(&self) -> f64 {
+        fill(self.nnz, self.nrows as f64 * self.row_max as f64)
+    }
+}
+
+/// `nnz / slots`, 0 when there are no slots.
+fn fill(nnz: usize, slots: f64) -> f64 {
+    if slots > 0.0 {
+        nnz as f64 / slots
+    } else {
+        0.0
+    }
+}
 
 /// Structural summary of a sparse matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,97 +157,48 @@ pub struct MatrixStats {
 }
 
 impl MatrixStats {
-    /// Computes all statistics. O(nrows + ncols + nnz) time and
-    /// O(nrows + ncols) memory.
+    /// Computes all statistics: [`StructureCounts::count`] plus one loop
+    /// over the index arrays, O(nrows + ncols + nnz). The distance sum is
+    /// exact, and equals an `f64` running sum while below 2^53.
     pub fn compute<S: Scalar>(coo: &CooMatrix<S>) -> Self {
-        let (nrows, ncols, nnz) = (coo.nrows(), coo.ncols(), coo.nnz());
-        let ptr = coo.row_offsets();
-        let mut row_min = usize::MAX;
-        let mut row_max = 0usize;
-        let mut empty_rows = 0usize;
-        let mut sum = 0usize;
-        let mut sumsq = 0f64;
-        for r in 0..nrows {
-            let len = ptr[r + 1] - ptr[r];
-            row_min = row_min.min(len);
-            row_max = row_max.max(len);
-            if len == 0 {
-                empty_rows += 1;
-            }
-            sum += len;
-            sumsq += (len * len) as f64;
-        }
-        if nrows == 0 {
-            row_min = 0;
-        }
-        let row_mean = sum as f64 / nrows as f64;
-        let var = (sumsq / nrows as f64 - row_mean * row_mean).max(0.0);
-        let row_std = var.sqrt();
-        let row_cv = if row_mean > 0.0 {
-            row_std / row_mean
-        } else {
-            0.0
-        };
-
-        // Diagonal occupancy via a dense offset table (offset range is
-        // -(nrows-1) ..= (ncols-1)). Occupied 4x4 blocks in the same
-        // pass: the nonzeros of one block row are contiguous in the
-        // sorted order, so a block is new iff its block column does not
-        // carry the current block row's stamp yet.
-        let mut diag_seen = vec![false; nrows + ncols - 1];
-        let mut block_stamp = vec![0u32; ncols.div_ceil(STAT_BLOCK)];
-        let mut nblocks = 0usize;
-        let mut bandwidth = 0usize;
-        let mut dist_sum = 0f64;
-        let mut on_main = 0usize;
-        for (r, c, _) in coo.iter() {
-            let off = c as i64 - r as i64;
-            diag_seen[(off + nrows as i64 - 1) as usize] = true;
-            let dist = off.unsigned_abs() as usize;
+        let counts = StructureCounts::count(coo);
+        // Occupied 4x4 blocks: the nonzeros of one block row are
+        // contiguous in the sorted order, so a block is new iff its
+        // block column does not carry the current block row's stamp yet.
+        let mut block_stamp = vec![0u32; counts.ncols.div_ceil(STAT_BLOCK)];
+        let (mut nblocks, mut bandwidth, mut dist_sum, mut on_main) = (0, 0, 0u128, 0);
+        for (&r, &c) in coo.row_indices().iter().zip(coo.col_indices()) {
+            let dist = r.abs_diff(c) as usize;
             bandwidth = bandwidth.max(dist);
-            dist_sum += dist as f64;
-            if off == 0 {
-                on_main += 1;
-            }
-            let stamp = (r / STAT_BLOCK) as u32 + 1;
-            let seen = &mut block_stamp[c / STAT_BLOCK];
+            dist_sum += dist as u128;
+            on_main += usize::from(dist == 0);
+            let stamp = r / STAT_BLOCK as u32 + 1;
+            let seen = &mut block_stamp[c as usize / STAT_BLOCK];
             nblocks += usize::from(*seen != stamp);
             *seen = stamp;
         }
-        let ndiags = diag_seen.iter().filter(|&&b| b).count();
-
-        let nnzf = nnz as f64;
+        let (row_mean, row_std, row_cv) = counts.row_moments();
+        let nnz = counts.nnz;
+        let per_nonzero = |n: f64| if nnz > 0 { n / nnz as f64 } else { 0.0 };
         Self {
-            nrows,
-            ncols,
+            nrows: counts.nrows,
+            ncols: counts.ncols,
             nnz,
-            density: nnzf / (nrows as f64 * ncols as f64),
-            row_min,
-            row_max,
+            density: counts.density(),
+            row_min: counts.row_min,
+            row_max: counts.row_max,
             row_mean,
             row_std,
             row_cv,
-            empty_rows,
-            ndiags,
-            dia_fill: if ndiags > 0 {
-                nnzf / (ndiags as f64 * nrows as f64)
-            } else {
-                0.0
-            },
-            ell_fill: if row_max > 0 {
-                nnzf / (nrows as f64 * row_max as f64)
-            } else {
-                0.0
-            },
+            empty_rows: counts.empty_rows,
+            ndiags: counts.ndiags,
+            dia_fill: counts.dia_fill(),
+            ell_fill: counts.ell_fill(),
             nblocks,
-            bsr_fill: if nblocks > 0 {
-                nnzf / (nblocks as f64 * (STAT_BLOCK * STAT_BLOCK) as f64)
-            } else {
-                0.0
-            },
+            bsr_fill: fill(nnz, nblocks as f64 * (STAT_BLOCK * STAT_BLOCK) as f64),
             bandwidth,
-            mean_diag_distance: if nnz > 0 { dist_sum / nnzf } else { 0.0 },
-            main_diag_fraction: if nnz > 0 { on_main as f64 / nnzf } else { 0.0 },
+            mean_diag_distance: per_nonzero(dist_sum as f64),
+            main_diag_fraction: per_nonzero(on_main as f64),
         }
     }
 }

@@ -288,17 +288,6 @@ impl DecisionTree {
         walk(&self.root, self.n_features, self.config.n_classes, 0)
     }
 
-    /// Number of decision nodes plus leaves.
-    pub fn node_count(&self) -> usize {
-        fn walk(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => 1 + walk(left) + walk(right),
-            }
-        }
-        walk(&self.root)
-    }
-
     /// Tree depth (leaf-only tree = 0).
     pub fn depth(&self) -> usize {
         fn walk(n: &Node) -> usize {
@@ -383,7 +372,7 @@ mod tests {
         let x = vec![vec![1.0], vec![2.0], vec![3.0]];
         let y = vec![1, 1, 1];
         let t = DecisionTree::train(&x, &y, TreeConfig::new(3));
-        assert_eq!(t.node_count(), 1);
+        assert_eq!(t.depth(), 0, "a single leaf");
         assert_eq!(t.predict(&[99.0]), 1);
     }
 
@@ -392,7 +381,7 @@ mod tests {
         let x = vec![vec![5.0]; 10];
         let y = vec![0, 0, 0, 1, 0, 0, 1, 0, 0, 0];
         let t = DecisionTree::train(&x, &y, TreeConfig::new(2));
-        assert_eq!(t.node_count(), 1);
+        assert_eq!(t.depth(), 0, "a single leaf");
         assert_eq!(t.predict(&[5.0]), 0);
         assert_eq!(t.predict_with_purity(&[5.0]), (0, false));
     }

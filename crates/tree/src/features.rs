@@ -2,12 +2,13 @@
 //!
 //! These summarise exactly the quantities the SMAT papers feed their
 //! trees: problem size, row-length distribution (ELL's enemy is row
-//! skew), diagonal occupancy (DIA's fill), block fill (BSR), and how
-//! empty the matrix is (COO vs CSR row-pointer overhead). All features
-//! are scale-normalised or log-compressed so trees see comparable
-//! ranges across matrix sizes.
+//! skew), diagonal occupancy (DIA's fill), and how empty the matrix is
+//! (COO vs CSR row-pointer overhead). All features are scale-normalised
+//! or log-compressed so trees see comparable ranges across matrix
+//! sizes. They come from one store-only sweep ([`StructureCounts`]),
+//! most of the cost of a request the tree answers at admission.
 
-use dnnspmv_sparse::{CooMatrix, MatrixStats, Scalar};
+use dnnspmv_sparse::{CooMatrix, Scalar, StructureCounts};
 
 /// Number of features [`features`] produces.
 ///
@@ -37,26 +38,23 @@ pub fn feature_names() -> [&'static str; NUM_FEATURES] {
     ]
 }
 
-/// Extracts the feature vector of one matrix.
+/// Extracts the feature vector of one matrix. Each ratio is the
+/// same-named [`dnnspmv_sparse::MatrixStats`] field, bit for bit.
 pub fn features<S: Scalar>(matrix: &CooMatrix<S>) -> Vec<f64> {
-    features_from_stats(&MatrixStats::compute(matrix))
-}
-
-/// Extracts features from precomputed statistics (avoids a second pass
-/// when the stats are already needed elsewhere).
-pub fn features_from_stats(s: &MatrixStats) -> Vec<f64> {
+    let s = StructureCounts::count(matrix);
+    let (row_mean, _, row_cv) = s.row_moments();
     let dims = (s.nrows + s.ncols) as f64;
     vec![
         (s.nrows as f64).ln(),
         (s.ncols as f64).ln(),
         (s.nnz.max(1) as f64).ln(),
-        s.density,
-        s.row_mean,
-        s.row_cv,
+        s.density(),
+        row_mean,
+        row_cv,
         s.row_max as f64 / s.ncols as f64,
-        s.ell_fill,
+        s.ell_fill(),
         s.ndiags as f64 / dims,
-        s.dia_fill,
+        s.dia_fill(),
         s.empty_rows as f64 / s.nrows as f64,
     ]
 }
